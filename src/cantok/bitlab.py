@@ -4,6 +4,10 @@ Bit numbering: position i is bit (7 - i % 8) of byte i // 8, so position 0
 is the MSB of the first transmitted byte and position N-1 the LSB of the
 last byte. This matches numpy's unpackbits order and puts big-endian
 multi-byte values on ascending contiguous positions.
+
+A field is the run of positions between its LSB and MSB position, in
+either order; position p carries place value 2^|p - lsb|. `read_field`
+and `write_field` are the only place values are turned into bits and back.
 """
 
 from __future__ import annotations
@@ -60,6 +64,26 @@ class Tang:
             raise AnalysisError(
                 f"count vector length {len(self.counts)} != bit width {self.bit_width}"
             )
+
+
+def _field_shifts(lsb: int, msb: int):
+    """(position, place-value shift) pairs of the field [lsb .. msb]."""
+    for p in range(min(lsb, msb), max(lsb, msb) + 1):
+        yield p, np.uint64(abs(p - lsb))
+
+
+def read_field(bits: np.ndarray, lsb: int, msb: int) -> np.ndarray:
+    """Unsigned value of one field in every row of an (M, N) bit matrix."""
+    values = np.zeros(bits.shape[0], dtype=np.uint64)
+    for p, shift in _field_shifts(lsb, msb):
+        values |= bits[:, p].astype(np.uint64) << shift
+    return values
+
+
+def write_field(bits: np.ndarray, lsb: int, msb: int, values: np.ndarray) -> None:
+    """Store each row's value in one field of an (M, N) bit matrix, in place."""
+    for p, shift in _field_shifts(lsb, msb):
+        bits[:, p] = ((values >> shift) & np.uint64(1)).astype(np.uint8)
 
 
 def build_bit_matrix(idtrace: IdTrace) -> BitMatrix:

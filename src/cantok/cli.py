@@ -19,13 +19,13 @@ from .frames import IdTrace, Trace, load_trace, partition_by_id, write_candump
 from .tokenizer import TokenizerConfig
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--input", "-i", required=True, help="capture or spec file")
+def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
+    """Flags shared by every command that reads a capture."""
+    defaults = TokenizerConfig()
     p.add_argument("--format", choices=("candump", "csv"), default="candump")
-    p.add_argument("--endianness", choices=("big", "little"), default="big")
-    p.add_argument("--threshold", type=int, default=0, metavar="UINT")
-    p.add_argument("--padding-mode", choices=("exclude", "strict"), default="exclude")
-    p.add_argument("--ids", default=None, help="comma-separated id filter, e.g. 0x100,0x200")
+    p.add_argument("--endianness", choices=tokenizer.ENDIANNESSES, default=defaults.endianness)
+    p.add_argument("--threshold", type=int, default=defaults.threshold, metavar="UINT")
+    p.add_argument("--padding-mode", choices=tokenizer.PADDING_MODES, default=defaults.padding_mode)
     p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--lenient", action="store_true", help="skip malformed lines instead of aborting")
 
@@ -37,12 +37,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("tang", help="per-id transition count vectors")
-    _add_common(p)
-    p = sub.add_parser("tokenize", help="greedy signal/padding clustering")
-    _add_common(p)
-    p = sub.add_parser("extract", help="unsigned-integer series per signal")
-    _add_common(p)
+    for name, summary in (
+        ("tang", "per-id transition count vectors"),
+        ("tokenize", "greedy signal/padding clustering"),
+        ("extract", "unsigned-integer series per signal"),
+    ):
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--input", "-i", required=True, help="capture file")
+        p.add_argument("--ids", default=None, help="comma-separated id filter, e.g. 0x100,0x200")
+        _add_analysis_flags(p)
 
     p = sub.add_parser("synth", help="generate a trace from a ground-truth spec")
     p.add_argument("--input", "-i", required=True, help="ground-truth JSON spec")
@@ -51,13 +54,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("score", help="compare a tokenization to ground truth")
     p.add_argument("--tokenization", "-t", default=None, help="tokenization JSON")
     p.add_argument("--input", "-i", default=None, help="trace to tokenize (alternative to -t)")
-    p.add_argument("--format", choices=("candump", "csv"), default="candump")
-    p.add_argument("--endianness", choices=("big", "little"), default="big")
-    p.add_argument("--threshold", type=int, default=0, metavar="UINT")
-    p.add_argument("--padding-mode", choices=("exclude", "strict"), default="exclude")
     p.add_argument("--ground-truth", "-g", required=True, help="ground-truth JSON spec")
-    p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--lenient", action="store_true")
+    _add_analysis_flags(p)
     return parser
 
 
@@ -160,8 +158,8 @@ def cmd_extract(args) -> int:
     for key, idtrace in groups:
         tok = tokenizer.tokenize(bitlab.tang_from_idtrace(idtrace), config)
         summaries = []
-        for c in tok.signal_clusters:
-            series = signals.extract_series(idtrace, c, config.endianness)
+        for series in signals.extract_series(idtrace, tok.signal_clusters):
+            c = series.cluster
             signals.export_series_csv(
                 series, outdir / f"{stems[key]}_sig{c.lo}-{c.hi}.csv"
             )
@@ -197,11 +195,9 @@ def cmd_score(args) -> int:
     gt = synth.load_ground_truth(args.ground_truth)
     if args.tokenization:
         with open(args.tokenization) as fh:
-            data = json.load(fh)
-        tok = _tokenization_from_dict(data)
+            tok = tokenizer.tokenization_from_dict(json.load(fh))
     elif args.input:
-        trace = load_trace(args.input, format=args.format, strict=not args.lenient)
-        toks = tokenizer.tokenize_trace(trace, _config(args))
+        toks = tokenizer.tokenize_trace(_load(args), _config(args))
         key = (gt.arbitration_id, gt.bit_width // 8)
         if key not in toks:
             raise CantokError(
@@ -223,31 +219,6 @@ def cmd_score(args) -> int:
     for k, v in data.items():
         print(f"{k:<22} {v}")
     return 0
-
-
-def _tokenization_from_dict(data: dict) -> tokenizer.Tokenization:
-    cfg = data.get("config", {})
-    clusters = tuple(
-        tokenizer.TokenCluster(
-            kind=c["kind"],
-            lo=c["lo"],
-            hi=c["hi"],
-            lsb_index=c.get("lsb"),
-            msb_index=c.get("msb"),
-            lsb_transitions=c.get("lsb_transitions"),
-        )
-        for c in data["clusters"]
-    )
-    return tokenizer.Tokenization(
-        arbitration_id=int(str(data["id"]), 16),
-        bit_width=data["bit_width"],
-        clusters=clusters,
-        config=TokenizerConfig(
-            endianness=cfg.get("endianness", "big"),
-            threshold=cfg.get("threshold", 0),
-            padding_mode=cfg.get("padding_mode", "exclude"),
-        ),
-    )
 
 
 _COMMANDS = {

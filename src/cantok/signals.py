@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bitlab import BitMatrix, build_bit_matrix
+from .bitlab import BitMatrix, build_bit_matrix, read_field, write_field
 from .errors import AnalysisError, InvariantError
 from .frames import IdTrace
 from .tokenizer import PADDING, TokenCluster, Tokenization, format_id
@@ -39,42 +40,31 @@ class SignalSummary:
     mean_abs_first_difference: float
 
 
-def _cluster_values(bits: np.ndarray, cluster: TokenCluster, endianness: str) -> np.ndarray:
-    """Weight each bit column by its place value and sum."""
-    values = np.zeros(bits.shape[0], dtype=np.uint64)
-    for p in cluster.positions:
-        if endianness == "big":
-            shift = cluster.hi - p
-        else:
-            shift = p - cluster.lo
-        values |= bits[:, p].astype(np.uint64) << np.uint64(shift)
-    return values
-
-
 def extract_series(
-    idtrace: IdTrace, cluster: TokenCluster, endianness: str = "big"
-) -> SignalSeries:
-    """Read one signal cluster out of every payload of an IdTrace."""
-    if cluster.kind == PADDING:
-        raise AnalysisError("cannot extract padding as a signal series")
-    if cluster.lo < 0 or cluster.hi >= idtrace.bit_width:
-        raise AnalysisError(
-            f"cluster [{cluster.lo}, {cluster.hi}] outside payload width "
-            f"{idtrace.bit_width}"
-        )
+    idtrace: IdTrace, clusters: Sequence[TokenCluster]
+) -> list[SignalSeries]:
+    """One series per signal cluster, read from every payload of an IdTrace.
+
+    Each cluster's ``lsb_index``/``msb_index`` sets its bit order. The bit
+    matrix and the timestamp array are built once for all the clusters.
+    """
+    for cluster in clusters:
+        if cluster.kind == PADDING:
+            raise AnalysisError("cannot extract padding as a signal series")
+        if cluster.lo < 0 or cluster.hi >= idtrace.bit_width:
+            raise AnalysisError(
+                f"cluster [{cluster.lo}, {cluster.hi}] outside payload width "
+                f"{idtrace.bit_width}"
+            )
     bm = build_bit_matrix(idtrace)
-    values = _cluster_values(bm.bits, cluster, endianness)
-    if cluster.width < 64 and values.max(initial=0) >> np.uint64(cluster.width):
-        raise InvariantError("extracted value exceeds cluster width")
-    values.flags.writeable = False
     timestamps = np.array([f.timestamp for f in idtrace.frames])
     timestamps.flags.writeable = False
-    return SignalSeries(
-        arbitration_id=idtrace.arbitration_id,
-        cluster=cluster,
-        values=values,
-        timestamps=timestamps,
-    )
+    out = []
+    for cluster in clusters:
+        values = read_field(bm.bits, cluster.lsb_index, cluster.msb_index)
+        values.flags.writeable = False
+        out.append(SignalSeries(idtrace.arbitration_id, cluster, values, timestamps))
+    return out
 
 
 def summarize(series: SignalSeries) -> SignalSummary:
@@ -151,10 +141,7 @@ def repack_payloads(
         series = series_by_cluster[(c.lo, c.hi)]
         if len(series) != frame_count:
             raise AnalysisError("series length does not match frame count")
-        endianness = "big" if c.lsb_index == c.hi else "little"
-        for p in c.positions:
-            shift = c.hi - p if endianness == "big" else p - c.lo
-            bits[:, p] = (series.values >> np.uint64(shift)).astype(np.uint8) & 1
+        write_field(bits, c.lsb_index, c.msb_index, series.values)
     packed = np.packbits(bits, axis=1)
     return [row.tobytes() for row in packed]
 

@@ -14,6 +14,7 @@ from importlib import resources
 
 import numpy as np
 
+from .bitlab import write_field
 from .errors import AnalysisError
 from .frames import CanFrame, Trace
 from .tokenizer import SIGNAL, Tokenization, format_id
@@ -135,10 +136,8 @@ def generate_trace(gt: GroundTruth) -> Trace:
     m = gt.frame_count
     bits = np.full((m, gt.bit_width), gt.padding_value, dtype=np.uint8)
     for spec in gt.specs:
-        values = _generate_values(spec, m, rng)
-        for p in range(spec.lo, spec.hi + 1):
-            shift = spec.hi - p if spec.endianness == "big" else p - spec.lo
-            bits[:, p] = ((values >> np.uint64(shift)) & np.uint64(1)).astype(np.uint8)
+        lsb, msb = (spec.hi, spec.lo) if spec.endianness == "big" else (spec.lo, spec.hi)
+        write_field(bits, lsb, msb, _generate_values(spec, m, rng))
     packed = np.packbits(bits, axis=1)
     dlc = gt.bit_width // 8
     frames = tuple(

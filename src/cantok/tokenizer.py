@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 from .bitlab import Tang, tang_from_idtrace
 from .errors import AnalysisError, InvariantError
@@ -63,8 +63,8 @@ class TokenCluster:
     def __post_init__(self):
         if self.lo > self.hi:
             raise InvariantError(f"empty cluster range [{self.lo}, {self.hi}]")
-        if self.kind == SIGNAL and (self.lsb_index is None or self.msb_index is None):
-            raise InvariantError("signal cluster without lsb/msb indices")
+        if self.kind == SIGNAL and {self.lsb_index, self.msb_index} != {self.lo, self.hi}:
+            raise InvariantError("signal cluster lsb/msb indices are not its two ends")
 
     @property
     def width(self) -> int:
@@ -215,11 +215,7 @@ def tokenization_to_dict(tok: Tokenization) -> dict:
     return {
         "id": format_id(tok.arbitration_id),
         "bit_width": tok.bit_width,
-        "config": {
-            "endianness": tok.config.endianness,
-            "threshold": tok.config.threshold,
-            "padding_mode": tok.config.padding_mode,
-        },
+        "config": asdict(tok.config),
         "clusters": [
             {
                 "kind": c.kind,
@@ -232,6 +228,26 @@ def tokenization_to_dict(tok: Tokenization) -> dict:
             for c in tok.clusters
         ],
     }
+
+
+def tokenization_from_dict(data: dict) -> Tokenization:
+    """Inverse of `tokenization_to_dict`; a malformed dict raises AnalysisError."""
+    cfg = data.get("config", {})
+    try:
+        clusters = tuple(
+            TokenCluster(
+                c["kind"], c["lo"], c["hi"], c.get("lsb"), c.get("msb"), c.get("lsb_transitions")
+            )
+            for c in data["clusters"]
+        )
+        config = TokenizerConfig(
+            **{f.name: cfg[f.name] for f in fields(TokenizerConfig) if f.name in cfg}
+        )
+        return Tokenization(int(str(data["id"]), 16), data["bit_width"], clusters, config)
+    except KeyError as exc:
+        raise AnalysisError(f"tokenization missing field {exc}") from None
+    except (InvariantError, ValueError) as exc:
+        raise AnalysisError(f"invalid tokenization: {exc}") from None
 
 
 def export_tokenization_json(tok: Tokenization, path) -> None:

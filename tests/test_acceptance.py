@@ -224,8 +224,8 @@ def test_criterion_6_reconstruction():
             tok = tokenize(tang_from_idtrace(it))
             bm = build_bit_matrix(it)
             series = {
-                (c.lo, c.hi): extract_series(it, c, tok.config.endianness)
-                for c in tok.signal_clusters
+                (s.cluster.lo, s.cluster.hi): s
+                for s in extract_series(it, tok.signal_clusters)
             }
             rebuilt = repack_payloads(
                 tok, series, padding_constants(bm, tok), len(it)

@@ -6,7 +6,7 @@ from cantok import (
     load_trace,
     tokenize_trace,
 )
-from cantok.cli import main
+from cantok.cli import build_parser, main
 from cantok.synth import bundled_spec_path
 from cantok.tokenizer import tokenization_to_dict
 
@@ -157,3 +157,41 @@ class TestErrors:
         gt = tmp_path / "gt.json"
         gt.write_text(bundled_spec_path().read_text())
         assert main(["score", "-g", str(gt)]) == 1
+
+    def test_score_tokenization_without_clusters_exit_one(self, tmp_path, capsys):
+        tok = tmp_path / "tok.json"
+        tok.write_text(json.dumps({"id": "0x0100", "bit_width": 8}))
+        gt = str(bundled_spec_path())
+        assert main(["score", "-t", str(tok), "-g", gt, "--out", str(tmp_path)]) == 1
+        assert "error: tokenization missing field 'clusters'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("arb_id, clusters", [
+        ("0x0100", [{"kind": "padding", "lo": 0, "hi": 3}]),  # bits 4-7 uncovered
+        ("0xZZ", [{"kind": "padding", "lo": 0, "hi": 7}]),  # id is not hex
+    ])
+    def test_score_tokenization_invalid_exit_one(self, arb_id, clusters, tmp_path, capsys):
+        tok = tmp_path / "tok.json"
+        tok.write_text(json.dumps({"id": arb_id, "bit_width": 8, "clusters": clusters}))
+        gt = str(bundled_spec_path())
+        assert main(["score", "-t", str(tok), "-g", gt, "--out", str(tmp_path)]) == 1
+        assert "error: invalid tokenization" in capsys.readouterr().err
+
+
+def _required(command):
+    return [command, "-i", "capture.log"] + (["-g", "gt.json"] if command == "score" else [])
+
+
+@pytest.mark.parametrize("command", ["tang", "tokenize", "extract", "score"])
+class TestSharedFlags:
+    def test_same_defaults(self, command):
+        args = build_parser().parse_args(_required(command))
+        assert (
+            args.format, args.endianness, args.threshold, args.padding_mode,
+            args.out, args.lenient,
+        ) == ("candump", "big", 0, "exclude", ".", False)
+
+    def test_bogus_padding_mode_rejected(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(_required(command) + ["--padding-mode", "bogus"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 """Randomized invariants for the analysis chain."""
 
+import json
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,9 +13,10 @@ from cantok import (
     tokenize,
 )
 from cantok.frames import format_candump_line, CanFrame
-from cantok.bitlab import tang_from_idtrace
+from cantok.bitlab import build_bit_matrix, read_field, tang_from_idtrace, write_field
+from cantok.tokenizer import tokenization_from_dict, tokenization_to_dict
 
-from .conftest import make_idtrace, naive_tang_counts
+from .conftest import bits_of, make_idtrace, naive_tang_counts
 
 counts_st = st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=64)
 endian_st = st.sampled_from(["big", "little"])
@@ -130,3 +133,49 @@ def test_candump_round_trip(frame):
         frame.dlc,
         frame.payload,
     )
+
+
+@st.composite
+def field_st(draw, bit_width):
+    """(lsb, msb) of a field inside `bit_width` positions, in either bit order."""
+    lo = draw(st.integers(min_value=0, max_value=bit_width - 1))
+    hi = draw(st.integers(min_value=lo, max_value=bit_width - 1))
+    return (hi, lo) if draw(endian_st) == "big" else (lo, hi)
+
+
+@given(st.integers(min_value=1, max_value=64).flatmap(
+    lambda n: st.tuples(st.just(n), field_st(n))), st.data())
+@settings(max_examples=300, deadline=None)
+def test_write_then_read_field_is_identity(shape, data):
+    n, (lsb, msb) = shape
+    width = abs(msb - lsb) + 1
+    values = data.draw(st.lists(
+        st.integers(min_value=0, max_value=2**width - 1), min_size=1, max_size=16))
+    bits = np.zeros((len(values), n), dtype=np.uint8)
+    write_field(bits, lsb, msb, np.array(values, dtype=np.uint64))
+    assert read_field(bits, lsb, msb).tolist() == values
+    outside = [p for p in range(n) if not min(lsb, msb) <= p <= max(lsb, msb)]
+    assert not bits[:, outside].any()
+
+
+@given(payloads_st, st.data())
+@settings(max_examples=300, deadline=None)
+def test_read_field_matches_scalar_oracle(payloads, data):
+    lsb, msb = data.draw(field_st(len(payloads[0]) * 8))
+    bits = build_bit_matrix(make_idtrace([list(p) for p in payloads])).bits
+    expected = [
+        sum(row[p] << abs(p - lsb) for p in range(min(lsb, msb), max(lsb, msb) + 1))
+        for row in map(bits_of, payloads)
+    ]
+    assert read_field(bits, lsb, msb).tolist() == expected
+
+
+@given(counts_st, endian_st, mode_st, threshold_st)
+@settings(max_examples=200, deadline=None)
+def test_tokenization_dict_round_trip(counts, endianness, mode, threshold):
+    tok = tokenize(
+        as_tang(counts),
+        TokenizerConfig(endianness=endianness, threshold=threshold, padding_mode=mode),
+    )
+    data = json.loads(json.dumps(tokenization_to_dict(tok)))
+    assert tokenization_from_dict(data) == tok

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -66,7 +67,7 @@ class TestGenerate:
         )
         it = single_id_trace(gt)
         for spec in gt.specs:
-            values = extract_series(it, signal(spec.lo, spec.hi)).values
+            values = extract_series(it, [signal(spec.lo, spec.hi)])[0].values
             expected = [(k * spec.step) % 256 for k in range(256)]
             assert values.tolist() == expected
 
@@ -85,6 +86,27 @@ class TestGenerate:
         a = generate_trace(gt)
         b = generate_trace(gt)
         assert [f.payload for f in a.frames] == [f.payload for f in b.frames]
+
+    def test_seeded_payloads_golden(self):
+        # every generator kind, both bit orders, ones padding in the gaps
+        gt = GroundTruth(
+            arbitration_id=0x3C1,
+            bit_width=64,
+            specs=(
+                SignalSpec(lo=4, hi=15, kind="counter", endianness="little", step=3, start=7),
+                SignalSpec(lo=16, hi=27, kind="ramp", max_step=4),
+                SignalSpec(lo=28, hi=39, kind="random_walk", endianness="little", max_step=2),
+                SignalSpec(lo=42, hi=49, kind="constant", value=0xA5),
+                SignalSpec(lo=52, hi=61, kind="noise", endianness="little"),
+            ),
+            frame_count=200,
+            seed=7,
+            padding_value=1,
+        )
+        payloads = b"".join(f.payload for f in generate_trace(gt).frames)
+        assert hashlib.sha256(payloads).hexdigest() == (
+            "6c37b09b339708b28f428b0f2f9b0a1580a0b90a543896d1da4a1c974fa28fbc"
+        )
 
     def test_overlap_rejected(self):
         with pytest.raises(AnalysisError, match="overlap"):
@@ -116,7 +138,7 @@ class TestGenerate:
             frame_count=300,
             seed=5,
         )
-        values = extract_series(single_id_trace(gt), signal(1, 5)).values
+        values = extract_series(single_id_trace(gt), [signal(1, 5)])[0].values
         assert values.max() < 2**5
 
     def test_random_walk_steps_bounded(self):
@@ -127,7 +149,7 @@ class TestGenerate:
             frame_count=400,
             seed=13,
         )
-        values = extract_series(single_id_trace(gt), signal(0, 15)).values
+        values = extract_series(single_id_trace(gt), [signal(0, 15)])[0].values
         diffs = np.abs(np.diff(values.astype(np.int64)))
         assert diffs.max() <= 9
 

@@ -6,6 +6,8 @@ import pytest
 from cantok import (
     AnalysisError,
     CanFrame,
+    InvariantError,
+    TokenCluster,
     Tang,
     TokenizerConfig,
     Trace,
@@ -101,6 +103,11 @@ class TestModesAndThreshold:
             TokenizerConfig(threshold=-1)
         with pytest.raises(AnalysisError):
             TokenizerConfig(padding_mode="none")
+
+    @pytest.mark.parametrize("lsb, msb", [(None, 0), (3, None), (2, 0), (3, 1), (1, 3)])
+    def test_signal_lsb_msb_must_be_the_ends(self, lsb, msb):
+        with pytest.raises(InvariantError, match="two ends"):
+            TokenCluster(kind="signal", lo=0, hi=3, lsb_index=lsb, msb_index=msb)
 
 
 class TestClassifyPadding:
