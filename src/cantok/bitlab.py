@@ -92,9 +92,7 @@ def build_bit_matrix(idtrace: IdTrace) -> BitMatrix:
         raise AnalysisError(
             f"no observations for id 0x{idtrace.arbitration_id:X}"
         )
-    raw = b"".join(f.payload for f in idtrace.frames)
-    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(idtrace), idtrace.dlc)
-    bits = np.unpackbits(packed, axis=1)
+    bits = np.unpackbits(idtrace.payloads, axis=1)
     bits.flags.writeable = False
     return BitMatrix(bits=bits, arbitration_id=idtrace.arbitration_id, dlc=idtrace.dlc)
 

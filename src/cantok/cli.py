@@ -11,6 +11,8 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 from . import bitlab, signals, synth, tokenizer
@@ -60,11 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args) -> TokenizerConfig:
-    return TokenizerConfig(
-        endianness=args.endianness,
-        threshold=args.threshold,
-        padding_mode=args.padding_mode,
-    )
+    return TokenizerConfig(**{f.name: getattr(args, f.name) for f in fields(TokenizerConfig)})
 
 
 def _id_filter(args) -> set[int] | None:
@@ -92,9 +90,7 @@ def _select_groups(trace: Trace, wanted: set[int] | None) -> list[tuple[tuple[in
 
 def _stems(groups) -> dict[tuple[int, int], str]:
     """File-name stem per group; mixed-dlc ids get a dlc suffix."""
-    by_id: dict[int, int] = {}
-    for (arb_id, _), _g in groups:
-        by_id[arb_id] = by_id.get(arb_id, 0) + 1
+    by_id = Counter(arb_id for (arb_id, _), _g in groups)
     return {
         key: f"{key[0]:04X}" + (f"_dlc{key[1]}" if by_id[key[0]] > 1 else "")
         for key, _g in groups
@@ -105,14 +101,20 @@ def _load(args) -> Trace:
     return load_trace(args.input, format=args.format, strict=not args.lenient)
 
 
-def cmd_tang(args) -> int:
+def _analysis_input(args):
+    """Output directory, analyzable groups and their file stems."""
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     groups = _select_groups(_load(args), _id_filter(args))
     if not groups:
         print("warning: no analyzable ids", file=sys.stderr)
+    return outdir, groups, _stems(groups)
+
+
+def cmd_tang(args) -> int:
+    outdir, groups, stems = _analysis_input(args)
+    if not groups:
         return 0
-    stems = _stems(groups)
     print(f"{'id':>10} {'dlc':>3} {'frames':>8} {'active_bits':>11} {'max_transitions':>15}")
     for key, idtrace in groups:
         tang = bitlab.tang_from_idtrace(idtrace)
@@ -126,14 +128,10 @@ def cmd_tang(args) -> int:
 
 
 def cmd_tokenize(args) -> int:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     config = _config(args)
-    groups = _select_groups(_load(args), _id_filter(args))
+    outdir, groups, stems = _analysis_input(args)
     if not groups:
-        print("warning: no analyzable ids", file=sys.stderr)
         return 0
-    stems = _stems(groups)
     print(f"{'id':>10} {'dlc':>3} {'signals':>8} {'padding':>8}")
     for key, idtrace in groups:
         tok = tokenizer.tokenize(bitlab.tang_from_idtrace(idtrace), config)
@@ -146,14 +144,10 @@ def cmd_tokenize(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
     config = _config(args)
-    groups = _select_groups(_load(args), _id_filter(args))
+    outdir, groups, stems = _analysis_input(args)
     if not groups:
-        print("warning: no analyzable ids", file=sys.stderr)
         return 0
-    stems = _stems(groups)
     print(f"{'id':>10} {'cluster':>9} {'width':>5} {'unique':>8} {'mean|d|':>10}")
     for key, idtrace in groups:
         tok = tokenizer.tokenize(bitlab.tang_from_idtrace(idtrace), config)

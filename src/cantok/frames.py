@@ -5,8 +5,10 @@ Supported on-disk formats:
 * candump compact: ``(<seconds.fraction>) <iface> <HEXID>#<HEXBYTES>``
 * CSV with header ``timestamp,id,dlc,payload_hex``
 
-All produced types are immutable values; downstream analysis may consume
-them concurrently.
+A `Trace` holds one read-only column per frame field, with payloads as an
+(M, 8) matrix zero past each frame's dlc; an `IdTrace` holds one (id, dlc)
+group's timestamps and (M, dlc) payloads. `CanFrame` is the result of
+parsing one line and the row type `Trace.frames` yields.
 """
 
 from __future__ import annotations
@@ -14,7 +16,12 @@ from __future__ import annotations
 import csv
 import io
 import logging
+from array import array
+from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import AnalysisError, ParseError
 
@@ -51,39 +58,71 @@ class CanFrame:
         return self.arbitration_id > STANDARD_ID_MAX
 
 
-@dataclass(frozen=True, slots=True)
-class Trace:
-    """Chronologically ordered frame stream from one capture."""
+def _set_columns(obj, **specs: tuple) -> None:
+    """Store each ``name=(dtype, shape)`` attribute of `obj` as a read-only array."""
+    for name, (dtype, shape) in specs.items():
+        a = np.asarray(getattr(obj, name), dtype=dtype).view()
+        if a.shape != shape:
+            raise AnalysisError(f"{name} of shape {a.shape}, expected {shape}")
+        a.flags.writeable = False
+        object.__setattr__(obj, name, a)
 
-    frames: tuple[CanFrame, ...]
+
+@dataclass(frozen=True, slots=True, eq=False)
+class Trace:
+    """Chronologically ordered capture, one column per frame field."""
+
+    timestamps: np.ndarray  # (M,) float64 seconds
+    ids: np.ndarray  # (M,) uint32 arbitration ids
+    dlcs: np.ndarray  # (M,) uint8
+    payloads: np.ndarray  # (M, 8) uint8, zero past each frame's dlc
     source: str = ""
+
+    def __post_init__(self):
+        m = len(self.timestamps)
+        _set_columns(
+            self, timestamps=(np.float64, (m,)), ids=(np.uint32, (m,)),
+            dlcs=(np.uint8, (m,)), payloads=(np.uint8, (m, MAX_DLC)),
+        )
+
+    @property
+    def frames(self) -> Iterator[CanFrame]:
+        """Row view: one CanFrame per frame, in capture order."""
+        blob = self.payloads.tobytes()
+        rows = zip(self.timestamps.tolist(), self.ids.tolist(), self.dlcs.tolist())
+        for k, (ts, arb_id, dlc) in enumerate(rows):
+            yield CanFrame(ts, arb_id, dlc, blob[MAX_DLC * k : MAX_DLC * k + dlc])
 
     def validate(self) -> None:
         """Check the nondecreasing-timestamp invariant; raise on violation."""
-        for a, b in zip(self.frames, self.frames[1:]):
-            if b.timestamp < a.timestamp:
-                raise AnalysisError(
-                    f"timestamps decrease: {a.timestamp} -> {b.timestamp}"
-                )
+        back = np.flatnonzero(np.diff(self.timestamps) < 0)
+        if back.size:
+            a, b = self.timestamps[back[0] : back[0] + 2].tolist()
+            raise AnalysisError(f"timestamps decrease: {a} -> {b}")
 
     def __len__(self) -> int:
-        return len(self.frames)
+        return len(self.timestamps)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class IdTrace:
     """All frames of one (arbitration id, dlc) group, in capture order."""
 
     arbitration_id: int
     dlc: int
-    frames: tuple[CanFrame, ...]
+    timestamps: np.ndarray  # (M,) float64 seconds
+    payloads: np.ndarray  # (M, dlc) uint8
+
+    def __post_init__(self):
+        m = len(self.timestamps)
+        _set_columns(self, timestamps=(np.float64, (m,)), payloads=(np.uint8, (m, self.dlc)))
 
     @property
     def bit_width(self) -> int:
         return 8 * self.dlc
 
     def __len__(self) -> int:
-        return len(self.frames)
+        return len(self.timestamps)
 
 
 def parse_candump_line(line: str, lineno: int | None = None) -> CanFrame:
@@ -181,23 +220,29 @@ def parse_csv_line(
         raise ParseError(line, str(exc), lineno) from None
 
 
+def _candump_line(timestamp: float, arb_id: int, payload_hex: str, iface: str) -> str:
+    width = 3 if arb_id <= STANDARD_ID_MAX else 8
+    return f"({timestamp:.6f}) {iface} {arb_id:0{width}X}#{payload_hex}"
+
+
 def format_candump_line(frame: CanFrame, iface: str = "can0") -> str:
     """Render a frame back to compact candump text.
 
     Standard ids get 3 hex digits, extended ids 8; timestamps keep
     microsecond precision.
     """
-    width = 3 if not frame.is_extended else 8
-    return (
-        f"({frame.timestamp:.6f}) {iface} "
-        f"{frame.arbitration_id:0{width}X}#{frame.payload.hex().upper()}"
+    return _candump_line(
+        frame.timestamp, frame.arbitration_id, frame.payload.hex().upper(), iface
     )
 
 
 def write_candump(trace: Trace, path, iface: str = "can0") -> None:
+    hexdata = trace.payloads.tobytes().hex().upper()
+    rows = zip(trace.timestamps.tolist(), trace.ids.tolist(), trace.dlcs.tolist())
     with open(path, "w") as fh:
-        for frame in trace.frames:
-            fh.write(format_candump_line(frame, iface))
+        for k, (ts, arb_id, dlc) in enumerate(rows):
+            start = 2 * MAX_DLC * k
+            fh.write(_candump_line(ts, arb_id, hexdata[start : start + 2 * dlc], iface))
             fh.write("\n")
 
 
@@ -211,7 +256,8 @@ def load_trace(path, format: str = "candump", strict: bool = True) -> Trace:
     """
     if format not in ("candump", "csv"):
         raise AnalysisError(f"unknown capture format {format!r}")
-    frames: list[CanFrame] = []
+    parse = parse_candump_line if format == "candump" else parse_csv_line
+    timestamps, ids, dlcs, payloads = array("d"), array("L"), bytearray(), bytearray()
     skipped = 0
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -221,23 +267,21 @@ def load_trace(path, format: str = "candump", strict: bool = True) -> Trace:
             if format == "csv" and line.replace(" ", "") == CSV_HEADER:
                 continue
             try:
-                if format == "candump":
-                    frames.append(parse_candump_line(line, lineno))
-                else:
-                    frames.append(parse_csv_line(line, lineno=lineno))
+                frame = parse(line, lineno=lineno)
             except ParseError:
                 if strict:
                     raise
                 skipped += 1
+                continue
+            timestamps.append(frame.timestamp)
+            ids.append(frame.arbitration_id)
+            dlcs.append(frame.dlc)
+            payloads += frame.payload.ljust(MAX_DLC, b"\0")
+    trace = Trace(timestamps, ids, dlcs, np.reshape(payloads, (-1, MAX_DLC)), str(path))
     if skipped:
         log.warning("%s: skipped %d malformed line(s)", path, skipped)
-    per_id: dict[int, int] = {}
-    for f in frames:
-        per_id[f.arbitration_id] = per_id.get(f.arbitration_id, 0) + 1
-    log.info(
-        "%s: %d frames across %d arbitration ids", path, len(frames), len(per_id)
-    )
-    return Trace(frames=tuple(frames), source=str(path))
+    log.info("%s: %d frames", path, len(trace))
+    return trace
 
 
 def partition_by_id(trace: Trace) -> dict[tuple[int, int], IdTrace]:
@@ -245,21 +289,23 @@ def partition_by_id(trace: Trace) -> dict[tuple[int, int], IdTrace]:
 
     Keying on (id, dlc) keeps each group at a fixed bit width even when an
     id violates the fixed-width assumption; such ids are reported in a
-    warning.
+    warning. Groups come in ascending (id, dlc) order, and each keeps its
+    frames in capture order.
     """
-    groups: dict[tuple[int, int], list[CanFrame]] = {}
-    for frame in trace.frames:
-        groups.setdefault((frame.arbitration_id, frame.dlc), []).append(frame)
-    widths: dict[int, set[int]] = {}
-    for arb_id, dlc in groups:
-        widths.setdefault(arb_id, set()).add(dlc)
-    mixed = sorted(i for i, ws in widths.items() if len(ws) > 1)
+    keys = (trace.ids.astype(np.uint64) << np.uint64(4)) | trace.dlcs
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    timestamps, payloads = trace.timestamps[order], trace.payloads[order]
+    cuts = (np.flatnonzero(np.diff(keys)) + 1).tolist()
+    edges = [0, *cuts, len(keys)] if len(keys) else []
+    groups = {}
+    for a, b in zip(edges, edges[1:]):
+        arb_id, dlc = int(keys[a]) >> 4, int(keys[a]) & 0xF
+        groups[(arb_id, dlc)] = IdTrace(arb_id, dlc, timestamps[a:b], payloads[a:b, :dlc])
+    mixed = [i for i, n in Counter(i for i, _ in groups).items() if n > 1]
     if mixed:
         log.warning(
             "ids with multiple payload widths: %s",
             ", ".join(f"0x{i:X}" for i in mixed),
         )
-    return {
-        (arb_id, dlc): IdTrace(arb_id, dlc, tuple(fs))
-        for (arb_id, dlc), fs in groups.items()
-    }
+    return groups

@@ -46,7 +46,7 @@ def extract_series(
     """One series per signal cluster, read from every payload of an IdTrace.
 
     Each cluster's ``lsb_index``/``msb_index`` sets its bit order. The bit
-    matrix and the timestamp array are built once for all the clusters.
+    matrix is built once, and every series shares the group's timestamps.
     """
     for cluster in clusters:
         if cluster.kind == PADDING:
@@ -57,13 +57,11 @@ def extract_series(
                 f"{idtrace.bit_width}"
             )
     bm = build_bit_matrix(idtrace)
-    timestamps = np.array([f.timestamp for f in idtrace.frames])
-    timestamps.flags.writeable = False
     out = []
     for cluster in clusters:
         values = read_field(bm.bits, cluster.lsb_index, cluster.msb_index)
         values.flags.writeable = False
-        out.append(SignalSeries(idtrace.arbitration_id, cluster, values, timestamps))
+        out.append(SignalSeries(idtrace.arbitration_id, cluster, values, idtrace.timestamps))
     return out
 
 
@@ -72,11 +70,14 @@ def summarize(series: SignalSeries) -> SignalSummary:
         raise AnalysisError("cannot summarize an empty series")
     vals = series.values
     if len(vals) > 1:
-        # int64 diff would overflow near 2^64; go through Python ints
-        py = [int(v) for v in vals]
-        diffs = [abs(b - a) for a, b in zip(py, py[1:])]
-        transitions = sum(1 for d in diffs if d)
-        mean_abs = sum(diffs) / len(diffs)
+        a, b = vals[:-1], vals[1:]
+        diffs = np.where(b >= a, b - a, a - b)  # exact |b - a| in uint64
+        transitions = int(np.count_nonzero(diffs))
+        # Summing each 32-bit half cannot overflow uint64 for < 2^32 values,
+        # and Python's int / int rounds the exact total correctly.
+        high = int(np.sum(diffs >> np.uint64(32)))
+        low = int(np.sum(diffs & np.uint64(0xFFFFFFFF)))
+        mean_abs = ((high << 32) + low) / len(diffs)
     else:
         transitions = 0
         mean_abs = 0.0
@@ -128,8 +129,8 @@ def repack_payloads(
     series_by_cluster: dict[tuple[int, int], SignalSeries],
     padding_bits: dict[int, int],
     frame_count: int,
-) -> list[bytes]:
-    """Rebuild raw payloads from extracted series plus padding constants.
+) -> np.ndarray:
+    """Rebuild the (M, dlc) payload matrix from series plus padding constants.
 
     Inverse of extraction when the tokenization's signal clusters cover
     every non-padding bit; used to verify lossless decomposition.
@@ -142,8 +143,7 @@ def repack_payloads(
         if len(series) != frame_count:
             raise AnalysisError("series length does not match frame count")
         write_field(bits, c.lsb_index, c.msb_index, series.values)
-    packed = np.packbits(bits, axis=1)
-    return [row.tobytes() for row in packed]
+    return np.packbits(bits, axis=1)
 
 
 def export_summary_json(summaries: list[dict], path) -> None:

@@ -9,15 +9,15 @@ compares a recovered tokenization against the generating layout.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, asdict, dataclass, fields
 from importlib import resources
 
 import numpy as np
 
 from .bitlab import write_field
 from .errors import AnalysisError
-from .frames import CanFrame, Trace
-from .tokenizer import SIGNAL, Tokenization, format_id
+from .frames import EXTENDED_ID_MAX, MAX_DLC, Trace
+from .tokenizer import ENDIANNESSES, SIGNAL, Tokenization, format_id
 
 GENERATOR_KINDS = ("counter", "ramp", "random_walk", "constant", "noise")
 
@@ -42,6 +42,8 @@ class SignalSpec:
             raise AnalysisError(f"unknown generator kind {self.kind!r}")
         if self.lo > self.hi:
             raise AnalysisError(f"empty signal range [{self.lo}, {self.hi}]")
+        if self.endianness not in ENDIANNESSES:
+            raise AnalysisError(f"unknown endianness {self.endianness!r}")
 
     @property
     def width(self) -> int:
@@ -61,6 +63,10 @@ class GroundTruth:
     start_time: float = 0.0
 
     def __post_init__(self):
+        if not 0 <= self.arbitration_id <= EXTENDED_ID_MAX:
+            raise AnalysisError(
+                f"arbitration id 0x{self.arbitration_id:X} outside extended range"
+            )
         if self.bit_width % 8 or not 0 < self.bit_width <= 64:
             raise AnalysisError("bit width must be a positive multiple of 8, <= 64")
         covered = set()
@@ -101,7 +107,6 @@ def _generate_values(spec: SignalSpec, m: int, rng: np.random.Generator) -> np.n
         return rng.integers(0, top - 1, size=m, dtype=np.uint64, endpoint=True)
     if spec.kind == "ramp":
         out = np.empty(m, dtype=np.uint64)
-        pos = 0
         v = int(rng.integers(0, min(top, 1 << 62)))
         out[0] = v
         pos = 1
@@ -139,45 +144,25 @@ def generate_trace(gt: GroundTruth) -> Trace:
         lsb, msb = (spec.hi, spec.lo) if spec.endianness == "big" else (spec.lo, spec.hi)
         write_field(bits, lsb, msb, _generate_values(spec, m, rng))
     packed = np.packbits(bits, axis=1)
-    dlc = gt.bit_width // 8
-    frames = tuple(
-        CanFrame(
-            timestamp=gt.start_time + k * FRAME_PERIOD_S,
-            arbitration_id=gt.arbitration_id,
-            dlc=dlc,
-            payload=packed[k].tobytes(),
-        )
-        for k in range(m)
+    return Trace(
+        timestamps=gt.start_time + np.arange(m) * FRAME_PERIOD_S,
+        ids=np.full(m, gt.arbitration_id, dtype=np.uint32),
+        dlcs=np.full(m, gt.bit_width // 8, dtype=np.uint8),
+        payloads=np.pad(packed, ((0, 0), (0, MAX_DLC - packed.shape[1]))),
+        source=f"synthetic:{format_id(gt.arbitration_id)}",
     )
-    return Trace(frames=frames, source=f"synthetic:{format_id(gt.arbitration_id)}")
 
 
 def merge_traces(traces: list[Trace]) -> Trace:
     """Interleave traces by timestamp (stable, so per-id order is kept)."""
-    frames = sorted(
-        (f for t in traces for f in t.frames), key=lambda f: f.timestamp
-    )
-    return Trace(frames=tuple(frames), source="merged")
-
-
-def _partition_intervals(gt: GroundTruth) -> list[tuple[int, int, str]]:
-    """Full (lo, hi, kind) token partition implied by a ground truth."""
-    out = []
-    pos = 0
-    for s in sorted(gt.specs, key=lambda s: s.lo):
-        if s.lo > pos:
-            out.append((pos, s.lo - 1, "padding"))
-        out.append((s.lo, s.hi, "signal"))
-        pos = s.hi + 1
-    if pos < gt.bit_width:
-        out.append((pos, gt.bit_width - 1, "padding"))
-    return out
-
-
-def _boundaries(intervals: list[tuple[int, int]]) -> set[int]:
-    """Cut points between adjacent tokens, named by the left-hand bit."""
-    ordered = sorted(intervals)
-    return {hi for _, hi in ordered[:-1]}
+    if not traces:
+        return Trace([], [], [], np.empty((0, MAX_DLC)), source="merged")
+    columns = [
+        np.concatenate([getattr(t, name) for t in traces])
+        for name in ("timestamps", "ids", "dlcs", "payloads")
+    ]
+    order = np.argsort(columns[0], kind="stable")
+    return Trace(*(c[order] for c in columns), source="merged")
 
 
 def score_tokenization(tok: Tokenization, gt: GroundTruth) -> ScoreReport:
@@ -186,9 +171,13 @@ def score_tokenization(tok: Tokenization, gt: GroundTruth) -> ScoreReport:
         raise AnalysisError(
             f"bit width mismatch: tokenization {tok.bit_width}, truth {gt.bit_width}"
         )
-    truth = _partition_intervals(gt)
-    truth_cuts = _boundaries([(lo, hi) for lo, hi, _ in truth])
-    tok_cuts = _boundaries([(c.lo, c.hi) for c in tok.clusters])
+    # A cut between adjacent tokens is named by the left token's last bit;
+    # a signal spec ends a token at its hi and starts one at its lo.
+    last = gt.bit_width - 1
+    truth_cuts = {s.lo - 1 for s in gt.specs if s.lo > 0} | {
+        s.hi for s in gt.specs if s.hi < last
+    }
+    tok_cuts = {c.hi for c in tok.clusters if c.hi < last}
     hit = truth_cuts & tok_cuts
     precision = len(hit) / len(tok_cuts) if tok_cuts else 1.0
     recall = len(hit) / len(truth_cuts) if truth_cuts else 1.0
@@ -232,35 +221,18 @@ def ground_truth_to_dict(gt: GroundTruth) -> dict:
         "frames": gt.frame_count,
         "seed": gt.seed,
         "padding_value": gt.padding_value,
-        "signals": [
-            {
-                "lo": s.lo,
-                "hi": s.hi,
-                "kind": s.kind,
-                "endianness": s.endianness,
-                "step": s.step,
-                "max_step": s.max_step,
-                "value": s.value,
-                "start": s.start,
-            }
-            for s in gt.specs
-        ],
+        "signals": [asdict(s) for s in gt.specs],
     }
 
 
 def ground_truth_from_dict(data: dict) -> GroundTruth:
     try:
         specs = tuple(
-            SignalSpec(
-                lo=s["lo"],
-                hi=s["hi"],
-                kind=s["kind"],
-                endianness=s.get("endianness", "big"),
-                step=s.get("step", 1),
-                max_step=s.get("max_step", 1),
-                value=s.get("value", 0),
-                start=s.get("start", 0),
-            )
+            SignalSpec(**{
+                f.name: s[f.name]
+                for f in fields(SignalSpec)
+                if f.name in s or f.default is MISSING
+            })
             for s in data["signals"]
         )
         return GroundTruth(
@@ -273,6 +245,8 @@ def ground_truth_from_dict(data: dict) -> GroundTruth:
         )
     except KeyError as exc:
         raise AnalysisError(f"ground truth spec missing field {exc}") from None
+    except ValueError as exc:
+        raise AnalysisError(f"invalid ground truth spec: {exc}") from None
 
 
 def load_ground_truth(path) -> GroundTruth:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import asdict, dataclass, fields
+from itertools import groupby
 
 from .bitlab import Tang, tang_from_idtrace
 from .errors import AnalysisError, InvariantError
@@ -130,10 +131,7 @@ def tokenize(tang: Tang, config: TokenizerConfig = TokenizerConfig()) -> Tokeniz
     counts = tang.counts
     n = tang.bit_width
     offset = -1 if config.endianness == "big" else 1
-    if config.endianness == "big":
-        order = sorted(range(n), key=lambda i: (-counts[i], i))
-    else:
-        order = sorted(range(n), key=lambda i: (-counts[i], -i))
+    order = sorted(range(n), key=lambda i: (-counts[i], -offset * i))
 
     assigned = [False] * n
     signals: list[TokenCluster] = []
@@ -152,27 +150,16 @@ def tokenize(tang: Tang, config: TokenizerConfig = TokenizerConfig()) -> Tokeniz
             assigned[neighbor] = True
             current = neighbor
             neighbor += offset
-        lo, hi = min(seed, current), max(seed, current)
-        signals.append(
-            TokenCluster(
-                kind=SIGNAL,
-                lo=lo,
-                hi=hi,
-                lsb_index=seed,
-                msb_index=current,
-                lsb_transitions=int(counts[seed]),
-            )
-        )
+        signals.append(TokenCluster(
+            SIGNAL, min(seed, current), max(seed, current),
+            lsb_index=seed, msb_index=current, lsb_transitions=int(counts[seed]),
+        ))
 
     padding: list[TokenCluster] = []
-    run_start = None
-    for i in range(n + 1):
-        if i < n and not assigned[i]:
-            if run_start is None:
-                run_start = i
-        elif run_start is not None:
-            padding.append(TokenCluster(kind=PADDING, lo=run_start, hi=i - 1))
-            run_start = None
+    for free, run in groupby(range(n), key=lambda i: not assigned[i]):
+        if free:
+            run = list(run)
+            padding.append(TokenCluster(kind=PADDING, lo=run[0], hi=run[-1]))
 
     clusters = tuple(sorted(signals + padding, key=lambda c: c.lo))
     return Tokenization(

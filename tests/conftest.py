@@ -1,16 +1,27 @@
 import numpy as np
 import pytest
 
-from cantok import CanFrame, IdTrace
+from cantok import IdTrace, Trace
+
+
+def make_trace(frames):
+    """Trace whose columns hold the given CanFrames, in order."""
+    payloads = np.zeros((len(frames), 8), dtype=np.uint8)
+    for k, f in enumerate(frames):
+        payloads[k, : f.dlc] = list(f.payload)
+    return Trace(
+        [f.timestamp for f in frames],
+        [f.arbitration_id for f in frames],
+        [f.dlc for f in frames],
+        payloads,
+    )
 
 
 def make_idtrace(payloads, arb_id=0xA15, period=0.01):
     """IdTrace from a list of equal-length payload byte strings."""
-    dlc = len(payloads[0])
-    frames = tuple(
-        CanFrame(k * period, arb_id, dlc, bytes(p)) for k, p in enumerate(payloads)
-    )
-    return IdTrace(arb_id, dlc, frames)
+    m, dlc = len(payloads), len(payloads[0])
+    rows = np.array([list(p) for p in payloads], dtype=np.uint8).reshape(m, dlc)
+    return IdTrace(arb_id, dlc, np.arange(m) * period, rows)
 
 
 @pytest.fixture
@@ -39,3 +50,12 @@ def bits_of(payload):
         for j in range(7, -1, -1):
             out.append((byte >> j) & 1)
     return out
+
+
+def naive_summary(values):
+    """Reference (min, max, unique, transitions, mean |diff|) over Python ints."""
+    py = [int(v) for v in values]
+    diffs = [abs(b - a) for a, b in zip(py, py[1:])]
+    transitions = sum(1 for d in diffs if d)
+    mean_abs = sum(diffs) / len(diffs) if diffs else 0.0
+    return min(py), max(py), len(set(py)), transitions, mean_abs

@@ -37,7 +37,7 @@ class TestBitMatrix:
 
     def test_empty_trace(self):
         with pytest.raises(AnalysisError, match="no observations"):
-            build_bit_matrix(IdTrace(0x100, 1, ()))
+            build_bit_matrix(IdTrace(0x100, 1, np.empty(0), np.empty((0, 1))))
 
 
 class TestTransitionMatrix:

@@ -176,6 +176,15 @@ class TestErrors:
         assert main(["score", "-t", str(tok), "-g", gt, "--out", str(tmp_path)]) == 1
         assert "error: invalid tokenization" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["synth", "score"])
+    def test_non_hex_ground_truth_id_exit_one(self, command, tmp_path, capsys):
+        spec = json.loads(bundled_spec_path().read_text())
+        gt = tmp_path / "gt.json"
+        gt.write_text(json.dumps({**spec, "id": "0xZZ"}))
+        argv = ["synth", "-i", str(gt)] if command == "synth" else ["score", "-g", str(gt)]
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        assert "error: invalid ground truth spec" in capsys.readouterr().err
+
 
 def _required(command):
     return [command, "-i", "capture.log"] + (["-g", "gt.json"] if command == "score" else [])

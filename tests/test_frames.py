@@ -6,7 +6,6 @@ from cantok import (
     AnalysisError,
     CanFrame,
     ParseError,
-    Trace,
     load_trace,
     parse_candump_line,
     parse_csv_line,
@@ -14,6 +13,8 @@ from cantok import (
     write_candump,
 )
 from cantok.frames import CsvSchema, format_candump_line
+
+from .conftest import make_trace
 
 
 class TestParseCandump:
@@ -145,7 +146,7 @@ class TestLoadTrace:
 class TestPartition:
     def test_single_group(self):
         frames = tuple(CanFrame(k * 0.1, 0xA15, 8, bytes(8)) for k in range(10))
-        groups = partition_by_id(Trace(frames))
+        groups = partition_by_id(make_trace(frames))
         assert set(groups) == {(0xA15, 8)}
         assert len(groups[(0xA15, 8)]) == 10
 
@@ -153,7 +154,7 @@ class TestPartition:
         frames = tuple(CanFrame(k * 0.1, 1, 8, bytes(8)) for k in range(5)) + tuple(
             CanFrame(1 + k * 0.1, 2, 4, bytes(4)) for k in range(3)
         )
-        groups = partition_by_id(Trace(frames))
+        groups = partition_by_id(make_trace(frames))
         assert {k: len(v) for k, v in groups.items()} == {(1, 8): 5, (2, 4): 3}
 
     def test_mixed_dlc_split_and_warning(self, caplog):
@@ -161,23 +162,25 @@ class TestPartition:
             CanFrame(1 + k * 0.1, 1, 4, bytes(4)) for k in range(2)
         )
         with caplog.at_level(logging.WARNING):
-            groups = partition_by_id(Trace(frames))
+            groups = partition_by_id(make_trace(frames))
         assert {k: len(v) for k, v in groups.items()} == {(1, 8): 5, (1, 4): 2}
         assert "0x1" in caplog.text
 
     def test_empty_trace(self):
-        assert partition_by_id(Trace(())) == {}
+        assert partition_by_id(make_trace(())) == {}
 
     def test_completeness_and_order(self):
         frames = tuple(
             CanFrame(k * 0.1, k % 3, 1, bytes([k])) for k in range(30)
         )
-        trace = Trace(frames)
+        trace = make_trace(frames)
         groups = partition_by_id(trace)
         assert sum(len(g) for g in groups.values()) == len(trace)
-        for (arb_id, _), g in groups.items():
+        for (arb_id, dlc), g in groups.items():
             expected = [f for f in frames if f.arbitration_id == arb_id]
-            assert list(g.frames) == expected
+            assert (g.arbitration_id, g.dlc) == (arb_id, dlc)
+            assert g.timestamps.tolist() == [f.timestamp for f in expected]
+            assert [row.tobytes() for row in g.payloads] == [f.payload for f in expected]
 
 
 class TestRoundTrip:
@@ -189,7 +192,7 @@ class TestRoundTrip:
             )
         )
         p = tmp_path / "out.log"
-        write_candump(Trace(frames), p)
+        write_candump(make_trace(frames), p)
         back = load_trace(p)
         assert len(back) == len(frames)
         for a, b in zip(frames, back.frames):
@@ -209,8 +212,8 @@ class TestRoundTrip:
 
 
 def test_trace_validate():
-    good = Trace((CanFrame(1.0, 1, 0, b""), CanFrame(1.0, 1, 0, b"")))
+    good = make_trace((CanFrame(1.0, 1, 0, b""), CanFrame(1.0, 1, 0, b"")))
     good.validate()
-    bad = Trace((CanFrame(2.0, 1, 0, b""), CanFrame(1.0, 1, 0, b"")))
+    bad = make_trace((CanFrame(2.0, 1, 0, b""), CanFrame(1.0, 1, 0, b"")))
     with pytest.raises(AnalysisError):
         bad.validate()

@@ -1,22 +1,30 @@
 """Randomized invariants for the analysis chain."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cantok import (
+    SignalSeries,
     Tang,
     TokenizerConfig,
+    load_trace,
     parse_candump_line,
+    partition_by_id,
+    summarize,
     tokenize,
+    write_candump,
 )
 from cantok.frames import format_candump_line, CanFrame
 from cantok.bitlab import build_bit_matrix, read_field, tang_from_idtrace, write_field
 from cantok.tokenizer import tokenization_from_dict, tokenization_to_dict
 
-from .conftest import bits_of, make_idtrace, naive_tang_counts
+from .conftest import bits_of, make_idtrace, make_trace, naive_summary, naive_tang_counts
+from .test_signals import signal
 
 counts_st = st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=64)
 endian_st = st.sampled_from(["big", "little"])
@@ -179,3 +187,69 @@ def test_tokenization_dict_round_trip(counts, endianness, mode, threshold):
     )
     data = json.loads(json.dumps(tokenization_to_dict(tok)))
     assert tokenization_from_dict(data) == tok
+
+
+@st.composite
+def capture_st(draw):
+    """Frames in time order over a few (id, dlc) keys.
+
+    The keys always include one standard id under two dlcs, an extended id
+    with dlc 0 and a few random keys, so groups repeat, mix widths, hold
+    empty payloads and sometimes hold a single frame.
+    """
+    std = draw(st.integers(min_value=0, max_value=0x7FF))
+    ext = draw(st.integers(min_value=0x800, max_value=0x1FFFFFFF))
+    dlc = draw(st.integers(min_value=0, max_value=8))
+    keys = [(std, dlc), (std, (dlc + 1) % 9), (ext, 0)] + draw(st.lists(
+        st.tuples(st.integers(min_value=0, max_value=0x1FFFFFFF),
+                  st.integers(min_value=0, max_value=8)),
+        max_size=3))
+    picks = draw(st.lists(st.sampled_from(keys), max_size=40))
+    ts_us = draw(st.integers(min_value=0, max_value=2 * 10**15))
+    frames = []
+    for arb_id, dlc in picks:
+        ts_us += draw(st.integers(min_value=0, max_value=10**6))
+        payload = draw(st.binary(min_size=dlc, max_size=dlc))
+        frames.append(CanFrame(ts_us / 1e6, arb_id, dlc, payload))
+    return frames
+
+
+@given(capture_st())
+@settings(max_examples=300, deadline=None)
+def test_partition_matches_per_frame_filter(frames):
+    trace = make_trace(frames)
+    assert list(trace.frames) == frames
+    groups = partition_by_id(trace)
+    assert set(groups) == {(f.arbitration_id, f.dlc) for f in frames}
+    for (arb_id, dlc), g in groups.items():
+        expected = [f for f in frames if (f.arbitration_id, f.dlc) == (arb_id, dlc)]
+        assert (g.arbitration_id, g.dlc) == (arb_id, dlc)
+        assert g.payloads.shape == (len(expected), dlc)
+        assert g.timestamps.tolist() == [f.timestamp for f in expected]
+        assert [row.tobytes() for row in g.payloads] == [f.payload for f in expected]
+
+
+@given(capture_st())
+@settings(max_examples=200, deadline=None)
+def test_write_then_load_keeps_columns(frames):
+    trace = make_trace(frames)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "capture.log"
+        write_candump(trace, path)
+        back = load_trace(path)
+    for name in ("timestamps", "ids", "dlcs", "payloads"):
+        assert np.array_equal(getattr(back, name), getattr(trace, name)), name
+        assert getattr(back, name).dtype == getattr(trace, name).dtype, name
+
+
+@given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=64))
+@settings(max_examples=500, deadline=None)
+def test_summarize_matches_python_int_reference(values):
+    series = SignalSeries(
+        0x100, signal(0, 63), np.array(values, dtype=np.uint64), np.zeros(len(values))
+    )
+    s = summarize(series)
+    assert (
+        s.minimum, s.maximum, s.unique_value_count,
+        s.value_transition_count, s.mean_abs_first_difference,
+    ) == naive_summary(values)

@@ -3,6 +3,7 @@ import pytest
 
 from cantok import (
     AnalysisError,
+    SignalSeries,
     TokenCluster,
     extract_series,
     summarize,
@@ -103,6 +104,13 @@ class TestSummarize:
         s = summarize(extract_series(make_idtrace([[9]]), [signal(0, 7)])[0])
         assert (s.value_transition_count, s.mean_abs_first_difference) == (0, 0.0)
 
+    def test_total_difference_beyond_uint64(self):
+        top = 2**64 - 1
+        values = np.array([0, top] * 500, dtype=np.uint64)
+        s = summarize(SignalSeries(0x100, signal(0, 63), values, np.zeros(1000)))
+        assert s.value_transition_count == 999
+        assert s.mean_abs_first_difference == float(top)
+
 
 def test_export_csv(tmp_path, table1_idtrace):
     path = tmp_path / "series.csv"
@@ -125,7 +133,7 @@ class TestReconstruction:
             for s in extract_series(it, tok.signal_clusters)
         }
         rebuilt = repack_payloads(tok, series, padding_constants(bm, tok), len(it))
-        assert rebuilt == [bytes(p) for p in payloads]
+        assert rebuilt.tolist() == [list(p) for p in payloads]
 
     def test_table(self, table1_idtrace):
         self._roundtrip([[k] for k in range(10)])

@@ -320,6 +320,14 @@ class TestSpecFiles:
         assert len(gt.specs) == 3
         assert all(s.kind == "counter" for s in gt.specs)
 
+    def test_unknown_endianness(self):
+        with pytest.raises(AnalysisError, match="endianness"):
+            SignalSpec(lo=0, hi=7, kind="counter", endianness="Big")
+        d = {"id": "0x100", "bit_width": 8, "frames": 2,
+             "signals": [{"lo": 0, "hi": 7, "kind": "counter", "endianness": "Big"}]}
+        with pytest.raises(AnalysisError, match="endianness"):
+            ground_truth_from_dict(d)
+
     def test_dict_id_formats(self):
         d = ground_truth_to_dict(
             GroundTruth(arbitration_id=0x100, bit_width=8, specs=(), frame_count=2)

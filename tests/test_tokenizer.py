@@ -10,12 +10,13 @@ from cantok import (
     TokenCluster,
     Tang,
     TokenizerConfig,
-    Trace,
     classify_padding,
     tokenize,
     tokenize_trace,
 )
 from cantok.tokenizer import export_tokenization_json, tokenization_to_dict
+
+from .conftest import make_trace
 
 
 def make_tang(counts, observations=None, arb_id=0x100):
@@ -126,12 +127,12 @@ class TestTokenizeTrace:
         frames = tuple(
             CanFrame(k * 0.1, 0x100, 1, bytes([k])) for k in range(5)
         ) + (CanFrame(1.0, 0x200, 1, b"\x01"),)
-        toks = tokenize_trace(Trace(frames))
+        toks = tokenize_trace(make_trace(frames))
         assert set(toks) == {(0x100, 1)}
 
     def test_empty_trace(self):
         with pytest.raises(AnalysisError):
-            tokenize_trace(Trace(()))
+            tokenize_trace(make_trace(()))
 
 
 class TestExport:
