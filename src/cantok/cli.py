@@ -68,7 +68,13 @@ def _config(args) -> TokenizerConfig:
 def _id_filter(args) -> set[int] | None:
     if args.ids is None:
         return None
-    return {int(tok, 16) for tok in args.ids.split(",") if tok}
+    wanted = set()
+    for tok in filter(None, args.ids.split(",")):
+        try:
+            wanted.add(int(tok, 16))
+        except ValueError:
+            raise CantokError(f"--ids: {tok!r} is not a hex id") from None
+    return wanted
 
 
 def _select_groups(trace: Trace, wanted: set[int] | None) -> list[tuple[tuple[int, int], IdTrace]]:
@@ -105,7 +111,8 @@ def _analysis_input(args):
     """Output directory, analyzable groups and their file stems."""
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    groups = _select_groups(_load(args), _id_filter(args))
+    wanted = _id_filter(args)  # before the load, so a bad filter fails fast
+    groups = _select_groups(_load(args), wanted)
     if not groups:
         print("warning: no analyzable ids", file=sys.stderr)
     return outdir, groups, _stems(groups)

@@ -9,6 +9,25 @@ A `Trace` holds one read-only column per frame field, with payloads as an
 (M, 8) matrix zero past each frame's dlc; an `IdTrace` holds one (id, dlc)
 group's timestamps and (M, dlc) payloads. `CanFrame` is the result of
 parsing one line and the row type `Trace.frames` yields.
+
+`load_trace` reads a capture in chunks of about `CHUNK_BYTES` and decodes
+most lines in columns with numpy, grouped by shape (line length plus
+separator offsets). It decodes a line there only when it can show the
+result equals the per-line parser's:
+
+* candump ``(<digits>.<digits>) <iface> <id>#<hex>`` with single spaces,
+  no other whitespace, 1-8 id digits, an even number of payload digits up
+  to 16, an id of at most 29 bits and a timestamp of at most 18 digits
+  whose digits read as an integer stay below 2**53;
+* CSV ``<digits>.<digits>,<id>,<dlc>,<hex>`` under the default schema,
+  with the same id, payload and timestamp rules, a one-digit dlc equal to
+  the payload length and nothing else on the line.
+
+Hex digits may be upper or lower case; lines may end in LF or CR LF.
+Every other line, and every line of a chunk holding a non-ASCII byte or a
+lone CR, goes through
+`parse_candump_line`/`parse_csv_line` with its line number, so those two
+functions define what is valid and every error message.
 """
 
 from __future__ import annotations
@@ -16,7 +35,6 @@ from __future__ import annotations
 import csv
 import io
 import logging
-from array import array
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -95,10 +113,13 @@ class Trace:
 
     def validate(self) -> None:
         """Check the nondecreasing-timestamp invariant; raise on violation."""
-        back = np.flatnonzero(np.diff(self.timestamps) < 0)
+        back = np.flatnonzero(self.timestamps[1:] < self.timestamps[:-1])
         if back.size:
             a, b = self.timestamps[back[0] : back[0] + 2].tolist()
-            raise AnalysisError(f"timestamps decrease: {a} -> {b}")
+            raise AnalysisError(
+                f"timestamps decrease {back.size} time(s), first at frame "
+                f"{back[0] + 1}: {a} -> {b}"
+            )
 
     def __len__(self) -> int:
         return len(self.timestamps)
@@ -246,40 +267,200 @@ def write_candump(trace: Trace, path, iface: str = "can0") -> None:
             fh.write("\n")
 
 
+CHUNK_BYTES = 1 << 16  # read size; each chunk is cut after its last newline
+
+# Separator bytes of a line shape, in the order its key packs their offsets;
+# a byte listed twice stands for its first and its second occurrence.
+_SEPARATORS = {"candump": b"  #.", "csv": b",,,."}
+_EXACT_INT = 1 << 53  # integers below this are exact float64 values
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_POW16 = 16 ** np.arange(8, dtype=np.int64)
+_HEX = np.full(256, 0xFF, dtype=np.uint8)  # value of each hex digit byte, else 0xFF
+for _value, _char in enumerate("0123456789ABCDEF"):
+    _HEX[ord(_char)] = _HEX[ord(_char.lower())] = _value
+
+
+def _columns(n: int) -> list[np.ndarray]:
+    """Timestamp, id, dlc and (n, 8) payload columns for n frames."""
+    return [
+        np.empty(n), np.empty(n, np.uint32), np.empty(n, np.uint8),
+        np.zeros((n, MAX_DLC), np.uint8),
+    ]
+
+
+def _chunks(fh) -> Iterator[bytearray]:
+    """The rest of a binary file in pieces of about CHUNK_BYTES, each cut after a newline."""
+    pending = bytearray()
+    while block := fh.read(CHUNK_BYTES):
+        cut = block.rfind(b"\n") + 1
+        if cut:
+            yield pending + block[:cut]
+            pending = bytearray(block[cut:])
+        else:
+            pending += block
+    if pending:
+        yield pending
+
+
+def _shape_keys(buf, starts, ends, separators: bytes) -> np.ndarray:
+    """Per line, its length and the offsets of `separators` packed 8 bits each.
+
+    The key is -1 for a line longer than 255 bytes or missing a separator.
+    """
+    lines = np.arange(len(starts))
+    keys = (ends - starts).astype(np.int64)
+    keys[keys > 0xFF] = -1
+    for sep in set(separators):
+        pos = np.flatnonzero(buf == sep)
+        line_of = np.searchsorted(ends, pos)
+        first = np.searchsorted(line_of, lines)
+        for nth, j in enumerate(j for j, s in enumerate(separators) if s == sep):
+            idx = first + nth
+            hit = idx < len(pos)
+            hit[hit] = line_of[idx[hit]] == lines[hit]
+            keys[~hit] = -1
+            keys[hit] |= (pos[idx[hit]] - starts[hit]) << 8 * (j + 1)
+    return keys
+
+
+def _decode_shape(m: np.ndarray, format: str, length: int, a: int, b: int, c: int, dot: int):
+    """Decode the (n, length) bytes of n lines that share one shape.
+
+    `a`, `b`, `c` are the offsets of the first two spaces and the first
+    ``#`` (candump) or of the first three commas (CSV); `dot` is that of
+    the first ``.``. Returns None if no line of this shape can be read
+    here, else a mask of the lines read exactly as the per-line parser
+    reads them, with their timestamps, ids and (n, dlc) payloads.
+    """
+    if format == "candump":  # (<int>.<frac>) <iface> <id>#<hex>
+        ts0, ts1, id0, id1 = 1, a - 1, b + 1, c
+        fits = a + 1 < b < c
+    else:  # <int>.<frac>,<id>,<dlc digit>,<hex>
+        ts0, ts1, id0, id1 = 0, a, a + 1, b
+        fits = c == b + 2
+    n_hex = length - c - 1
+    if not (
+        fits and ts0 < dot < ts1 - 1 and ts1 - ts0 - 1 < len(_POW10)
+        and 0 < id1 - id0 <= len(_POW16) and n_hex % 2 == 0 and n_hex <= 2 * MAX_DLC
+    ):
+        return None
+    if format == "candump":
+        ok = (m[:, 0] == ord("(")) & (m[:, ts1] == ord(")")) & (m[:, a + 1 : b] > ord(" ")).all(1)
+    else:
+        ok = m[:, b + 1] - ord("0") == n_hex // 2
+    digits = np.concatenate((m[:, ts0:dot], m[:, dot + 1 : ts1]), axis=1) - ord("0")
+    id_hex, data_hex = _HEX[m[:, id0:id1]], _HEX[m[:, c + 1 :]]
+    ok &= (digits < 10).all(1) & (id_hex < 16).all(1) & (data_hex < 16).all(1)
+    # int / 10**k is correctly rounded, so it equals float() for ints below 2**53
+    numer = digits.astype(np.int64) @ _POW10[digits.shape[1] - 1 :: -1]
+    ids = id_hex.astype(np.int64) @ _POW16[id1 - id0 - 1 :: -1]
+    ok &= (numer < _EXACT_INT) & (ids <= EXTENDED_ID_MAX)
+    timestamps = numer / float(10 ** (ts1 - dot - 1))
+    return ok, timestamps, ids, data_hex[:, 0::2] << 4 | data_hex[:, 1::2]
+
+
+def _decode_chunk(chunk: bytearray, format: str):
+    """Decode the lines of a chunk in columns, grouped by shape.
+
+    Returns a mask of the decoded lines, per-line columns holding their
+    frames, and a function giving the text of line k. A chunk with a
+    non-ASCII byte or a CR not followed by LF is split and decoded as text
+    mode does, and none of its lines is decoded here.
+    """
+    if not chunk.isascii() or chunk.count(b"\r") != chunk.count(b"\r\n"):
+        lines = list(io.TextIOWrapper(io.BytesIO(chunk)))
+        return np.zeros(len(lines), bool), _columns(len(lines)), lines.__getitem__
+    buf = np.frombuffer(chunk, np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    if not chunk.endswith(b"\n"):
+        ends = np.append(ends, len(buf))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    ends -= (ends > starts) & (buf[ends - 1] == ord("\r"))  # a \r\n line ends at its \r
+    decoded = np.zeros(len(starts), bool)
+    cols = timestamps, ids, dlcs, payloads = _columns(len(starts))
+    keys = _shape_keys(buf, starts, ends, _SEPARATORS[format])
+    order = np.argsort(keys, kind="stable")
+    for rows in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1):
+        key = int(keys[rows[0]])
+        if key < 0:
+            continue
+        length, *seps = ((key >> s) & 0xFF for s in range(0, 40, 8))
+        lines = buf[starts[rows, None] + np.arange(length)]
+        shape = _decode_shape(lines, format, length, *seps)
+        if shape is None:
+            continue
+        ok, shape_timestamps, shape_ids, shape_payloads = shape
+        rows, dlc = rows[ok], shape_payloads.shape[1]
+        decoded[rows] = True
+        timestamps[rows], ids[rows], dlcs[rows] = shape_timestamps[ok], shape_ids[ok], dlc
+        payloads[rows, :dlc] = shape_payloads[ok]
+    return decoded, cols, lambda k: chunk[starts[k] : ends[k]].decode("ascii")
+
+
 def load_trace(path, format: str = "candump", strict: bool = True) -> Trace:
     """Load a capture file into a Trace, preserving file order.
 
     In strict mode any malformed line aborts with its line number; in
     lenient mode bad lines are skipped and counted in a single warning.
     Blank lines and ``#`` comments are always ignored (for CSV the header
-    row is ignored too).
+    row is ignored too). Timestamps that go backwards are reported in a
+    warning.
+
+    The file is read in chunks. Lines of the common shapes are decoded in
+    columns; every other line goes through `parse_candump_line` or
+    `parse_csv_line` with its line number, so those define what is valid.
     """
-    if format not in ("candump", "csv"):
+    if format not in _SEPARATORS:
         raise AnalysisError(f"unknown capture format {format!r}")
     parse = parse_candump_line if format == "candump" else parse_csv_line
-    timestamps, ids, dlcs, payloads = array("d"), array("L"), bytearray(), bytearray()
     skipped = 0
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if format == "csv" and line.replace(" ", "") == CSV_HEADER:
-                continue
-            try:
-                frame = parse(line, lineno=lineno)
-            except ParseError:
-                if strict:
-                    raise
-                skipped += 1
-                continue
-            timestamps.append(frame.timestamp)
-            ids.append(frame.arbitration_id)
-            dlcs.append(frame.dlc)
-            payloads += frame.payload.ljust(MAX_DLC, b"\0")
-    trace = Trace(timestamps, ids, dlcs, np.reshape(payloads, (-1, MAX_DLC)), str(path))
+
+    def parse_line(raw: str, lineno: int) -> CanFrame | None:
+        """One line by the per-line parser; None for a skipped line."""
+        nonlocal skipped
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            return None
+        if format == "csv" and line.replace(" ", "") == CSV_HEADER:
+            return None
+        try:
+            return parse(line, lineno=lineno)
+        except ParseError:
+            if strict:
+                raise
+            skipped += 1
+            return None
+
+    with open(path, "rb") as fh:
+        # a line ends at \n, \r or the end of the file and holds at most one frame
+        capacity = 1 + sum(
+            block.count(b"\n") + block.count(b"\r")
+            for block in iter(lambda: fh.read(CHUNK_BYTES), b"")
+        )
+        fh.seek(0)
+        out, size, lineno = _columns(capacity), 0, 1
+        for chunk in _chunks(fh):
+            decoded, cols, text = _decode_chunk(chunk, format)
+            timestamps, ids, dlcs, payloads = cols
+            for k in np.flatnonzero(~decoded).tolist():
+                frame = parse_line(text(k), lineno + k)
+                if frame is not None:
+                    decoded[k] = True
+                    timestamps[k], ids[k] = frame.timestamp, frame.arbitration_id
+                    dlcs[k] = frame.dlc
+                    payloads[k, : frame.dlc] = list(frame.payload)
+            n = int(decoded.sum())
+            for column, chunk_column in zip(out, cols):
+                column[size : size + n] = chunk_column[decoded]
+            size += n
+            lineno += len(decoded)
+    trace = Trace(*(column[:size] for column in out), source=str(path))
     if skipped:
         log.warning("%s: skipped %d malformed line(s)", path, skipped)
+    try:
+        trace.validate()
+    except AnalysisError as exc:
+        log.warning("%s: %s", path, exc)
     log.info("%s: %d frames", path, len(trace))
     return trace
 
@@ -295,12 +476,14 @@ def partition_by_id(trace: Trace) -> dict[tuple[int, int], IdTrace]:
     keys = (trace.ids.astype(np.uint64) << np.uint64(4)) | trace.dlcs
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
-    timestamps, payloads = trace.timestamps[order], trace.payloads[order]
-    cuts = (np.flatnonzero(np.diff(keys)) + 1).tolist()
+    cuts = (np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()
     edges = [0, *cuts, len(keys)] if len(keys) else []
+    group_keys = keys[edges[:-1]].tolist()
+    del keys  # freed before the gathered columns, the largest arrays held here
+    timestamps, payloads = trace.timestamps[order], trace.payloads[order]
     groups = {}
-    for a, b in zip(edges, edges[1:]):
-        arb_id, dlc = int(keys[a]) >> 4, int(keys[a]) & 0xF
+    for a, b, key in zip(edges, edges[1:], group_keys):
+        arb_id, dlc = key >> 4, key & 0xF
         groups[(arb_id, dlc)] = IdTrace(arb_id, dlc, timestamps[a:b], payloads[a:b, :dlc])
     mixed = [i for i, n in Counter(i for i, _ in groups).items() if n > 1]
     if mixed:

@@ -24,6 +24,16 @@ GENERATOR_KINDS = ("counter", "ramp", "random_walk", "constant", "noise")
 FRAME_PERIOD_S = 0.01
 
 
+def _require_ints(obj) -> None:
+    """Raise TypeError unless every field of `obj` annotated ``int`` holds an integer."""
+    for f in fields(obj):
+        if f.type != "int":
+            continue
+        value = getattr(obj, f.name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise TypeError(f"{f.name} must be an integer, not {value!r}")
+
+
 @dataclass(frozen=True, slots=True)
 class SignalSpec:
     """Layout and generator for one embedded signal."""
@@ -38,6 +48,7 @@ class SignalSpec:
     start: int = 0  # counter start value
 
     def __post_init__(self):
+        _require_ints(self)
         if self.kind not in GENERATOR_KINDS:
             raise AnalysisError(f"unknown generator kind {self.kind!r}")
         if self.lo > self.hi:
@@ -63,6 +74,7 @@ class GroundTruth:
     start_time: float = 0.0
 
     def __post_init__(self):
+        _require_ints(self)
         if not 0 <= self.arbitration_id <= EXTENDED_ID_MAX:
             raise AnalysisError(
                 f"arbitration id 0x{self.arbitration_id:X} outside extended range"
@@ -245,7 +257,7 @@ def ground_truth_from_dict(data: dict) -> GroundTruth:
         )
     except KeyError as exc:
         raise AnalysisError(f"ground truth spec missing field {exc}") from None
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise AnalysisError(f"invalid ground truth spec: {exc}") from None
 
 

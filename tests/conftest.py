@@ -1,7 +1,46 @@
+import logging
+from array import array
+
 import numpy as np
 import pytest
 
-from cantok import IdTrace, Trace
+from cantok import IdTrace, ParseError, Trace, parse_candump_line, parse_csv_line
+from cantok.errors import AnalysisError
+from cantok.frames import CSV_HEADER, MAX_DLC
+
+log = logging.getLogger("cantok.frames")
+
+
+def reference_load_trace(path, format: str = "candump", strict: bool = True) -> Trace:
+    """Per-line loader: text mode, one parse_*_line call per line."""
+    if format not in ("candump", "csv"):
+        raise AnalysisError(f"unknown capture format {format!r}")
+    parse = parse_candump_line if format == "candump" else parse_csv_line
+    timestamps, ids, dlcs, payloads = array("d"), array("L"), bytearray(), bytearray()
+    skipped = 0
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            if format == "csv" and line.replace(" ", "") == CSV_HEADER:
+                continue
+            try:
+                frame = parse(line, lineno=lineno)
+            except ParseError:
+                if strict:
+                    raise
+                skipped += 1
+                continue
+            timestamps.append(frame.timestamp)
+            ids.append(frame.arbitration_id)
+            dlcs.append(frame.dlc)
+            payloads += frame.payload.ljust(MAX_DLC, b"\0")
+    trace = Trace(timestamps, ids, dlcs, np.reshape(payloads, (-1, MAX_DLC)), str(path))
+    if skipped:
+        log.warning("%s: skipped %d malformed line(s)", path, skipped)
+    log.info("%s: %d frames", path, len(trace))
+    return trace
 
 
 def make_trace(frames):
@@ -59,3 +98,24 @@ def naive_summary(values):
     transitions = sum(1 for d in diffs if d)
     mean_abs = sum(diffs) / len(diffs) if diffs else 0.0
     return min(py), max(py), len(set(py)), transitions, mean_abs
+
+
+COLUMNS = ("timestamps", "ids", "dlcs", "payloads")
+
+
+def load_outcome(loader, path, **kwargs):
+    """What one load gives: column bytes or the ParseError, and its skip warnings."""
+    warnings = []
+    handler = logging.Handler(logging.WARNING)
+    handler.emit = lambda record: warnings.append(record.getMessage())
+    log.addHandler(handler)
+    try:
+        trace = loader(path, **kwargs)
+        result = [
+            (c.dtype.str, c.shape, c.tobytes()) for c in (getattr(trace, n) for n in COLUMNS)
+        ]
+    except ParseError as exc:
+        result = (str(exc), exc.lineno)
+    finally:
+        log.removeHandler(handler)
+    return result, [w for w in warnings if "malformed" in w]

@@ -185,6 +185,22 @@ class TestErrors:
         assert main(argv + ["--out", str(tmp_path)]) == 1
         assert "error: invalid ground truth spec" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["synth", "score"])
+    @pytest.mark.parametrize("field, value", [("bit_width", "64"), ("frames", 5000.0)])
+    def test_mistyped_ground_truth_field_exit_one(self, command, field, value, tmp_path, capsys):
+        spec = json.loads(bundled_spec_path().read_text())
+        gt = tmp_path / "gt.json"
+        gt.write_text(json.dumps({**spec, field: value}))
+        argv = ["synth", "-i", str(gt)] if command == "synth" else ["score", "-g", str(gt)]
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        assert "error: invalid ground truth spec" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["tang", "tokenize", "extract"])
+    def test_bad_ids_value_exit_one(self, command, table1_log, tmp_path, capsys):
+        argv = [command, "-i", str(table1_log), "--ids", "0x100,0xZZ", "--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert "error: --ids: '0xZZ' is not a hex id" in capsys.readouterr().err
+
 
 def _required(command):
     return [command, "-i", "capture.log"] + (["-g", "gt.json"] if command == "score" else [])

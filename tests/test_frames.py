@@ -12,9 +12,10 @@ from cantok import (
     partition_by_id,
     write_candump,
 )
+from cantok import frames
 from cantok.frames import CsvSchema, format_candump_line
 
-from .conftest import make_trace
+from .conftest import load_outcome, make_trace, reference_load_trace
 
 
 class TestParseCandump:
@@ -141,6 +142,81 @@ class TestLoadTrace:
     def test_unknown_format(self, tmp_path):
         with pytest.raises(AnalysisError):
             load_trace(tmp_path / "x", format="pcap")
+
+    def test_backward_timestamps_warn(self, tmp_path, caplog):
+        p = self._write(
+            tmp_path,
+            ["(2.0) can0 100#01", "(1.0) can0 100#02", "(3.0) can0 100#03", "(2.5) can0 100#04"],
+        )
+        with caplog.at_level(logging.WARNING):
+            trace = load_trace(p)
+        assert trace.timestamps.tolist() == [2.0, 1.0, 3.0, 2.5]
+        assert caplog.messages == [
+            f"{p}: timestamps decrease 2 time(s), first at frame 1: 2.0 -> 1.0"
+        ]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            load_trace(self._write(tmp_path, ["(1.0) can0 100#01", "(1.0) can0 100#02"]))
+        assert caplog.messages == []
+
+
+LINES = ["(1.0) can0 100#0102", "(2.25) can0 1ABCDEF0#03", "(3.5) can0 7FF#"]
+LATER = ["(4.0) can0 100#0304", "(5.0) can0 7FF#"]
+
+
+@pytest.fixture
+def tiny_chunks(monkeypatch):
+    """Read captures 5 bytes at a time, so every line spans chunks."""
+    monkeypatch.setattr(frames, "CHUNK_BYTES", 5)
+
+
+@pytest.mark.usefixtures("tiny_chunks")
+class TestChunkEdges:
+    def _write(self, tmp_path, text, name="capture.log"):
+        p = tmp_path / name
+        p.write_bytes(text.encode())
+        return p
+
+    @pytest.mark.parametrize("strict", [True, False])
+    @pytest.mark.parametrize("text", [
+        "\n".join(LINES) + "\n",
+        "\n".join(LINES),
+        "",
+        "# only\n\n#comments\n",
+        "\r\n".join(LINES) + "\r\n",
+        "\r".join(LINES) + "\r",
+        "# caf\u00e9\n" + "\n".join(LINES) + "\n",
+    ], ids=["split-lines", "no-final-newline", "empty", "comments-only", "crlf", "lone-cr",
+            "non-ascii-comment"])
+    def test_matches_reference(self, tmp_path, text, strict):
+        p = self._write(tmp_path, text)
+        assert load_outcome(load_trace, p, strict=strict) == load_outcome(
+            reference_load_trace, p, strict=strict
+        )
+
+    def test_csv_matches_reference(self, tmp_path):
+        text = "timestamp,id,dlc,payload_hex\r\n1.0,100,1,AA\r\n2.5,0x1ABCDEF0,0,\n3,7FF,2,0102"
+        p = self._write(tmp_path, text, "capture.csv")
+        assert load_outcome(load_trace, p, format="csv") == load_outcome(
+            reference_load_trace, p, format="csv"
+        )
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_strict_error_in_later_chunk(self, tmp_path, newline):
+        p = self._write(tmp_path, newline.join([*LINES, "# note", "(3.9) can0 100#ABC", *LATER]))
+        with pytest.raises(ParseError, match=r"odd-length hex payload \(line 5\)"):
+            load_trace(p)
+        assert load_outcome(load_trace, p) == load_outcome(reference_load_trace, p)
+
+    def test_lenient_skips_in_later_chunks(self, tmp_path, caplog):
+        p = self._write(tmp_path, "\n".join([*LINES, "garbage", *LATER, "(6.0) can0 100#ABC"]))
+        with caplog.at_level(logging.WARNING):
+            trace = load_trace(p, strict=False)
+        assert len(trace) == 5
+        assert caplog.messages == [f"{p}: skipped 2 malformed line(s)"]
+        assert load_outcome(load_trace, p, strict=False) == load_outcome(
+            reference_load_trace, p, strict=False
+        )
 
 
 class TestPartition:

@@ -3,6 +3,7 @@
 import json
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
@@ -19,11 +20,15 @@ from cantok import (
     tokenize,
     write_candump,
 )
-from cantok.frames import format_candump_line, CanFrame
+from cantok import frames
+from cantok.frames import CSV_HEADER, format_candump_line, CanFrame
 from cantok.bitlab import build_bit_matrix, read_field, tang_from_idtrace, write_field
 from cantok.tokenizer import tokenization_from_dict, tokenization_to_dict
 
-from .conftest import bits_of, make_idtrace, make_trace, naive_summary, naive_tang_counts
+from .conftest import (
+    bits_of, load_outcome, make_idtrace, make_trace, naive_summary, naive_tang_counts,
+    reference_load_trace,
+)
 from .test_signals import signal
 
 counts_st = st.lists(st.integers(min_value=0, max_value=50), min_size=1, max_size=64)
@@ -253,3 +258,86 @@ def test_summarize_matches_python_int_reference(values):
         s.minimum, s.maximum, s.unique_value_count,
         s.value_transition_count, s.mean_abs_first_difference,
     ) == naive_summary(values)
+
+
+# Capture lines for the loader differential test: well-formed lines in
+# every shape the columnar path decodes, some with one or two parts swapped
+# for variants it must hand to the per-line parser, mixed with blank,
+# comment, header and junk lines.
+_ts_st = st.from_regex(r"[0-9]{1,10}\.[0-9]{1,7}", fullmatch=True)
+_id_st = st.one_of(
+    st.from_regex(r"[0-9A-Fa-f]{3}", fullmatch=True),
+    st.from_regex(r"[01][0-9A-Fa-f]{7}", fullmatch=True),
+)
+_hex_st = st.tuples(st.binary(max_size=8), st.sampled_from([str.upper, str.lower])).map(
+    lambda p: p[1](p[0].hex())
+)
+_ODD = {
+    "ts": st.one_of(
+        st.from_regex(r"1[0-9]{9}\.[0-9]{6,8}", fullmatch=True),  # epoch stamps, 16-18 digits
+        st.sampled_from(["5", "1.", ".5", "-1.5", "+2.0", "1e3", "1_0.5", "nan", "1..2", ""]),
+    ),
+    "id": st.one_of(
+        st.from_regex(r"[0-9A-Fa-f]{1,9}", fullmatch=True),
+        st.from_regex(r"[2-9A-Fa-f][0-9A-Fa-f]{7}", fullmatch=True),  # beyond 29 bits
+        st.sampled_from(["0x123", "0X1abcdef0", "ZZZ", "", "+12", "1_2", " 7FF"]),
+    ),
+    "hex": st.sampled_from(["ABC", "00" * 9, "0G", "A B", "AA,BB"]),
+    "sep": st.sampled_from(["  ", "\t", " \t"]),
+    "lead": st.sampled_from([" ", "\t", "\x0c"]),
+    "trail": st.sampled_from([" ", "\t", ",extra"]),
+    "dlc": st.sampled_from(["9", "08", "x", "", "1"]),
+    "iface": st.sampled_from(["ca\tn0", "can0\x0b", "c#n", "c(n)"]),
+    "open": st.sampled_from(["[", "", "(("]),
+    "close": st.sampled_from(["]", "", "))"]),
+}
+_other_st = st.one_of(
+    st.sampled_from(["", "", "   ", "# comment", "# comment", "#(1.0) can0 100#01", CSV_HEADER,
+                     CSV_HEADER, " timestamp, id,dlc,payload_hex ", "# caf\u00e9"]),
+    st.text(alphabet="(0.1x )#AZ,\t", max_size=20),
+)
+
+
+@st.composite
+def _capture_line(draw, fmt):
+    part = {"ts": draw(_ts_st), "id": draw(_id_st), "hex": draw(_hex_st),
+            "sep": " " if fmt == "candump" else ",", "lead": "", "trail": "",
+            "iface": "can0", "open": "(", "close": ")"}
+    part["dlc"] = str(len(part["hex"]) // 2)
+    n_odd = draw(st.sampled_from([0, 0, 0, 1, 2]))
+    for key in draw(st.lists(st.sampled_from(sorted(_ODD)), min_size=n_odd, max_size=n_odd)):
+        part[key] = draw(_ODD[key])
+    if fmt == "candump":
+        body = (f"{part['open']}{part['ts']}{part['close']}{part['sep']}{part['iface']} "
+                f"{part['id']}#{part['hex']}")
+    else:
+        body = ",".join((part["ts"], part["id"], part["dlc"], part["hex"]))
+    return part["lead"] + body + part["trail"]
+
+
+@st.composite
+def _any_line(draw, fmt):
+    """A capture line four times in five, else a blank, comment, header or junk line."""
+    return draw(_capture_line(fmt) if draw(st.sampled_from([False] + [True] * 4)) else _other_st)
+
+
+@given(
+    st.data(),
+    st.sampled_from(["candump", "csv"]),
+    st.sampled_from(["\n"] * 6 + ["\r\n", "\r"]),
+    st.booleans(),
+    st.sampled_from([1, 7, 64, 1 << 16]),
+)
+@settings(max_examples=400, deadline=None)
+def test_load_trace_matches_per_line_reference(data, fmt, newline, final_newline, chunk_bytes):
+    lines = data.draw(st.lists(_any_line(fmt), max_size=40))
+    text = newline.join(lines) + (newline if final_newline and lines else "")
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        frames, "CHUNK_BYTES", chunk_bytes
+    ):
+        path = Path(tmp) / "capture"
+        path.write_bytes(text.encode())
+        for strict in (True, False):
+            assert load_outcome(load_trace, path, format=fmt, strict=strict) == load_outcome(
+                reference_load_trace, path, format=fmt, strict=strict
+            )
