@@ -8,11 +8,8 @@ layouts provides a scoring oracle.
 """
 
 from .bitlab import (
-    BitMatrix,
     Tang,
-    TransitionMatrix,
     build_bit_matrix,
-    compute_tang,
     normalize_tang,
     tang_from_idtrace,
     transition_matrix,
@@ -50,7 +47,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AnalysisError",
-    "BitMatrix",
     "CanFrame",
     "CantokError",
     "GroundTruth",
@@ -66,10 +62,8 @@ __all__ = [
     "Tokenization",
     "TokenizerConfig",
     "Trace",
-    "TransitionMatrix",
     "build_bit_matrix",
     "classify_padding",
-    "compute_tang",
     "extract_series",
     "generate_trace",
     "load_trace",

@@ -1,5 +1,10 @@
 """Bit-level transition analysis for per-ID payload groups.
 
+Every step is a plain numpy array: `build_bit_matrix` gives a group's
+(M, N) uint8 bit matrix, `transition_matrix` the (M-1, N) XOR of its
+sequential rows, and `tang_from_idtrace` the per-position flip counts,
+wrapped in a `Tang` with the group's id and M.
+
 Bit numbering: position i is bit (7 - i % 8) of byte i // 8, so position 0
 is the MSB of the first transmitted byte and position N-1 the LSB of the
 last byte. This matches numpy's unpackbits order and puts big-endian
@@ -21,49 +26,16 @@ from .frames import IdTrace
 
 
 @dataclass(frozen=True, eq=False)
-class BitMatrix:
-    """M x N boolean matrix: one row per payload, one column per bit."""
-
-    bits: np.ndarray  # (M, N) uint8 in {0, 1}
-    arbitration_id: int
-    dlc: int
-
-    @property
-    def observations(self) -> int:
-        return self.bits.shape[0]
-
-    @property
-    def bit_width(self) -> int:
-        return self.bits.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
-class TransitionMatrix:
-    """(M-1) x N matrix of XORs of sequential payload pairs."""
-
-    bits: np.ndarray  # (M-1, N) uint8 in {0, 1}
-    arbitration_id: int
-    observations: int  # M of the source BitMatrix
-
-    @property
-    def bit_width(self) -> int:
-        return self.bits.shape[1]
-
-
-@dataclass(frozen=True, eq=False)
 class Tang:
     """Per-bit-position transition counts aggregated over a payload group."""
 
     counts: np.ndarray  # length-N int64, column sums of the transition matrix
     observations: int
     arbitration_id: int
-    bit_width: int
 
-    def __post_init__(self):
-        if len(self.counts) != self.bit_width:
-            raise AnalysisError(
-                f"count vector length {len(self.counts)} != bit width {self.bit_width}"
-            )
+    @property
+    def bit_width(self) -> int:
+        return len(self.counts)
 
 
 def _field_shifts(lsb: int, msb: int):
@@ -86,46 +58,33 @@ def write_field(bits: np.ndarray, lsb: int, msb: int, values: np.ndarray) -> Non
         bits[:, p] = ((values >> shift) & np.uint64(1)).astype(np.uint8)
 
 
-def build_bit_matrix(idtrace: IdTrace) -> BitMatrix:
-    """Expand an IdTrace's payloads into the boolean observation matrix."""
+def build_bit_matrix(idtrace: IdTrace) -> np.ndarray:
+    """Read-only (M, N) uint8 matrix of an IdTrace's payload bits."""
     if len(idtrace) == 0:
         raise AnalysisError(
             f"no observations for id 0x{idtrace.arbitration_id:X}"
         )
     bits = np.unpackbits(idtrace.payloads, axis=1)
     bits.flags.writeable = False
-    return BitMatrix(bits=bits, arbitration_id=idtrace.arbitration_id, dlc=idtrace.dlc)
+    return bits
 
 
-def transition_matrix(bm: BitMatrix) -> TransitionMatrix:
-    """XOR each sequential pair of payload rows."""
-    if bm.observations < 2:
-        raise AnalysisError(
-            "insufficient observations for transition analysis "
-            f"(id 0x{bm.arbitration_id:X}, M={bm.observations})"
-        )
-    xors = np.bitwise_xor(bm.bits[1:], bm.bits[:-1])
-    xors.flags.writeable = False
-    return TransitionMatrix(
-        bits=xors, arbitration_id=bm.arbitration_id, observations=bm.observations
-    )
-
-
-def compute_tang(tm: TransitionMatrix) -> Tang:
-    """Sum each transition-matrix column into the per-position flip counts."""
-    counts = tm.bits.sum(axis=0, dtype=np.int64)
-    counts.flags.writeable = False
-    return Tang(
-        counts=counts,
-        observations=tm.observations,
-        arbitration_id=tm.arbitration_id,
-        bit_width=tm.bit_width,
-    )
+def transition_matrix(bits: np.ndarray) -> np.ndarray:
+    """(M-1, N) XOR of each sequential pair of bit-matrix rows."""
+    return np.bitwise_xor(bits[1:], bits[:-1])
 
 
 def tang_from_idtrace(idtrace: IdTrace) -> Tang:
-    """Convenience composition: bit matrix -> transition matrix -> counts."""
-    return compute_tang(transition_matrix(build_bit_matrix(idtrace)))
+    """Count each bit position's flips between sequential payloads."""
+    if len(idtrace) < 2:
+        raise AnalysisError(
+            "insufficient observations for transition analysis "
+            f"(id 0x{idtrace.arbitration_id:X}, M={len(idtrace)})"
+        )
+    bits = build_bit_matrix(idtrace)
+    counts = np.bitwise_xor(bits[1:], bits[:-1]).sum(axis=0, dtype=np.int64)
+    counts.flags.writeable = False
+    return Tang(counts, observations=len(idtrace), arbitration_id=idtrace.arbitration_id)
 
 
 def normalize_tang(tang: Tang) -> np.ndarray:

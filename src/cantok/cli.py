@@ -78,7 +78,7 @@ def _id_filter(args) -> set[int] | None:
 
 
 def _select_groups(trace: Trace, wanted: set[int] | None) -> list[tuple[tuple[int, int], IdTrace]]:
-    """Analyzable (id, dlc) groups in ascending id order."""
+    """Analyzable (id, dlc) groups, in partition_by_id's ascending (id, dlc) order."""
     groups = []
     for key, idtrace in partition_by_id(trace).items():
         if wanted is not None and key[0] not in wanted:
@@ -91,7 +91,7 @@ def _select_groups(trace: Trace, wanted: set[int] | None) -> list[tuple[tuple[in
             )
             continue
         groups.append((key, idtrace))
-    return sorted(groups, key=lambda kv: kv[0])
+    return groups
 
 
 def _stems(groups) -> dict[tuple[int, int], str]:
@@ -210,8 +210,6 @@ def cmd_score(args) -> int:
         raise CantokError("score needs --tokenization or --input")
     report = synth.score_tokenization(tok, gt)
     data = synth.score_to_dict(report)
-    data["boundary_precision"] = round(data["boundary_precision"], 6)
-    data["boundary_recall"] = round(data["boundary_recall"], 6)
     stem = f"{gt.arbitration_id:04X}"
     with open(outdir / f"{stem}_score.json", "w") as fh:
         json.dump(data, fh, indent=2)

@@ -19,9 +19,9 @@ result equals the per-line parser's:
   no other whitespace, 1-8 id digits, an even number of payload digits up
   to 16, an id of at most 29 bits and a timestamp of at most 18 digits
   whose digits read as an integer stay below 2**53;
-* CSV ``<digits>.<digits>,<id>,<dlc>,<hex>`` under the default schema,
-  with the same id, payload and timestamp rules, a one-digit dlc equal to
-  the payload length and nothing else on the line.
+* CSV ``<digits>.<digits>,<id>,<dlc>,<hex>`` with the same id, payload
+  and timestamp rules, a one-digit dlc equal to the payload length and
+  nothing else on the line.
 
 Hex digits may be upper or lower case; lines may end in LF or CR LF.
 Every other line, and every line of a chunk holding a non-ASCII byte or a
@@ -35,6 +35,7 @@ from __future__ import annotations
 import csv
 import io
 import logging
+import math
 from collections import Counter
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -146,6 +147,29 @@ class IdTrace:
         return len(self.timestamps)
 
 
+def _parse_timestamp(text: str, line: str, lineno: int | None) -> float:
+    """Finite seconds; `float` alone also reads nan, inf, 1e400, ``1_0`` and
+    non-ASCII digits."""
+    try:
+        ts = float(text)
+    except ValueError:
+        ts = math.nan
+    if not text.isascii() or "_" in text or not math.isfinite(ts):
+        raise ParseError(line, "malformed timestamp", lineno)
+    return ts
+
+
+def _parse_id(text: str, line: str, lineno: int | None) -> int:
+    """Hex id with an optional ``0x``; `int` alone also reads a sign, ``_`` and
+    non-ASCII digits."""
+    try:
+        if not text.isascii() or text[:1] in "+-" or "_" in text:
+            raise ValueError
+        return int(text, 16)
+    except ValueError:
+        raise ParseError(line, f"unparsable id {text!r}", lineno) from None
+
+
 def parse_candump_line(line: str, lineno: int | None = None) -> CanFrame:
     """Decode one compact candump record.
 
@@ -155,17 +179,11 @@ def parse_candump_line(line: str, lineno: int | None = None) -> CanFrame:
     parts = line.split()
     if len(parts) != 3 or not parts[0].startswith("(") or not parts[0].endswith(")"):
         raise ParseError(line, "not a candump record", lineno)
-    try:
-        ts = float(parts[0][1:-1])
-    except ValueError:
-        raise ParseError(line, "malformed timestamp", lineno) from None
+    ts = _parse_timestamp(parts[0][1:-1], line, lineno)
     idstr, sep, hexdata = parts[2].partition("#")
     if not sep:
         raise ParseError(line, "missing '#' separator", lineno)
-    try:
-        arb_id = int(idstr, 16)
-    except ValueError:
-        raise ParseError(line, f"unparsable id {idstr!r}", lineno) from None
+    arb_id = _parse_id(idstr, line, lineno)
     if len(hexdata) % 2:
         raise ParseError(line, "odd-length hex payload", lineno)
     try:
@@ -180,51 +198,24 @@ def parse_candump_line(line: str, lineno: int | None = None) -> CanFrame:
         raise ParseError(line, str(exc), lineno) from None
 
 
-@dataclass(frozen=True)
-class CsvSchema:
-    """Column layout for CSV captures; indices are zero-based."""
-
-    timestamp: int = 0
-    id: int = 1
-    dlc: int = 2
-    payload_hex: int = 3
-    id_base: int = 16  # 16 for hex id columns, 10 for decimal
-
-
-DEFAULT_CSV_SCHEMA = CsvSchema()
 CSV_HEADER = "timestamp,id,dlc,payload_hex"
 
 
-def parse_csv_line(
-    line: str,
-    schema: CsvSchema = DEFAULT_CSV_SCHEMA,
-    lineno: int | None = None,
-) -> CanFrame:
-    """Decode one CSV record; same semantics as parse_candump_line."""
+def parse_csv_line(line: str, lineno: int | None = None) -> CanFrame:
+    """Decode one ``timestamp,id,dlc,payload_hex`` record like parse_candump_line."""
     try:
         row = next(csv.reader(io.StringIO(line)))
     except StopIteration:
         raise ParseError(line, "empty record", lineno) from None
-    needed = max(schema.timestamp, schema.id, schema.dlc, schema.payload_hex)
-    if len(row) <= needed:
-        raise ParseError(line, f"missing column (need {needed + 1} fields)", lineno)
+    if len(row) < 4:
+        raise ParseError(line, "missing column (need 4 fields)", lineno)
+    ts = _parse_timestamp(row[0], line, lineno)
+    arb_id = _parse_id(row[1].strip(), line, lineno)
     try:
-        ts = float(row[schema.timestamp])
+        dlc = int(row[2])
     except ValueError:
-        raise ParseError(line, "malformed timestamp", lineno) from None
-    idstr = row[schema.id].strip()
-    try:
-        if idstr.lower().startswith("0x"):
-            arb_id = int(idstr, 16)
-        else:
-            arb_id = int(idstr, schema.id_base)
-    except ValueError:
-        raise ParseError(line, f"unparsable id {idstr!r}", lineno) from None
-    try:
-        dlc = int(row[schema.dlc])
-    except ValueError:
-        raise ParseError(line, f"unparsable dlc {row[schema.dlc]!r}", lineno) from None
-    hexdata = row[schema.payload_hex].strip()
+        raise ParseError(line, f"unparsable dlc {row[2]!r}", lineno) from None
+    hexdata = row[3].strip()
     if len(hexdata) % 2:
         raise ParseError(line, "odd-length hex payload", lineno)
     try:

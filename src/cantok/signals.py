@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitlab import BitMatrix, build_bit_matrix, read_field, write_field
+from .bitlab import build_bit_matrix, read_field, write_field
 from .errors import AnalysisError, InvariantError
 from .frames import IdTrace
 from .tokenizer import PADDING, TokenCluster, Tokenization, format_id
@@ -56,10 +56,10 @@ def extract_series(
                 f"cluster [{cluster.lo}, {cluster.hi}] outside payload width "
                 f"{idtrace.bit_width}"
             )
-    bm = build_bit_matrix(idtrace)
+    bits = build_bit_matrix(idtrace)
     out = []
     for cluster in clusters:
-        values = read_field(bm.bits, cluster.lsb_index, cluster.msb_index)
+        values = read_field(bits, cluster.lsb_index, cluster.msb_index)
         values.flags.writeable = False
         out.append(SignalSeries(idtrace.arbitration_id, cluster, values, idtrace.timestamps))
     return out
@@ -112,12 +112,12 @@ def summary_to_dict(series: SignalSeries, summary: SignalSummary) -> dict:
     }
 
 
-def padding_constants(bm: BitMatrix, tok: Tokenization) -> dict[int, int]:
-    """Constant bit value observed at each padding position."""
+def padding_constants(bits: np.ndarray, tok: Tokenization) -> dict[int, int]:
+    """Constant bit value observed at each padding position of a bit matrix."""
     out: dict[int, int] = {}
     for c in tok.padding_clusters:
         for p in c.positions:
-            col = bm.bits[:, p]
+            col = bits[:, p]
             if col.min() != col.max():
                 raise InvariantError(f"padding position {p} is not constant")
             out[p] = int(col[0])

@@ -217,10 +217,11 @@ def score_tokenization(tok: Tokenization, gt: GroundTruth) -> ScoreReport:
 
 
 def score_to_dict(report: ScoreReport) -> dict:
+    """The score JSON: counts, and precision and recall to 6 decimals."""
     return {
         "exact_cluster_matches": report.exact_cluster_matches,
-        "boundary_precision": report.boundary_precision,
-        "boundary_recall": report.boundary_recall,
+        "boundary_precision": round(report.boundary_precision, 6),
+        "boundary_recall": round(report.boundary_recall, 6),
         "merged": report.merged_count,
         "split": report.split_count,
     }

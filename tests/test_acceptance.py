@@ -24,7 +24,7 @@ from cantok import (
     score_tokenization,
     tokenize,
 )
-from cantok.bitlab import build_bit_matrix, compute_tang, tang_from_idtrace, transition_matrix
+from cantok.bitlab import build_bit_matrix, tang_from_idtrace, transition_matrix
 from cantok.signals import padding_constants, repack_payloads
 
 from .conftest import make_idtrace, naive_tang_counts
@@ -51,8 +51,8 @@ def test_criterion_1_table_golden():
         [0, 0, 0, 0, 1, 1, 1, 1],
         [0, 0, 0, 0, 0, 0, 0, 1],
     ]
-    assert tm.bits.tolist() == expected_rows
-    assert compute_tang(tm).counts.tolist() == TABLE_TANG
+    assert tm.tolist() == expected_rows
+    assert tang_from_idtrace(it).counts.tolist() == TABLE_TANG
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0
     _report(1, "transition matrix and aggregation golden")
@@ -61,8 +61,8 @@ def test_criterion_1_table_golden():
 def test_criterion_2_worked_xor():
     it = make_idtrace([[k] for k in range(10)])
     tm = transition_matrix(build_bit_matrix(it))
-    assert list(tm.bits[0]) == [0, 0, 0, 0, 0, 0, 0, 1]
-    assert list(tm.bits[7]) == [0, 0, 0, 0, 1, 1, 1, 1]
+    assert list(tm[0]) == [0, 0, 0, 0, 0, 0, 0, 1]
+    assert list(tm[7]) == [0, 0, 0, 0, 1, 1, 1, 1]
     _report(2, "worked XOR rows")
 
 
@@ -71,7 +71,6 @@ def test_criterion_3_hand_traces():
         counts=np.asarray(TABLE_TANG, dtype=np.int64),
         observations=10,
         arbitration_id=0xA15,
-        bit_width=8,
     )
     exclude = tokenize(tang, TokenizerConfig())
     assert [(c.kind, c.lo, c.hi) for c in exclude.clusters] == [
@@ -101,9 +100,7 @@ def test_criterion_4_randomized_properties():
         endianness = ("big", "little")[int(rng.integers(0, 2))]
         mode = ("exclude", "strict")[int(rng.integers(0, 2))]
         threshold = int(rng.integers(0, 4))
-        tang = Tang(
-            counts=counts, observations=m, arbitration_id=0x100, bit_width=n
-        )
+        tang = Tang(counts=counts, observations=m, arbitration_id=0x100)
         cfg = TokenizerConfig(
             endianness=endianness, threshold=threshold, padding_mode=mode
         )
@@ -121,7 +118,6 @@ def test_criterion_4_randomized_properties():
                 counts=counts[::-1].copy(),
                 observations=m,
                 arbitration_id=0x100,
-                bit_width=n,
             ),
             TokenizerConfig(
                 endianness=other, threshold=threshold, padding_mode=mode
@@ -225,13 +221,13 @@ def test_criterion_6_reconstruction():
     for trace in traces:
         for it in partition_by_id(trace).values():
             tok = tokenize(tang_from_idtrace(it))
-            bm = build_bit_matrix(it)
+            bits = build_bit_matrix(it)
             series = {
                 (s.cluster.lo, s.cluster.hi): s
                 for s in extract_series(it, tok.signal_clusters)
             }
             rebuilt = repack_payloads(
-                tok, series, padding_constants(bm, tok), len(it)
+                tok, series, padding_constants(bits, tok), len(it)
             )
             assert np.array_equal(rebuilt, it.payloads)
     _report(6, "bit-exact payload reconstruction")

@@ -5,7 +5,6 @@ from cantok import (
     AnalysisError,
     IdTrace,
     build_bit_matrix,
-    compute_tang,
     normalize_tang,
     tang_from_idtrace,
     transition_matrix,
@@ -19,19 +18,19 @@ TABLE_TANG = [0, 0, 0, 0, 1, 2, 4, 9]
 
 class TestBitMatrix:
     def test_counter_table(self, table1_idtrace):
-        bm = build_bit_matrix(table1_idtrace)
-        assert bm.bits.shape == (10, 8)
-        assert list(bm.bits[9]) == [0, 0, 0, 0, 1, 0, 0, 1]
-        assert list(bm.bits[0]) == [0] * 8
+        bits = build_bit_matrix(table1_idtrace)
+        assert bits.shape == (10, 8)
+        assert list(bits[9]) == [0, 0, 0, 0, 1, 0, 0, 1]
+        assert list(bits[0]) == [0] * 8
 
     def test_all_ones(self):
-        bm = build_bit_matrix(make_idtrace([[0xFF]]))
-        assert bm.bits.shape == (1, 8)
-        assert bm.bits.all()
+        bits = build_bit_matrix(make_idtrace([[0xFF]]))
+        assert bits.shape == (1, 8)
+        assert bits.all()
 
     def test_bit_numbering(self):
-        bm = build_bit_matrix(make_idtrace([[0x80, 0x01]]))
-        row = list(bm.bits[0])
+        bits = build_bit_matrix(make_idtrace([[0x80, 0x01]]))
+        row = list(bits[0])
         assert row[0] == 1 and row[15] == 1
         assert sum(row) == 2
 
@@ -43,7 +42,7 @@ class TestBitMatrix:
 class TestTransitionMatrix:
     def test_first_xor_row(self, table1_idtrace):
         tm = transition_matrix(build_bit_matrix(table1_idtrace))
-        assert list(tm.bits[0]) == [0, 0, 0, 0, 0, 0, 0, 1]
+        assert list(tm[0]) == [0, 0, 0, 0, 0, 0, 0, 1]
 
     def test_full_table(self, table1_idtrace):
         tm = transition_matrix(build_bit_matrix(table1_idtrace))
@@ -58,16 +57,16 @@ class TestTransitionMatrix:
             [0, 0, 0, 0, 1, 1, 1, 1],
             [0, 0, 0, 0, 0, 0, 0, 1],
         ]
-        assert tm.bits.tolist() == expected
-        assert list(tm.bits[7]) == [0, 0, 0, 0, 1, 1, 1, 1]  # obs 7 xor 8
+        assert tm.tolist() == expected
+        assert list(tm[7]) == [0, 0, 0, 0, 1, 1, 1, 1]  # obs 7 xor 8
 
     def test_identical_rows_zero(self):
         tm = transition_matrix(build_bit_matrix(make_idtrace([[0x5A], [0x5A], [0x5A]])))
-        assert not tm.bits.any()
+        assert not tm.any()
 
     def test_insufficient_observations(self):
         with pytest.raises(AnalysisError, match="insufficient"):
-            transition_matrix(build_bit_matrix(make_idtrace([[0x00]])))
+            tang_from_idtrace(make_idtrace([[0x00]]))
 
 
 class TestTang:
@@ -98,9 +97,9 @@ class TestTang:
             tang = tang_from_idtrace(make_idtrace(payloads))
             assert (tang.counts <= m - 1).all()
             # count 0 exactly when the bit column is constant
-            bm = build_bit_matrix(make_idtrace(payloads))
+            bits = build_bit_matrix(make_idtrace(payloads))
             for i in range(tang.bit_width):
-                col = bm.bits[:, i]
+                col = bits[:, i]
                 assert (tang.counts[i] == 0) == (col.min() == col.max())
 
     def test_concatenation(self):

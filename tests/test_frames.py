@@ -13,9 +13,13 @@ from cantok import (
     write_candump,
 )
 from cantok import frames
-from cantok.frames import CsvSchema, format_candump_line
+from cantok.frames import format_candump_line
 
 from .conftest import load_outcome, make_trace, reference_load_trace
+
+# Strings `float` and `int(_, 16)` read but a capture must not hold.
+BAD_TIMESTAMPS = ["nan", "inf", "-inf", "1e400", "1_0.5", "\u0661.5"]
+BAD_IDS = ["+1", "-1", "1_0", "0x_10", "0x1_0", "\u0661\u0660\u0660"]
 
 
 class TestParseCandump:
@@ -41,6 +45,16 @@ class TestParseCandump:
     def test_bad_id(self):
         with pytest.raises(ParseError, match="unparsable id"):
             parse_candump_line("(1.0) can0 XYZ#00")
+
+    @pytest.mark.parametrize("ts", BAD_TIMESTAMPS)
+    def test_non_finite_or_grouped_timestamp(self, ts):
+        with pytest.raises(ParseError, match="malformed timestamp"):
+            parse_candump_line(f"({ts}) can0 100#01")
+
+    @pytest.mark.parametrize("arb_id", BAD_IDS)
+    def test_signed_or_grouped_id(self, arb_id):
+        with pytest.raises(ParseError, match="unparsable id"):
+            parse_candump_line(f"(1.0) can0 {arb_id}#01")
 
     def test_oversized_payload(self):
         with pytest.raises(ParseError, match="exceeds 8"):
@@ -73,9 +87,15 @@ class TestParseCsv:
         f = parse_csv_line("1.0,0x123,1,AA")
         assert f.arbitration_id == 0x123
 
-    def test_decimal_id_schema(self):
-        f = parse_csv_line("1.0,291,1,AA", schema=CsvSchema(id_base=10))
-        assert f.arbitration_id == 291
+    @pytest.mark.parametrize("ts", BAD_TIMESTAMPS)
+    def test_non_finite_or_grouped_timestamp(self, ts):
+        with pytest.raises(ParseError, match="malformed timestamp"):
+            parse_csv_line(f"{ts},100,1,01")
+
+    @pytest.mark.parametrize("arb_id", BAD_IDS)
+    def test_signed_or_grouped_id(self, arb_id):
+        with pytest.raises(ParseError, match="unparsable id"):
+            parse_csv_line(f"1.0,{arb_id},1,01")
 
     def test_missing_column(self):
         with pytest.raises(ParseError, match="missing column"):
@@ -128,6 +148,17 @@ class TestLoadTrace:
             trace = load_trace(p, strict=False)
         assert len(trace) == 2
         assert "skipped 1" in caplog.text
+
+    @pytest.mark.parametrize("format, line", [
+        ("candump", "({ts}) can0 {id}#01"), ("csv", "{ts},{id},1,01")])
+    def test_lenient_skips_bad_timestamps_and_ids(self, format, line, tmp_path, caplog):
+        bad = [line.format(ts=ts, id="100") for ts in BAD_TIMESTAMPS]
+        bad += [line.format(ts="1.5", id=arb_id) for arb_id in BAD_IDS]
+        p = self._write(tmp_path, [line.format(ts="1.0", id="100"), *bad])
+        with caplog.at_level(logging.WARNING):
+            trace = load_trace(p, format=format, strict=False)
+        assert trace.timestamps.tolist() == [1.0]
+        assert f"skipped {len(bad)} malformed" in caplog.text
 
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(OSError):

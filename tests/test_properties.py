@@ -48,7 +48,6 @@ def as_tang(counts):
         counts=np.asarray(counts, dtype=np.int64),
         observations=max(counts) + 1,
         arbitration_id=0x100,
-        bit_width=len(counts),
     )
 
 
@@ -175,7 +174,7 @@ def test_write_then_read_field_is_identity(shape, data):
 @settings(max_examples=300, deadline=None)
 def test_read_field_matches_scalar_oracle(payloads, data):
     lsb, msb = data.draw(field_st(len(payloads[0]) * 8))
-    bits = build_bit_matrix(make_idtrace([list(p) for p in payloads])).bits
+    bits = build_bit_matrix(make_idtrace([list(p) for p in payloads]))
     expected = [
         sum(row[p] << abs(p - lsb) for p in range(min(lsb, msb), max(lsb, msb) + 1))
         for row in map(bits_of, payloads)

@@ -127,12 +127,12 @@ class TestReconstruction:
 
         it = make_idtrace(payloads)
         tok = tokenize(tang_from_idtrace(it), config or TokenizerConfig())
-        bm = build_bit_matrix(it)
+        bits = build_bit_matrix(it)
         series = {
             (s.cluster.lo, s.cluster.hi): s
             for s in extract_series(it, tok.signal_clusters)
         }
-        rebuilt = repack_payloads(tok, series, padding_constants(bm, tok), len(it))
+        rebuilt = repack_payloads(tok, series, padding_constants(bits, tok), len(it))
         assert rebuilt.tolist() == [list(p) for p in payloads]
 
     def test_table(self, table1_idtrace):

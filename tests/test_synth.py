@@ -23,6 +23,7 @@ from cantok.synth import (
     load_ground_truth,
     merge_traces,
     save_ground_truth,
+    score_to_dict,
 )
 from cantok.tokenizer import TokenCluster, Tokenization, TokenizerConfig
 
@@ -221,6 +222,24 @@ class TestScore:
         report = score_tokenization(make_tok(8, [(0, 3), (4, 7)], []), gt)
         assert report.split_count == 1
         assert report.boundary_precision == 0.0
+
+    def test_dict_writes_six_decimals(self):
+        gt = GroundTruth(
+            arbitration_id=0x100,
+            bit_width=8,
+            specs=(
+                SignalSpec(lo=0, hi=3, kind="counter"),
+                SignalSpec(lo=4, hi=5, kind="counter"),
+                SignalSpec(lo=6, hi=7, kind="counter"),
+            ),
+            frame_count=10,
+        )
+        tok = make_tok(8, [(0, 1), (2, 3), (4, 5), (6, 7)], [])
+        report = score_tokenization(tok, gt)
+        assert report.boundary_precision == 2 / 3
+        text = json.dumps(score_to_dict(report))
+        assert '"boundary_precision": 0.666667,' in text
+        assert '"boundary_recall": 1.0,' in text
 
     def test_width_mismatch(self):
         gt = GroundTruth(

@@ -22,9 +22,7 @@ from .conftest import make_trace
 def make_tang(counts, observations=None, arb_id=0x100):
     counts = np.asarray(counts, dtype=np.int64)
     m = observations if observations is not None else int(counts.max(initial=0)) + 1
-    return Tang(
-        counts=counts, observations=m, arbitration_id=arb_id, bit_width=len(counts)
-    )
+    return Tang(counts=counts, observations=m, arbitration_id=arb_id)
 
 
 def ranges(tok, kind=None):
