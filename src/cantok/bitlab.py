@@ -99,9 +99,13 @@ def normalize_tang(tang: Tang) -> np.ndarray:
 
 
 def export_tang_csv(tang: Tang, path) -> None:
-    """Write ``bit_position,transitions,normalized`` rows for plotting."""
-    norm = normalize_tang(tang)
+    """Write ``bit_position,transitions,normalized`` rows for plotting.
+
+    One f-string per row, not `frames.write_rows`: a file holds at most 64
+    rows, too few to pay for the columnar encoder's per-call numpy overhead.
+    """
+    rows = zip(tang.counts.tolist(), normalize_tang(tang).tolist())
     with open(path, "w") as fh:
         fh.write("bit_position,transitions,normalized\n")
-        for i in range(tang.bit_width):
-            fh.write(f"{i},{int(tang.counts[i])},{norm[i]:.6f}\n")
+        for i, (count, norm) in enumerate(rows):
+            fh.write(f"{i},{count},{norm:.6f}\n")

@@ -28,6 +28,15 @@ Every other line, and every line of a chunk holding a non-ASCII byte or a
 lone CR, goes through
 `parse_candump_line`/`parse_csv_line` with its line number, so those two
 functions define what is valid and every error message.
+
+`write_rows` is the inverse, a columnar row encoder. For each block of
+`ENCODE_ROWS` rows, every field becomes an (n, W) byte matrix plus a mask
+of the bytes each row has (digits right-aligned, separators broadcast);
+the masked bytes of the fields side by side, read row by row, are the
+lines. `write_candump` and `signals.export_series_csv` write with it.
+`fixed6_field` matches ``f"{v:.6f}"`` byte for byte and hands that
+f-string the rows it cannot show exact: a sixth decimal near a .5 tie, a
+negative or non-finite value, or one of at least 2**53.
 """
 
 from __future__ import annotations
@@ -170,6 +179,17 @@ def _parse_id(text: str, line: str, lineno: int | None) -> int:
         raise ParseError(line, f"unparsable id {text!r}", lineno) from None
 
 
+def _parse_dlc(text: str, line: str, lineno: int | None) -> int:
+    """Decimal dlc, surrounding spaces allowed; `int` alone also reads a sign,
+    ``_`` and non-ASCII digits."""
+    try:
+        if not text.isascii() or text.strip()[:1] in "+-" or "_" in text:
+            raise ValueError
+        return int(text)
+    except ValueError:
+        raise ParseError(line, f"unparsable dlc {text!r}", lineno) from None
+
+
 def parse_candump_line(line: str, lineno: int | None = None) -> CanFrame:
     """Decode one compact candump record.
 
@@ -211,10 +231,7 @@ def parse_csv_line(line: str, lineno: int | None = None) -> CanFrame:
         raise ParseError(line, "missing column (need 4 fields)", lineno)
     ts = _parse_timestamp(row[0], line, lineno)
     arb_id = _parse_id(row[1].strip(), line, lineno)
-    try:
-        dlc = int(row[2])
-    except ValueError:
-        raise ParseError(line, f"unparsable dlc {row[2]!r}", lineno) from None
+    dlc = _parse_dlc(row[2], line, lineno)
     hexdata = row[3].strip()
     if len(hexdata) % 2:
         raise ParseError(line, "odd-length hex payload", lineno)
@@ -232,30 +249,108 @@ def parse_csv_line(line: str, lineno: int | None = None) -> CanFrame:
         raise ParseError(line, str(exc), lineno) from None
 
 
-def _candump_line(timestamp: float, arb_id: int, payload_hex: str, iface: str) -> str:
-    width = 3 if arb_id <= STANDARD_ID_MAX else 8
-    return f"({timestamp:.6f}) {iface} {arb_id:0{width}X}#{payload_hex}"
+ENCODE_ROWS = 1 << 16  # rows encoded per block; bounds the writers' memory
+_EXACT_INT = 1 << 53  # integers below this are exact float64 values
+
+_POW10_U64 = 10 ** np.arange(20, dtype=np.uint64)  # every power below 2**64
+_HEX_UPPER = np.frombuffer(b"0123456789ABCDEF", np.uint8)
 
 
-def format_candump_line(frame: CanFrame, iface: str = "can0") -> str:
-    """Render a frame back to compact candump text.
+def _digits(values: np.ndarray, width: int) -> np.ndarray:
+    """The last `width` decimal digits of each uint64, as ASCII bytes."""
+    out = np.empty((len(values), width), np.uint8)
+    for j in range(width - 1, -1, -1):
+        # numpy divides by a scalar with a multiply, several times faster than by an array
+        quotient = values // np.uint64(10)
+        out[:, j] = values - quotient * np.uint64(10)
+        values = quotient
+    return out + np.uint8(ord("0"))
+
+
+def decimal_field(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``str(v)`` of each uint64 as a field for `write_rows`."""
+    ndigits = np.maximum(np.searchsorted(_POW10_U64, values, side="right"), 1)
+    width = int(ndigits.max(initial=1))
+    return _digits(values, width), np.arange(width) >= width - ndigits[:, None]
+
+
+def fixed6_field(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``f"{v:.6f}"`` of each float64 as a field for `write_rows`.
+
+    `floor(v)` and ``v - floor(v)`` are exact, and their product with 1e6
+    (< 2**20) is within 2**-33 of the exact one, so `rint` rounds it as
+    the f-string does unless it lies near a .5 tie. Rows near a tie, and
+    negative, non-finite and >= 2**53 values, are formatted by the f-string.
+    """
+    with np.errstate(invalid="ignore"):
+        whole = np.floor(x)
+        micros = (x - whole) * 1e6
+        exact = ~np.signbit(x) & (x < _EXACT_INT)
+        exact &= np.abs(micros - np.floor(micros) - 0.5) >= 1e-6
+    micros = np.where(exact, np.rint(micros), 0).astype(np.uint64)
+    carry = micros == 10**6  # whose last six digits, all the row writes, are 000000
+    digits, present = decimal_field(np.where(exact, whole, 0).astype(np.uint64) + carry)
+    digits = np.concatenate(
+        (digits, np.full((len(x), 1), ord("."), np.uint8), _digits(micros, 6)), axis=1
+    )
+    present = np.concatenate((present, np.ones((len(x), 7), bool)), axis=1)
+    slow = np.flatnonzero(~exact)
+    if slow.size:
+        texts = [f"{v:.6f}".encode() for v in x[slow].tolist()]
+        grow = max(map(len, texts)) - digits.shape[1]
+        if grow > 0:
+            digits = np.pad(digits, ((0, 0), (0, grow)))
+            present = np.pad(present, ((0, 0), (0, grow)))
+        present[slow] = False
+        for row, text in zip(slow.tolist(), texts):
+            digits[row, : len(text)] = np.frombuffer(text, np.uint8)
+            present[row, : len(text)] = True
+    return digits, present
+
+
+def write_rows(fh, n: int, fields) -> None:
+    """Write n text rows to the binary file `fh`, ENCODE_ROWS at a time.
+
+    ``fields(rows)`` returns the fields of the rows in slice `rows`, in
+    line order: each a literal ``bytes`` or a pair of (k, W) matrices, the
+    field's bytes and which of them each row has. Concatenated, the
+    present bytes read row by row are the lines.
+    """
+    for start in range(0, n, ENCODE_ROWS):
+        rows = slice(start, min(start + ENCODE_ROWS, n))
+        k = rows.stop - rows.start
+        chars, present = [], []
+        for field in fields(rows):
+            if isinstance(field, bytes):
+                chars.append(np.broadcast_to(np.frombuffer(field, np.uint8), (k, len(field))))
+                present.append(np.broadcast_to(True, (k, len(field))))
+            else:
+                chars.append(field[0])
+                present.append(field[1])
+        fh.write(np.concatenate(chars, axis=1)[np.concatenate(present, axis=1)].tobytes())
+
+
+def write_candump(trace: Trace, path, iface: str = "can0") -> None:
+    """Write a trace as compact candump lines.
 
     Standard ids get 3 hex digits, extended ids 8; timestamps keep
     microsecond precision.
     """
-    return _candump_line(
-        frame.timestamp, frame.arbitration_id, frame.payload.hex().upper(), iface
-    )
 
+    def fields(rows):
+        ids, payloads = trace.ids[rows], trace.payloads[rows]
+        id_hex = _HEX_UPPER[ids[:, None] >> np.arange(28, -1, -4, dtype=np.uint32) & 0xF]
+        id_width = np.where(ids > STANDARD_ID_MAX, 8, 3)
+        nibbles = np.stack((payloads >> 4, payloads & 0xF), axis=2).reshape(-1, 2 * MAX_DLC)
+        return [
+            b"(", fixed6_field(trace.timestamps[rows]), f") {iface} ".encode(),
+            (id_hex, np.arange(8) >= 8 - id_width[:, None]), b"#",
+            (_HEX_UPPER[nibbles], np.arange(2 * MAX_DLC) < 2 * trace.dlcs[rows, None]),
+            b"\n",
+        ]
 
-def write_candump(trace: Trace, path, iface: str = "can0") -> None:
-    hexdata = trace.payloads.tobytes().hex().upper()
-    rows = zip(trace.timestamps.tolist(), trace.ids.tolist(), trace.dlcs.tolist())
-    with open(path, "w") as fh:
-        for k, (ts, arb_id, dlc) in enumerate(rows):
-            start = 2 * MAX_DLC * k
-            fh.write(_candump_line(ts, arb_id, hexdata[start : start + 2 * dlc], iface))
-            fh.write("\n")
+    with open(path, "wb") as fh:
+        write_rows(fh, len(trace), fields)
 
 
 CHUNK_BYTES = 1 << 16  # read size; each chunk is cut after its last newline
@@ -263,7 +358,6 @@ CHUNK_BYTES = 1 << 16  # read size; each chunk is cut after its last newline
 # Separator bytes of a line shape, in the order its key packs their offsets;
 # a byte listed twice stands for its first and its second occurrence.
 _SEPARATORS = {"candump": b"  #.", "csv": b",,,."}
-_EXACT_INT = 1 << 53  # integers below this are exact float64 values
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
 _POW16 = 16 ** np.arange(8, dtype=np.int64)
 _HEX = np.full(256, 0xFF, dtype=np.uint8)  # value of each hex digit byte, else 0xFF

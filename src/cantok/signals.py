@@ -1,4 +1,8 @@
-"""Materialize tokenized clusters as unsigned-integer time series."""
+"""Materialize tokenized clusters as unsigned-integer time series.
+
+`export_series_csv` writes a series with the columnar row encoder
+`frames.write_rows`, byte for byte as one ``f"{i},{ts:.6f},{v}"`` per row.
+"""
 
 from __future__ import annotations
 
@@ -10,7 +14,7 @@ import numpy as np
 
 from .bitlab import build_bit_matrix, read_field, write_field
 from .errors import AnalysisError, InvariantError
-from .frames import IdTrace
+from .frames import IdTrace, decimal_field, fixed6_field, write_rows
 from .tokenizer import PADDING, TokenCluster, Tokenization, format_id
 
 
@@ -92,10 +96,17 @@ def summarize(series: SignalSeries) -> SignalSummary:
 
 def export_series_csv(series: SignalSeries, path) -> None:
     """Write ``index,timestamp,value`` rows; index is chronological order."""
-    with open(path, "w") as fh:
-        fh.write("index,timestamp,value\n")
-        for i, (ts, v) in enumerate(zip(series.timestamps, series.values)):
-            fh.write(f"{i},{ts:.6f},{int(v)}\n")
+
+    def fields(rows):
+        return [
+            decimal_field(np.arange(rows.start, rows.stop, dtype=np.uint64)), b",",
+            fixed6_field(series.timestamps[rows]), b",",
+            decimal_field(series.values[rows]), b"\n",
+        ]
+
+    with open(path, "wb") as fh:
+        fh.write(b"index,timestamp,value\n")
+        write_rows(fh, len(series), fields)
 
 
 def summary_to_dict(series: SignalSeries, summary: SignalSummary) -> dict:

@@ -6,7 +6,7 @@ import pytest
 
 from cantok import IdTrace, ParseError, Trace, parse_candump_line, parse_csv_line
 from cantok.errors import AnalysisError
-from cantok.frames import CSV_HEADER, MAX_DLC
+from cantok.frames import CSV_HEADER, MAX_DLC, STANDARD_ID_MAX
 
 log = logging.getLogger("cantok.frames")
 
@@ -41,6 +41,30 @@ def reference_load_trace(path, format: str = "candump", strict: bool = True) -> 
         log.warning("%s: skipped %d malformed line(s)", path, skipped)
     log.info("%s: %d frames", path, len(trace))
     return trace
+
+
+def reference_candump_line(frame, iface: str = "can0") -> str:
+    """One compact candump line: 3 hex id digits for a standard id, 8 for extended."""
+    width = 3 if frame.arbitration_id <= STANDARD_ID_MAX else 8
+    return (
+        f"({frame.timestamp:.6f}) {iface} {frame.arbitration_id:0{width}X}#"
+        f"{frame.payload.hex().upper()}"
+    )
+
+
+def reference_write_candump(trace: Trace, path, iface: str = "can0") -> None:
+    """Per-row candump writer: one f-string per frame."""
+    with open(path, "w") as fh:
+        for frame in trace.frames:
+            fh.write(reference_candump_line(frame, iface) + "\n")
+
+
+def reference_series_csv(series, path) -> None:
+    """Per-row series writer: one f-string per ``index,timestamp,value`` row."""
+    with open(path, "w") as fh:
+        fh.write("index,timestamp,value\n")
+        for i, (ts, v) in enumerate(zip(series.timestamps, series.values)):
+            fh.write(f"{i},{ts:.6f},{int(v)}\n")
 
 
 def make_trace(frames):

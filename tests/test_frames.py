@@ -13,13 +13,13 @@ from cantok import (
     write_candump,
 )
 from cantok import frames
-from cantok.frames import format_candump_line
 
-from .conftest import load_outcome, make_trace, reference_load_trace
+from .conftest import load_outcome, make_trace, reference_candump_line, reference_load_trace
 
-# Strings `float` and `int(_, 16)` read but a capture must not hold.
+# Strings `float`, `int(_, 16)` and `int` read but a capture must not hold.
 BAD_TIMESTAMPS = ["nan", "inf", "-inf", "1e400", "1_0.5", "\u0661.5"]
 BAD_IDS = ["+1", "-1", "1_0", "0x_10", "0x1_0", "\u0661\u0660\u0660"]
+BAD_DLCS = ["+1", " +1", "-1", "0_1", "\u0661"]
 
 
 class TestParseCandump:
@@ -96,6 +96,14 @@ class TestParseCsv:
     def test_signed_or_grouped_id(self, arb_id):
         with pytest.raises(ParseError, match="unparsable id"):
             parse_csv_line(f"1.0,{arb_id},1,01")
+
+    @pytest.mark.parametrize("dlc", BAD_DLCS)
+    def test_signed_or_grouped_dlc(self, dlc):
+        with pytest.raises(ParseError, match="unparsable dlc"):
+            parse_csv_line(f"1.0,100,{dlc},01")
+
+    def test_spaced_dlc(self):
+        assert parse_csv_line("1.0,100, 1 ,01").dlc == 1
 
     def test_missing_column(self):
         with pytest.raises(ParseError, match="missing column"):
@@ -311,9 +319,9 @@ class TestRoundTrip:
             )
 
     def test_id_digit_widths(self):
-        assert format_candump_line(CanFrame(1.0, 0x123, 0, b"")).split()[2] == "123#"
+        assert reference_candump_line(CanFrame(1.0, 0x123, 0, b"")).split()[2] == "123#"
         assert (
-            format_candump_line(CanFrame(1.0, 0x1ABCDEF0, 0, b"")).split()[2]
+            reference_candump_line(CanFrame(1.0, 0x1ABCDEF0, 0, b"")).split()[2]
             == "1ABCDEF0#"
         )
 

@@ -1,6 +1,7 @@
 """Randomized invariants for the analysis chain."""
 
 import json
+import math
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -21,13 +22,14 @@ from cantok import (
     write_candump,
 )
 from cantok import frames
-from cantok.frames import CSV_HEADER, format_candump_line, CanFrame
+from cantok.frames import CSV_HEADER, CanFrame
 from cantok.bitlab import build_bit_matrix, read_field, tang_from_idtrace, write_field
+from cantok.signals import export_series_csv
 from cantok.tokenizer import tokenization_from_dict, tokenization_to_dict
 
 from .conftest import (
     bits_of, load_outcome, make_idtrace, make_trace, naive_summary, naive_tang_counts,
-    reference_load_trace,
+    reference_candump_line, reference_load_trace, reference_series_csv, reference_write_candump,
 )
 from .test_signals import signal
 
@@ -138,7 +140,7 @@ frame_st = st.builds(
 @given(frame_st)
 @settings(max_examples=200, deadline=None)
 def test_candump_round_trip(frame):
-    back = parse_candump_line(format_candump_line(frame))
+    back = parse_candump_line(reference_candump_line(frame))
     assert abs(back.timestamp - frame.timestamp) < 1e-6
     assert (back.arbitration_id, back.dlc, back.payload) == (
         frame.arbitration_id,
@@ -340,3 +342,54 @@ def test_load_trace_matches_per_line_reference(data, fmt, newline, final_newline
             assert load_outcome(load_trace, path, format=fmt, strict=strict) == load_outcome(
                 reference_load_trace, path, format=fmt, strict=strict
             )
+
+
+# Values for the writer differential tests: sixth-decimal ties and
+# near-ties, carries into the integer part, epoch-scale stamps, and the
+# values the encoder hands to the f-string (negative, non-finite, >= 2**53).
+_stamp_st = st.one_of(
+    st.sampled_from([
+        0.0, -0.0, 5e-7, 2.5e-6, 0.9999995, 0.9999998, 1e9 + 0.9999999, 2.0**53 - 1,
+        2.0**53, 1e300, -1.5, math.nan, math.inf, -math.inf,
+    ]),
+    st.integers(min_value=0, max_value=10**6).map(lambda k: (k + 0.5) / 1e6),
+    st.integers(min_value=0, max_value=2 * 10**9).map(lambda k: k + 0.0000005),
+    st.integers(min_value=10**15, max_value=2 * 10**15).map(lambda us: us / 1e6),
+    st.floats(min_value=1e9, max_value=2e9),
+    st.floats(),
+)
+_value_st = st.one_of(
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.sampled_from([0, 9, 10, 10**19 - 1, 10**19, 2**64 - 1]),
+)
+_id_any_st = st.one_of(
+    st.integers(min_value=0, max_value=0x1FFFFFFF), st.sampled_from([0, 0x7FF, 0x800, 0x1FFFFFFF])
+)
+_block_st = st.sampled_from([1, 2, 3, 1 << 16])  # rows per block the encoder writes
+
+
+def _written(writer, obj, block):
+    """The bytes `writer(obj, path)` leaves in a file, with ENCODE_ROWS at `block`."""
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(frames, "ENCODE_ROWS", block):
+        path = Path(tmp) / "out"
+        writer(obj, path)
+        return path.read_bytes()
+
+
+@given(st.lists(st.tuples(_stamp_st, _value_st), max_size=12), _block_st)
+@settings(max_examples=500, deadline=None)
+def test_series_csv_matches_per_row_reference(rows, block):
+    series = SignalSeries(
+        0x100, signal(0, 63), np.array([v for _, v in rows], dtype=np.uint64),
+        np.array([t for t, _ in rows], dtype=np.float64),
+    )
+    assert _written(export_series_csv, series, block) == _written(
+        reference_series_csv, series, block
+    )
+
+
+@given(st.lists(st.tuples(_stamp_st, _id_any_st, st.binary(max_size=8)), max_size=12), _block_st)
+@settings(max_examples=500, deadline=None)
+def test_write_candump_matches_per_row_reference(rows, block):
+    trace = make_trace([CanFrame(ts, arb_id, len(p), p) for ts, arb_id, p in rows])
+    assert _written(write_candump, trace, block) == _written(reference_write_candump, trace, block)
