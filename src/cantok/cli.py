@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import bitlab, signals, synth, tokenizer
 from .errors import CantokError, InvariantError
-from .frames import IdTrace, Trace, load_trace, partition_by_id, write_candump
+from .frames import IdTrace, Trace, load_trace, parse_hex_id, partition_by_id, write_candump
 from .tokenizer import TokenizerConfig
 
 
@@ -71,7 +71,7 @@ def _id_filter(args) -> set[int] | None:
     wanted = set()
     for tok in filter(None, args.ids.split(",")):
         try:
-            wanted.add(int(tok, 16))
+            wanted.add(parse_hex_id(tok.strip()))
         except ValueError:
             raise CantokError(f"--ids: {tok!r} is not a hex id") from None
     return wanted

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bitlab import write_field
 from .errors import AnalysisError
-from .frames import EXTENDED_ID_MAX, MAX_DLC, Trace
+from .frames import EXTENDED_ID_MAX, MAX_DLC, Trace, parse_hex_id
 from .tokenizer import ENDIANNESSES, SIGNAL, Tokenization, format_id
 
 GENERATOR_KINDS = ("counter", "ramp", "random_walk", "constant", "noise")
@@ -249,7 +249,7 @@ def ground_truth_from_dict(data: dict) -> GroundTruth:
             for s in data["signals"]
         )
         return GroundTruth(
-            arbitration_id=int(str(data["id"]), 16),
+            arbitration_id=parse_hex_id(data["id"]),
             bit_width=data["bit_width"],
             specs=specs,
             frame_count=data["frames"],

@@ -15,7 +15,7 @@ from itertools import groupby
 
 from .bitlab import Tang, tang_from_idtrace
 from .errors import AnalysisError, InvariantError
-from .frames import Trace, partition_by_id
+from .frames import Trace, parse_hex_id, partition_by_id
 
 log = logging.getLogger(__name__)
 
@@ -218,9 +218,13 @@ def tokenization_to_dict(tok: Tokenization) -> dict:
 
 
 def tokenization_from_dict(data: dict) -> Tokenization:
-    """Inverse of `tokenization_to_dict`; a malformed dict raises AnalysisError."""
-    cfg = data.get("config", {})
+    """Inverse of `tokenization_to_dict`; malformed input raises AnalysisError."""
+    if not isinstance(data, dict):
+        raise AnalysisError(f"invalid tokenization: a {type(data).__name__}, not an object")
     try:
+        cfg = data.get("config", {})
+        if not isinstance(cfg, dict):
+            raise TypeError(f"config is a {type(cfg).__name__}, not an object")
         clusters = tuple(
             TokenCluster(
                 c["kind"], c["lo"], c["hi"], c.get("lsb"), c.get("msb"), c.get("lsb_transitions")
@@ -230,10 +234,10 @@ def tokenization_from_dict(data: dict) -> Tokenization:
         config = TokenizerConfig(
             **{f.name: cfg[f.name] for f in fields(TokenizerConfig) if f.name in cfg}
         )
-        return Tokenization(int(str(data["id"]), 16), data["bit_width"], clusters, config)
+        return Tokenization(parse_hex_id(data["id"]), data["bit_width"], clusters, config)
     except KeyError as exc:
         raise AnalysisError(f"tokenization missing field {exc}") from None
-    except (InvariantError, ValueError) as exc:
+    except (InvariantError, TypeError, ValueError) as exc:
         raise AnalysisError(f"invalid tokenization: {exc}") from None
 
 

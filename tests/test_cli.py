@@ -19,6 +19,23 @@ def table1_log(tmp_path):
     return path
 
 
+# Ids that int(text, 16) reads as 0x100 but no input of cantok accepts; a
+# JSON id must also be a string (int(str(256), 16) would read 0x256).
+LENIENT_IDS = ["+100", "1_00", "\u0661\u0660\u0660"]
+LENIENT_ID_NAMES = ["signed", "grouped", "arabic-indic"]
+JSON_IDS, JSON_ID_NAMES = [*LENIENT_IDS, 256], [*LENIENT_ID_NAMES, "json-number"]
+
+
+def _valid_tokenization() -> dict:
+    """The bundled spec's id and width as one padding cluster, in the JSON layout."""
+    return {
+        "id": "0x0100", "bit_width": 64,
+        "config": {"endianness": "big", "threshold": 0, "padding_mode": "exclude"},
+        "clusters": [{"kind": "padding", "lo": 0, "hi": 63, "lsb": None, "msb": None,
+                      "lsb_transitions": None}],
+    }
+
+
 class TestTang:
     def test_golden_row(self, table1_log, tmp_path, capsys):
         out = tmp_path / "out"
@@ -200,6 +217,53 @@ class TestErrors:
         argv = [command, "-i", str(table1_log), "--ids", "0x100,0xZZ", "--out", str(tmp_path)]
         assert main(argv) == 1
         assert "error: --ids: '0xZZ' is not a hex id" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["tang", "tokenize", "extract"])
+    @pytest.mark.parametrize("arb_id", LENIENT_IDS, ids=LENIENT_ID_NAMES)
+    def test_signed_or_grouped_ids_value_exit_one(self, command, arb_id, table1_log, tmp_path,
+                                                  capsys):
+        argv = [command, "-i", str(table1_log), "--ids", arb_id, "--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert f"error: --ids: {arb_id!r} is not a hex id" in capsys.readouterr().err
+
+    def test_spaced_ids_value(self, table1_log, tmp_path):
+        argv = ["tang", "-i", str(table1_log), "--ids", "0x100, 0xA15", "--out", str(tmp_path)]
+        assert main(argv) == 0
+        assert (tmp_path / "0A15_tang.csv").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "score"])
+    @pytest.mark.parametrize("arb_id", JSON_IDS, ids=JSON_ID_NAMES)
+    def test_signed_or_grouped_ground_truth_id_exit_one(self, command, arb_id, tmp_path, capsys):
+        spec = json.loads(bundled_spec_path().read_text())
+        gt = tmp_path / "gt.json"
+        gt.write_text(json.dumps({**spec, "id": arb_id}))
+        argv = ["synth", "-i", str(gt)] if command == "synth" else ["score", "-g", str(gt)]
+        assert main(argv + ["--out", str(tmp_path)]) == 1
+        assert "error: invalid ground truth spec: not a hex id" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("arb_id", JSON_IDS, ids=JSON_ID_NAMES)
+    def test_signed_or_grouped_tokenization_id_exit_one(self, arb_id, tmp_path, capsys):
+        tok = tmp_path / "tok.json"
+        tok.write_text(json.dumps({**_valid_tokenization(), "id": arb_id}))
+        gt = str(bundled_spec_path())
+        assert main(["score", "-t", str(tok), "-g", gt, "--out", str(tmp_path)]) == 1
+        assert "error: invalid tokenization: not a hex id" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit", [
+        lambda d: [1, 2],
+        lambda d: {**d, "clusters": [{**d["clusters"][0], "lo": "0"}, *d["clusters"][1:]]},
+        lambda d: {**d, "bit_width": "64"},
+        lambda d: {**d, "clusters": None},
+        lambda d: {**d, "config": {**d["config"], "threshold": "1"}},
+        lambda d: {**d, "config": "threshold"},
+    ], ids=["not-an-object", "string-lo", "string-bit-width", "null-clusters",
+            "string-threshold", "string-config"])
+    def test_mistyped_tokenization_exit_one(self, edit, tmp_path, capsys):
+        tok = tmp_path / "tok.json"
+        tok.write_text(json.dumps(edit(_valid_tokenization())))
+        gt = str(bundled_spec_path())
+        assert main(["score", "-t", str(tok), "-g", gt, "--out", str(tmp_path)]) == 1
+        assert "error: invalid tokenization: " in capsys.readouterr().err
 
 
 def _required(command):

@@ -258,6 +258,51 @@ class TestChunkEdges:
         )
 
 
+# Valid lines the columnar decoder reads: candump with a 3- and an 8-digit
+# id, and CSV. Each test swaps one byte of one of them for each SUBSTITUTE.
+SUBSTITUTION_TEMPLATES = {
+    "candump-3": ("candump", "(1.250000) can0 1a3#01aBcDeF"),
+    "candump-8": ("candump", "(1699999999.123456) vcan0 1ABCDEF0#0102030405060708"),
+    "csv": ("csv", "1.250000,1A3,3,01aBcD"),
+}
+SUBSTITUTES = "09aFG() \t#.,\x0bx"
+
+
+def _substitutions(line):
+    """Every line that differs from `line` in one byte, taken from SUBSTITUTES."""
+    return [
+        line[:k] + s + line[k + 1 :]
+        for k in range(len(line)) for s in SUBSTITUTES if s != line[k]
+    ]
+
+
+@pytest.mark.parametrize("name", sorted(SUBSTITUTION_TEMPLATES))
+class TestOneByteSubstitutions:
+    def test_template_decoded_in_columns(self, name):
+        fmt, line = SUBSTITUTION_TEMPLATES[name]
+        decoded, _, _ = frames._decode_chunk(f"{line}\n{line}\n".encode(), fmt)
+        assert decoded.all()
+
+    def test_lenient_between_valid_lines(self, tmp_path, name):
+        """All mutants in one file, each between two valid lines of its length,
+        so a mutant shares its shape's rows with valid lines."""
+        fmt, line = SUBSTITUTION_TEMPLATES[name]
+        p = tmp_path / "capture"
+        p.write_text("".join(f"{line}\n{m}\n" for m in _substitutions(line)) + f"{line}\n")
+        assert load_outcome(load_trace, p, format=fmt, strict=False) == load_outcome(
+            reference_load_trace, p, format=fmt, strict=False
+        )
+
+    def test_strict_one_file_per_mutant(self, tmp_path, name):
+        fmt, line = SUBSTITUTION_TEMPLATES[name]
+        p = tmp_path / "capture"
+        for mutant in _substitutions(line):
+            p.write_text(f"{line}\n{mutant}\n{line}\n")
+            assert load_outcome(load_trace, p, format=fmt) == load_outcome(
+                reference_load_trace, p, format=fmt
+            ), mutant
+
+
 class TestPartition:
     def test_single_group(self):
         frames = tuple(CanFrame(k * 0.1, 0xA15, 8, bytes(8)) for k in range(10))

@@ -327,7 +327,7 @@ def _any_line(draw, fmt):
     st.sampled_from(["candump", "csv"]),
     st.sampled_from(["\n"] * 6 + ["\r\n", "\r"]),
     st.booleans(),
-    st.sampled_from([1, 7, 64, 1 << 16]),
+    st.sampled_from([1, 7, 64, 1 << 16, frames.CHUNK_BYTES]),
 )
 @settings(max_examples=400, deadline=None)
 def test_load_trace_matches_per_line_reference(data, fmt, newline, final_newline, chunk_bytes):
