@@ -158,12 +158,13 @@ def cmd_extract(args) -> int:
     print(f"{'id':>10} {'cluster':>9} {'width':>5} {'unique':>8} {'mean|d|':>10}")
     for key, idtrace in groups:
         tok = tokenizer.tokenize(bitlab.tang_from_idtrace(idtrace), config)
+        group = signals.extract_series(idtrace, tok.signal_clusters)
+        signals.export_series_csv(
+            group, [outdir / f"{stems[key]}_sig{s.cluster.lo}-{s.cluster.hi}.csv" for s in group]
+        )
         summaries = []
-        for series in signals.extract_series(idtrace, tok.signal_clusters):
+        for series in group:
             c = series.cluster
-            signals.export_series_csv(
-                series, outdir / f"{stems[key]}_sig{c.lo}-{c.hi}.csv"
-            )
             summary = signals.summarize(series)
             summaries.append(signals.summary_to_dict(series, summary))
             print(

@@ -23,11 +23,12 @@ result equals the per-line parser's:
   and timestamp rules, a one-digit dlc equal to the payload length and
   nothing else on the line.
 
-Hex digits may be upper or lower case; lines may end in LF or CR LF.
-Every other line, and every line of a chunk holding a non-ASCII byte or a
-lone CR, goes through
-`parse_candump_line`/`parse_csv_line` with its line number, so those two
-functions define what is valid and every error message.
+Hex digits may be upper or lower case. Lines end at LF, CR LF or a lone
+CR, as in text mode. Every other line, including each one holding a byte
+of 0x80 or above, goes through `parse_candump_line`/`parse_csv_line`
+with its line number, decoded as UTF-8, so those two functions define
+what is valid and every error message. A line that is not valid UTF-8
+is malformed unless it is blank or a ``#`` comment.
 
 A shape's n lines are the rows of a strided (n, length) view of the
 chunk. One byte-class table (digit, hex digit, ``(``, ``)``, interface
@@ -41,10 +42,12 @@ so the heap holds more memory for the rest of the run (peak RSS +1-2%
 at 256 KiB, +4% at 512 KiB).
 
 `write_rows` is the inverse, a columnar row encoder. For each block of
-`ENCODE_ROWS` rows, every field becomes an (n, W) byte matrix plus a mask
-of the bytes each row has (digits right-aligned, separators broadcast);
-the masked bytes of the fields side by side, read row by row, are the
-lines. `write_candump` and `signals.export_series_csv` write with it.
+`ENCODE_ROWS` rows (`row_blocks`), every field becomes an (n, W) byte
+matrix plus a mask of the bytes each row has (digits right-aligned,
+separators broadcast); the masked bytes of the fields side by side
+(`join_fields`), read row by row, are the lines. `write_candump` writes
+with it; `signals.export_series_csv` joins each block's shared columns
+once and writes them with each series' values.
 `fixed6_field` matches ``f"{v:.6f}"`` byte for byte and hands that
 f-string the rows it cannot show exact: a sixth decimal near a .5 tie, a
 negative or non-finite value, or one of at least 2**53.
@@ -328,26 +331,39 @@ def fixed6_field(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return digits, present
 
 
+def row_blocks(n: int) -> Iterator[slice]:
+    """Slices of at most ENCODE_ROWS rows that cover range(n) in order."""
+    for start in range(0, n, ENCODE_ROWS):
+        yield slice(start, min(start + ENCODE_ROWS, n))
+
+
+def join_fields(fields, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The fields of k rows side by side, in line order, as one field.
+
+    A field is a literal ``bytes`` or a pair of (k, W) matrices, the
+    field's bytes and which of them each row has. The present bytes of
+    the joined field, read row by row, are the lines.
+    """
+    chars, present = [], []
+    for field in fields:
+        if isinstance(field, bytes):
+            chars.append(np.broadcast_to(np.frombuffer(field, np.uint8), (k, len(field))))
+            present.append(np.broadcast_to(True, (k, len(field))))
+        else:
+            chars.append(field[0])
+            present.append(field[1])
+    return np.concatenate(chars, axis=1), np.concatenate(present, axis=1)
+
+
 def write_rows(fh, n: int, fields) -> None:
-    """Write n text rows to the binary file `fh`, ENCODE_ROWS at a time.
+    """Write n text rows to the binary file `fh`, one `row_blocks` block at a time.
 
     ``fields(rows)`` returns the fields of the rows in slice `rows`, in
-    line order: each a literal ``bytes`` or a pair of (k, W) matrices, the
-    field's bytes and which of them each row has. Concatenated, the
-    present bytes read row by row are the lines.
+    line order, as `join_fields` takes them.
     """
-    for start in range(0, n, ENCODE_ROWS):
-        rows = slice(start, min(start + ENCODE_ROWS, n))
-        k = rows.stop - rows.start
-        chars, present = [], []
-        for field in fields(rows):
-            if isinstance(field, bytes):
-                chars.append(np.broadcast_to(np.frombuffer(field, np.uint8), (k, len(field))))
-                present.append(np.broadcast_to(True, (k, len(field))))
-            else:
-                chars.append(field[0])
-                present.append(field[1])
-        fh.write(np.concatenate(chars, axis=1)[np.concatenate(present, axis=1)].tobytes())
+    for rows in row_blocks(n):
+        chars, present = join_fields(fields(rows), rows.stop - rows.start)
+        fh.write(chars[present].tobytes())
 
 
 def write_candump(trace: Trace, path, iface: str = "can0") -> None:
@@ -383,7 +399,7 @@ _SEPARATORS = {"candump": b"  #.", "csv": b",,,."}
 # if each of its bytes has the class its shape's template gives its column.
 _DIGIT, _HEX, _OPEN, _CLOSE, _IFACE, _ANY = 1, 2, 4, 8, 16, 32
 _CLASS_TABLE = bytes(
-    _ANY | _IFACE * (c > 0x20) | _DIGIT * (c in b"0123456789") | _OPEN * (c == ord("("))
+    _ANY | _IFACE * (0x20 < c < 0x80) | _DIGIT * (c in b"0123456789") | _OPEN * (c == ord("("))
     | _HEX * (c in b"0123456789ABCDEFabcdef") | _CLOSE * (c == ord(")"))
     for c in range(256)
 )  # _IFACE: the ASCII bytes str.split() keeps in a field
@@ -465,18 +481,18 @@ def _decode_shape(m: np.ndarray, format: str, length: int, a: int, b: int, c: in
 def _decode_chunk(chunk: bytes, format: str):
     """Decode the lines of a chunk in columns, grouped by shape.
 
-    Returns a mask of the decoded lines, per-line columns holding their
-    frames, and a function giving the text of line k. A chunk with a
-    non-ASCII byte or a CR not followed by LF is split and decoded as text
-    mode does, and none of its lines is decoded here.
+    Lines end at LF, CR LF or a lone CR, as in text mode. Returns a mask
+    of the decoded lines, per-line columns holding their frames, and a
+    function giving the bytes of line k. No line holding a byte >= 0x80
+    is decoded here: no column template accepts such a byte.
     """
-    # `in` is a memchr; counting CRs costs two passes over the chunk
-    if not chunk.isascii() or b"\r" in chunk and chunk.count(b"\r") != chunk.count(b"\r\n"):
-        lines = list(io.TextIOWrapper(io.BytesIO(chunk)))
-        return np.zeros(len(lines), bool), _columns(len(lines)), lines.__getitem__
     buf = np.frombuffer(chunk, np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
-    if not chunk.endswith(b"\n"):
+    if b"\r" in chunk:  # a memchr; most captures hold no CR
+        cr = np.flatnonzero(buf == ord("\r"))
+        lone = cr[buf[np.minimum(cr + 1, len(buf) - 1)] != ord("\n")]  # a final CR reads itself
+        ends = np.sort(np.concatenate((ends, lone)))
+    if not chunk.endswith((b"\n", b"\r")):
         ends = np.append(ends, len(buf))
     starts = np.concatenate(([0], ends[:-1] + 1))
     ends -= (ends > starts) & (buf[ends - 1] == ord("\r"))  # a \r\n line ends at its \r
@@ -498,7 +514,7 @@ def _decode_chunk(chunk: bytes, format: str):
         decoded[rows] = True
         timestamps[rows], ids[rows], dlcs[rows] = shape_timestamps[ok], shape_ids[ok], dlc
         payloads[rows, :dlc] = shape_payloads[ok]
-    return decoded, cols, lambda k: chunk[starts[k] : ends[k]].decode("ascii")
+    return decoded, cols, lambda k: chunk[starts[k] : ends[k]]
 
 
 def load_trace(path, format: str = "candump", strict: bool = True) -> Trace:
@@ -519,15 +535,18 @@ def load_trace(path, format: str = "candump", strict: bool = True) -> Trace:
     parse = parse_candump_line if format == "candump" else parse_csv_line
     skipped = 0
 
-    def parse_line(raw: str, lineno: int) -> CanFrame | None:
+    def parse_line(raw: bytes, lineno: int) -> CanFrame | None:
         """One line by the per-line parser; None for a skipped line."""
         nonlocal skipped
-        line = raw.strip()
+        text = raw.decode("utf-8", "replace")
+        line = text.strip()
         if not line or line.startswith("#"):
             return None
         if format == "csv" and line.replace(" ", "") == CSV_HEADER:
             return None
         try:
+            if text.encode() != raw:  # only invalid UTF-8 changes under "replace"
+                raise ParseError(line, "invalid UTF-8", lineno)
             return parse(line, lineno=lineno)
         except ParseError:
             if strict:
@@ -544,10 +563,10 @@ def load_trace(path, format: str = "candump", strict: bool = True) -> Trace:
         fh.seek(0)
         out, size, lineno = _columns(capacity), 0, 1
         for chunk in _chunks(fh):
-            decoded, cols, text = _decode_chunk(chunk, format)
+            decoded, cols, line = _decode_chunk(chunk, format)
             timestamps, ids, dlcs, payloads = cols
             for k in np.flatnonzero(~decoded).tolist():
-                frame = parse_line(text(k), lineno + k)
+                frame = parse_line(line(k), lineno + k)
                 if frame is not None:
                     decoded[k] = True
                     timestamps[k], ids[k] = frame.timestamp, frame.arbitration_id

@@ -1,20 +1,24 @@
 """Materialize tokenized clusters as unsigned-integer time series.
 
-`export_series_csv` writes a series with the columnar row encoder
-`frames.write_rows`, byte for byte as one ``f"{i},{ts:.6f},{v}"`` per row.
+`export_series_csv` writes the series of one group in one pass with the
+columnar row encoder of `frames`, byte for byte as one
+``f"{i},{ts:.6f},{v}"`` per row. All its files are open at once; for each
+block of `frames.ENCODE_ROWS` rows it encodes the shared
+``index,timestamp,`` bytes once, then adds each series' values.
 """
 
 from __future__ import annotations
 
 import json
 from collections.abc import Sequence
+from contextlib import ExitStack
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bitlab import build_bit_matrix, read_field, write_field
 from .errors import AnalysisError, InvariantError
-from .frames import IdTrace, decimal_field, fixed6_field, write_rows
+from .frames import IdTrace, decimal_field, fixed6_field, join_fields, row_blocks
 from .tokenizer import PADDING, TokenCluster, Tokenization, format_id
 
 
@@ -85,28 +89,50 @@ def summarize(series: SignalSeries) -> SignalSummary:
     else:
         transitions = 0
         mean_abs = 0.0
+    top = int(vals.max())
+    if top < 1 << 16:  # most signals are narrow: count them in a table, not by sorting
+        unique = int(np.count_nonzero(np.bincount(vals.astype(np.intp))))
+    else:
+        unique = len(np.unique(vals))
     return SignalSummary(
         minimum=int(vals.min()),
-        maximum=int(vals.max()),
-        unique_value_count=len(np.unique(vals)),
+        maximum=top,
+        unique_value_count=unique,
         value_transition_count=transitions,
         mean_abs_first_difference=mean_abs,
     )
 
 
-def export_series_csv(series: SignalSeries, path) -> None:
-    """Write ``index,timestamp,value`` rows; index is chronological order."""
+def export_series_csv(series: Sequence[SignalSeries], paths) -> None:
+    """Write each series' ``index,timestamp,value`` rows to its path.
 
-    def fields(rows):
-        return [
-            decimal_field(np.arange(rows.start, rows.stop, dtype=np.uint64)), b",",
-            fixed6_field(series.timestamps[rows]), b",",
-            decimal_field(series.values[rows]), b"\n",
-        ]
-
-    with open(path, "wb") as fh:
-        fh.write(b"index,timestamp,value\n")
-        write_rows(fh, len(series), fields)
+    Index is chronological order. The series share one timestamps array,
+    so each block's ``index,timestamp,`` bytes are encoded once and
+    written to every file, which is open for the whole call.
+    """
+    if len(paths) != len(series):
+        raise AnalysisError(f"{len(series)} series but {len(paths)} paths")
+    if not series:
+        return
+    timestamps = series[0].timestamps
+    for s in series:
+        if len(s) != len(timestamps) or (
+            s.timestamps is not timestamps and s.timestamps.tobytes() != timestamps.tobytes()
+        ):
+            raise AnalysisError("series written together must share their timestamps")
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(path, "wb")) for path in paths]
+        for fh in files:
+            fh.write(b"index,timestamp,value\n")
+        for rows in row_blocks(len(timestamps)):
+            k = rows.stop - rows.start
+            shared = join_fields([
+                decimal_field(np.arange(rows.start, rows.stop, dtype=np.uint64)), b",",
+                fixed6_field(timestamps[rows]), b",",
+            ], k)
+            for s, fh in zip(series, files):
+                chars, present = join_fields([shared, decimal_field(s.values[rows]), b"\n"], k)
+                fh.write(chars[present].tobytes())
 
 
 def summary_to_dict(series: SignalSeries, summary: SignalSummary) -> dict:

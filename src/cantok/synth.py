@@ -9,6 +9,7 @@ compares a recovered tokenization against the generating layout.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import MISSING, asdict, dataclass, fields
 from importlib import resources
 
@@ -79,6 +80,10 @@ class GroundTruth:
             raise AnalysisError(
                 f"arbitration id 0x{self.arbitration_id:X} outside extended range"
             )
+        if isinstance(self.start_time, bool) or not isinstance(self.start_time, (int, float)):
+            raise TypeError(f"start_time must be a number, not {self.start_time!r}")
+        if not math.isfinite(self.start_time):
+            raise ValueError(f"start_time must be finite, not {self.start_time!r}")
         if self.bit_width % 8 or not 0 < self.bit_width <= 64:
             raise AnalysisError("bit width must be a positive multiple of 8, <= 64")
         covered = set()
@@ -228,14 +233,18 @@ def score_to_dict(report: ScoreReport) -> dict:
 
 
 def ground_truth_to_dict(gt: GroundTruth) -> dict:
-    return {
+    """The spec JSON; ``start_time`` appears only when it is not zero."""
+    out = {
         "id": format_id(gt.arbitration_id),
         "bit_width": gt.bit_width,
         "frames": gt.frame_count,
         "seed": gt.seed,
         "padding_value": gt.padding_value,
-        "signals": [asdict(s) for s in gt.specs],
     }
+    if gt.start_time:
+        out["start_time"] = gt.start_time
+    out["signals"] = [asdict(s) for s in gt.specs]
+    return out
 
 
 def ground_truth_from_dict(data: dict) -> GroundTruth:
@@ -255,10 +264,11 @@ def ground_truth_from_dict(data: dict) -> GroundTruth:
             frame_count=data["frames"],
             seed=data.get("seed", 0),
             padding_value=data.get("padding_value", 0),
+            start_time=data.get("start_time", 0.0),
         )
     except KeyError as exc:
         raise AnalysisError(f"ground truth spec missing field {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:  # OverflowError: a huge int
         raise AnalysisError(f"invalid ground truth spec: {exc}") from None
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -5,9 +6,10 @@ import pytest
 from cantok import (
     load_trace,
     tokenize_trace,
+    write_candump,
 )
 from cantok.cli import build_parser, main
-from cantok.synth import bundled_spec_path
+from cantok.synth import GroundTruth, SignalSpec, bundled_spec_path, generate_trace, merge_traces
 from cantok.tokenizer import tokenization_to_dict
 
 
@@ -101,6 +103,74 @@ class TestExtract:
         assert summary[0]["min"] == 0 and summary[0]["max"] == 9
 
 
+# A small seeded capture for the extract golden: several signals per group,
+# an extended id, an id seen with two dlcs and an id with a single frame.
+GOLDEN_LAYOUTS = [
+    GroundTruth(0x100, 64, (
+        SignalSpec(0, 7, "counter"), SignalSpec(12, 21, "counter", step=3, start=5),
+        SignalSpec(28, 39, "ramp", max_step=4), SignalSpec(44, 51, "noise"),
+        SignalSpec(56, 59, "constant", value=9),
+    ), 300, seed=7),
+    GroundTruth(0x1ABCDEF0, 32, (
+        SignalSpec(0, 15, "random_walk", endianness="little", max_step=3),
+        SignalSpec(20, 27, "counter", endianness="little"),
+    ), 120, seed=8, start_time=0.0031),
+    GroundTruth(0x200, 16, (SignalSpec(2, 9, "counter"),), 80, seed=9, start_time=0.0007),
+    GroundTruth(0x200, 24, (SignalSpec(0, 5, "noise"), SignalSpec(8, 23, "ramp")), 50,
+                seed=10, start_time=0.0052),
+    GroundTruth(0x300, 8, (SignalSpec(0, 7, "noise"),), 1, seed=11, start_time=0.0011),
+]
+
+# sha256 of each output file and of stdout, from the extract writer that
+# wrote one series file per call.
+GOLDEN_EXTRACT_DIGESTS = {
+    "0100_sig0-7.csv": "f5827a4e5f6d06df8dcbd2042c12707062ad0ce1277a0ea2281bc9732ec4f1bf",
+    "0100_sig12-19.csv": "149dfd0b86baf7980bd339281316ae06b13183e3036f4bc3d899ed4f6da369d8",
+    "0100_sig20-21.csv": "7d90166b4cb9afd195fb8e3460aaa0d5ee3815abaad94981d49ff4e41e24b011",
+    "0100_sig32-38.csv": "50c449a5982b55a0182c111326b0c8fabc9b7ce06a966a309ebca058378691c2",
+    "0100_sig39-39.csv": "6c7be204ec46d7ff07efd01279984620d4d13feb3e9a6049963b7a4c6fd493b1",
+    "0100_sig44-46.csv": "a64bd91a1fae1ebc08991aa9e20e91c33785777baedc65a10ae24f67034c4a59",
+    "0100_sig47-48.csv": "3c91f29bde136374edb8ffd83221f82d7542fa6d6ac5a5e6722e933383970195",
+    "0100_sig49-50.csv": "bb642410cd6551c604465d7b84976c93a5a0c430bbc4bd7b01a04a2d54142484",
+    "0100_sig51-51.csv": "09af0b926208f60e50ac31adcc9bfa44c6c7d48a34070e6f91be7f30dd98b22f",
+    "0100_summary.json": "5210661a50f55b681ff106cfee19ad9ec64d2d11322cd41b5c0f8d8e521e1e15",
+    "0200_dlc2_sig3-9.csv": "c6ae2f544ece693fb5a48c753d763f142e4d58b9844202b2d0aab6bdcad4976f",
+    "0200_dlc2_summary.json": "95890dd80356ea3bd6f5ba4c51583e0de48145324e0f339b35fbf93ee5628fa2",
+    "0200_dlc3_sig0-1.csv": "b9a6d82d71f0e5028461cd6fe48e8c50efca749c3821504268e48e6b031bfc3d",
+    "0200_dlc3_sig19-23.csv": "92fa89dd8dd7568e431a46a20f725c77ea1a39d58c0a4743b3ebdc55f47c7dcc",
+    "0200_dlc3_sig2-2.csv": "b9016c8d6e60aa81d806b1577e044416bab20f77fe1163ac912a5a6343626448",
+    "0200_dlc3_sig3-3.csv": "deec2b04a9c7c844adf4739585130c82d44a8234e099a38b5ecd862ffdfd13c5",
+    "0200_dlc3_sig4-5.csv": "3b3846509a86b7e0eac9d56b2b0ed83fb4ba7d379c92350e811f59f72b409ec2",
+    "0200_dlc3_summary.json": "a33ddc7e07ed3100b3979171915ce5a3e9b49e1e339ffd931a2e9f5066d86122",
+    "1ABCDEF0_sig0-0.csv": "76d91f82cb13f25766e9bf630777d655d008ccecb0d2487811d43ee3d9fa4343",
+    "1ABCDEF0_sig1-1.csv": "d89b913c16dfe351a00dbe2af9e0c9af61c9f043d85aa76548e1164578622adf",
+    "1ABCDEF0_sig2-2.csv": "e70aece609821fbe7ee63b2ba87ff752bebd1b0a2b19c2b946c3dad87715466b",
+    "1ABCDEF0_sig20-20.csv": "71a18c622b735ab50925f06c29e83b6ab0433d8d26b57f698e93bec7887c30e5",
+    "1ABCDEF0_sig21-21.csv": "d36af854072a56729abe0edd7141b1701dc4971728df9db22286f0ceb388dd06",
+    "1ABCDEF0_sig22-22.csv": "4c43176a911e7be6057de7cdd807768456702349eefed524fc97da7c125a75ee",
+    "1ABCDEF0_sig23-23.csv": "b00bb174216f0ccf8d51da9b4f6394091a8149e63ec2f8708d6945b3cd70dd32",
+    "1ABCDEF0_sig24-24.csv": "5b3cd95426ea8720d4b1ce6cb10aeec2b8c877684af7c35eaaf9b0501d7fe22d",
+    "1ABCDEF0_sig25-25.csv": "ab99a6f1c63b067f49b55fd9adf7d1d8aa3275a6ec837f2aaf42a1c56f7f6d45",
+    "1ABCDEF0_sig26-26.csv": "7d73b50f44ce2e4645a8ecbf44f3b83cd13ad4192958800fb86afc21c8723d87",
+    "1ABCDEF0_sig3-3.csv": "d3fce91bbf724405c1fe503426078f13bd7146078d45ccbba4eeb05e5856cdae",
+    "1ABCDEF0_sig4-4.csv": "1134846fe542ebdf0f86a841948ee998eb9400d42364e1b77f61b60bf27adb46",
+    "1ABCDEF0_sig5-5.csv": "3228123191111e31d1633abb2cb8e6a68eb97066c281d3bc4439e2fd95038ab0",
+    "1ABCDEF0_summary.json": "5a6695eacdb50b5fb89fed647f8c94eb190ee0b77d333a1cde58e00abe07eacf",
+    "stdout": "20ea5642cf4f24091a3064cd45c00c7edfecc4a23096c1888f9bd4fcd2c6282d",
+}
+
+
+class TestExtractGolden:
+    def test_outputs_match_digests(self, tmp_path, capsys):
+        capture = tmp_path / "golden.log"
+        write_candump(merge_traces([generate_trace(gt) for gt in GOLDEN_LAYOUTS]), capture)
+        out = tmp_path / "out"
+        assert main(["extract", "-i", str(capture), "--out", str(out)]) == 0
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        digests["stdout"] = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digests == GOLDEN_EXTRACT_DIGESTS
+
+
 class TestSynthScore:
     def test_bundled_three_counters(self, tmp_path, capsys):
         out = tmp_path / "synth"
@@ -170,6 +240,28 @@ class TestErrors:
             == 0
         )
 
+    def test_undecodable_comment_ignored(self, tmp_path, capsys):
+        path = tmp_path / "x.log"
+        path.write_bytes(b"(0.000001) can0 123#01\n# caf\xff\n(0.000002) can0 123#02\n")
+        assert main(["tang", "-i", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert "0x0123   1        2" in capsys.readouterr().out
+
+    def test_undecodable_data_line_strict_exit_one(self, tmp_path, capsys):
+        path = tmp_path / "x.log"
+        path.write_bytes(b"(0.000001) can0 123#01\n(0.000002) can0 123#0\xff\n")
+        assert main(["tang", "-i", str(path), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: invalid UTF-8 (line 2): ")
+
+    def test_undecodable_data_line_lenient_skipped(self, tmp_path, caplog):
+        path = tmp_path / "x.log"
+        lines = [b"(0.00000%d) can0 123#0%d" % (k, k) for k in range(1, 5)]
+        lines[1] = b"(0.000002) ca\xffn0 123#02"  # even in the discarded interface name
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        argv = ["tang", "-i", str(path), "--lenient", "--out", str(tmp_path / "o")]
+        assert main(argv) == 0
+        assert f"{path}: skipped 1 malformed line(s)" in caplog.messages
+
     def test_score_needs_source(self, tmp_path, capsys):
         gt = tmp_path / "gt.json"
         gt.write_text(bundled_spec_path().read_text())
@@ -203,7 +295,10 @@ class TestErrors:
         assert "error: invalid ground truth spec" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["synth", "score"])
-    @pytest.mark.parametrize("field, value", [("bit_width", "64"), ("frames", 5000.0)])
+    @pytest.mark.parametrize("field, value", [
+        ("bit_width", "64"), ("frames", 5000.0),
+        ("start_time", True), ("start_time", "0.005"), ("start_time", float("nan")),
+    ])
     def test_mistyped_ground_truth_field_exit_one(self, command, field, value, tmp_path, capsys):
         spec = json.loads(bundled_spec_path().read_text())
         gt = tmp_path / "gt.json"

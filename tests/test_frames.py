@@ -1,4 +1,5 @@
 import logging
+from unittest import mock
 
 import pytest
 
@@ -256,6 +257,29 @@ class TestChunkEdges:
         assert load_outcome(load_trace, p, strict=False) == load_outcome(
             reference_load_trace, p, strict=False
         )
+
+
+class TestPerLineFallback:
+    """A line with a byte >= 0x80 goes to the per-line parser, and only that line."""
+
+    def test_parser_sees_only_non_ascii_data_lines(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(frames, "CHUNK_BYTES", 4096)  # about 150 lines a chunk
+        parts, offending = [], 0
+        for k in range(3000):
+            parts.append(f"({k / 100:.6f}) can0 1{k % 10}0#{k % 256:02X}")
+            parts.append("\r" if k % 37 == 0 else "\n")  # a lone CR now and then
+            if k % 150 == 75:
+                parts.append("# caf\u00e9\n")  # never reaches the parser
+                parts.append(f"({k / 100:.6f}) ca\u00f10 123#{k % 256:02X}\n")
+                offending += 1
+        path = tmp_path / "capture.log"
+        path.write_text("".join(parts), encoding="utf-8")
+        spy = mock.MagicMock(wraps=frames.parse_candump_line)
+        monkeypatch.setattr(frames, "parse_candump_line", spy)
+        trace = load_trace(path)
+        assert spy.call_count == offending == 20
+        assert len(trace) == 3000 + offending
+        assert load_outcome(load_trace, path) == load_outcome(reference_load_trace, path)
 
 
 # Valid lines the columnar decoder reads: candump with a 3- and an 8-digit

@@ -7,7 +7,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cantok import (
@@ -248,7 +248,16 @@ def test_write_then_load_keeps_columns(frames):
         assert getattr(back, name).dtype == getattr(trace, name).dtype, name
 
 
-@given(st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=64))
+# Values on both sides of 2**16, below which summarize counts unique values
+# in a table instead of sorting them.
+@given(st.lists(st.one_of(
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.integers(min_value=0, max_value=2**16 + 2), st.sampled_from([0, 2**16 - 1, 2**16]),
+), min_size=1, max_size=64))
+@example([0])
+@example([2**16 - 1, 0, 2**16 - 1])
+@example([2**16])
+@example([0, 2**16, 2**16 - 1, 2**16])
 @settings(max_examples=500, deadline=None)
 def test_summarize_matches_python_int_reference(values):
     series = SignalSeries(
@@ -284,17 +293,18 @@ _ODD = {
         st.sampled_from(["0x123", "0X1abcdef0", "ZZZ", "", "+12", "1_2", " 7FF"]),
     ),
     "hex": st.sampled_from(["ABC", "00" * 9, "0G", "A B", "AA,BB"]),
-    "sep": st.sampled_from(["  ", "\t", " \t"]),
+    "sep": st.sampled_from(["  ", "\t", " \t", "\u00a0"]),
     "lead": st.sampled_from([" ", "\t", "\x0c"]),
     "trail": st.sampled_from([" ", "\t", ",extra"]),
     "dlc": st.sampled_from(["9", "08", "x", "", "1"]),
-    "iface": st.sampled_from(["ca\tn0", "can0\x0b", "c#n", "c(n)"]),
+    "iface": st.sampled_from(["ca\tn0", "can0\x0b", "c#n", "c(n)", "ca\u00f10", "ca\u00a0n0"]),
     "open": st.sampled_from(["[", "", "(("]),
     "close": st.sampled_from(["]", "", "))"]),
 }
 _other_st = st.one_of(
     st.sampled_from(["", "", "   ", "# comment", "# comment", "#(1.0) can0 100#01", CSV_HEADER,
-                     CSV_HEADER, " timestamp, id,dlc,payload_hex ", "# caf\u00e9"]),
+                     CSV_HEADER, " timestamp, id,dlc,payload_hex ", "# caf\u00e9",
+                     "# \u65e5\u672c", "\u00a0", "# a\rb"]),
     st.text(alphabet="(0.1x )#AZ,\t", max_size=20),
 )
 
@@ -318,8 +328,12 @@ def _capture_line(draw, fmt):
 
 @st.composite
 def _any_line(draw, fmt):
-    """A capture line four times in five, else a blank, comment, header or junk line."""
-    return draw(_capture_line(fmt) if draw(st.sampled_from([False] + [True] * 4)) else _other_st)
+    """A capture line four times in five, else a blank, comment, header or junk line;
+    one time in ten, followed by a lone CR and another capture line."""
+    line = draw(_capture_line(fmt) if draw(st.sampled_from([False] + [True] * 4)) else _other_st)
+    if draw(st.integers(min_value=0, max_value=9)) == 0:
+        line += "\r" + draw(_capture_line(fmt))
+    return line
 
 
 @given(
@@ -383,9 +397,34 @@ def test_series_csv_matches_per_row_reference(rows, block):
         0x100, signal(0, 63), np.array([v for _, v in rows], dtype=np.uint64),
         np.array([t for t, _ in rows], dtype=np.float64),
     )
-    assert _written(export_series_csv, series, block) == _written(
+    assert _written(lambda s, path: export_series_csv([s], [path]), series, block) == _written(
         reference_series_csv, series, block
     )
+
+
+@given(st.data(), st.lists(_stamp_st, max_size=12), _block_st)
+@settings(max_examples=300, deadline=None)
+def test_group_series_csv_matches_per_row_reference(data, stamps, block):
+    """0-4 series of widths 1-64 sharing one timestamps array, file by file."""
+    timestamps = np.array(stamps, dtype=np.float64)
+    series = []
+    for width in data.draw(st.lists(st.integers(min_value=1, max_value=64), max_size=4)):
+        top = 2**width - 1
+        value_st = st.one_of(st.integers(min_value=0, max_value=top), st.sampled_from([0, top]))
+        values = data.draw(st.lists(value_st, min_size=len(stamps), max_size=len(stamps)))
+        series.append(SignalSeries(
+            0x100, signal(0, width - 1), np.array(values, dtype=np.uint64), timestamps
+        ))
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(frames, "ENCODE_ROWS", block):
+        out, ref = Path(tmp) / "out", Path(tmp) / "ref"
+        out.mkdir()
+        ref.mkdir()
+        names = [f"s{k}.csv" for k in range(len(series))]
+        export_series_csv(series, [out / name for name in names])
+        assert sorted(p.name for p in out.iterdir()) == names
+        for s, name in zip(series, names):
+            reference_series_csv(s, ref / name)
+            assert (out / name).read_bytes() == (ref / name).read_bytes()
 
 
 @given(st.lists(st.tuples(_stamp_st, _id_any_st, st.binary(max_size=8)), max_size=12), _block_st)

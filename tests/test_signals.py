@@ -114,11 +114,24 @@ class TestSummarize:
 
 def test_export_csv(tmp_path, table1_idtrace):
     path = tmp_path / "series.csv"
-    export_series_csv(extract_series(table1_idtrace, [signal(4, 7)])[0], path)
+    export_series_csv(extract_series(table1_idtrace, [signal(4, 7)]), [path])
     lines = path.read_text().splitlines()
     assert lines[0] == "index,timestamp,value"
     assert lines[1] == "0,0.000000,0"
     assert lines[-1] == "9,0.090000,9"
+
+
+def test_export_csv_group_checks(tmp_path, table1_idtrace):
+    a, b = extract_series(table1_idtrace, [signal(0, 3), signal(4, 7)])
+    with pytest.raises(AnalysisError, match="1 paths"):
+        export_series_csv([a, b], [tmp_path / "a.csv"])
+    shifted = SignalSeries(b.arbitration_id, b.cluster, b.values, b.timestamps + 1.0)
+    with pytest.raises(AnalysisError, match="share their timestamps"):
+        export_series_csv([a, shifted], [tmp_path / "a.csv", tmp_path / "b.csv"])
+    assert list(tmp_path.iterdir()) == []
+    copied = SignalSeries(b.arbitration_id, b.cluster, b.values, b.timestamps.copy())
+    export_series_csv([a, copied], [tmp_path / "a.csv", tmp_path / "b.csv"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a.csv", "b.csv"]
 
 
 class TestReconstruction:

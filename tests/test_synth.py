@@ -330,6 +330,30 @@ class TestSpecFiles:
         save_ground_truth(gt, path)
         assert load_ground_truth(path) == gt
 
+    def test_start_time_round_trip(self, tmp_path):
+        gt = GroundTruth(
+            arbitration_id=2, bit_width=16, specs=(SignalSpec(lo=0, hi=9, kind="ramp"),),
+            frame_count=50, seed=3, start_time=0.005,
+        )
+        path = tmp_path / "gt.json"
+        save_ground_truth(gt, path)
+        back = load_ground_truth(path)
+        assert back == gt
+        a, b = generate_trace(gt), generate_trace(back)
+        for name in ("timestamps", "ids", "dlcs", "payloads"):
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+    def test_zero_start_time_not_written(self):
+        gt = GroundTruth(arbitration_id=2, bit_width=8, specs=(), frame_count=5)
+        assert "start_time" not in ground_truth_to_dict(gt)
+
+    @pytest.mark.parametrize("value", [True, "0.005", float("nan"), float("inf"), 10**400],
+                             ids=["bool", "str", "nan", "inf", "huge-int"])
+    def test_bad_start_time_rejected(self, value):
+        d = {"id": "0x100", "bit_width": 8, "frames": 2, "signals": [], "start_time": value}
+        with pytest.raises(AnalysisError, match="invalid ground truth spec: "):
+            ground_truth_from_dict(d)
+
     def test_missing_field(self):
         with pytest.raises(AnalysisError, match="missing field"):
             ground_truth_from_dict({"id": "0x100"})
