@@ -101,8 +101,8 @@ def normalize_tang(tang: Tang) -> np.ndarray:
 def export_tang_csv(tang: Tang, path) -> None:
     """Write ``bit_position,transitions,normalized`` rows for plotting.
 
-    One f-string per row, not `frames.write_rows`: a file holds at most 64
-    rows, too few to pay for the columnar encoder's per-call numpy overhead.
+    One f-string per row, not the columnar encoder (`frames.join_fields`): a
+    file holds at most 64 rows, too few to pay for its per-call numpy overhead.
     """
     rows = zip(tang.counts.tolist(), normalize_tang(tang).tolist())
     with open(path, "w") as fh:

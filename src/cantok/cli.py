@@ -21,15 +21,19 @@ from .frames import IdTrace, Trace, load_trace, parse_hex_id, partition_by_id, w
 from .tokenizer import TokenizerConfig
 
 
-def _add_analysis_flags(p: argparse.ArgumentParser) -> None:
+def _add_capture_flags(p: argparse.ArgumentParser) -> None:
     """Flags shared by every command that reads a capture."""
-    defaults = TokenizerConfig()
     p.add_argument("--format", choices=("candump", "csv"), default="candump")
+    p.add_argument("--out", default=".", help="output directory")
+    p.add_argument("--lenient", action="store_true", help="skip malformed lines instead of aborting")
+
+
+def _add_tokenizer_flags(p: argparse.ArgumentParser) -> None:
+    """Flags shared by every command that tokenizes: the TokenizerConfig fields."""
+    defaults = TokenizerConfig()
     p.add_argument("--endianness", choices=tokenizer.ENDIANNESSES, default=defaults.endianness)
     p.add_argument("--threshold", type=int, default=defaults.threshold, metavar="UINT")
     p.add_argument("--padding-mode", choices=tokenizer.PADDING_MODES, default=defaults.padding_mode)
-    p.add_argument("--out", default=".", help="output directory")
-    p.add_argument("--lenient", action="store_true", help="skip malformed lines instead of aborting")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -47,7 +51,9 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary)
         p.add_argument("--input", "-i", required=True, help="capture file")
         p.add_argument("--ids", default=None, help="comma-separated id filter, e.g. 0x100,0x200")
-        _add_analysis_flags(p)
+        _add_capture_flags(p)
+        if name != "tang":
+            _add_tokenizer_flags(p)
 
     p = sub.add_parser("synth", help="generate a trace from a ground-truth spec")
     p.add_argument("--input", "-i", required=True, help="ground-truth JSON spec")
@@ -57,7 +63,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tokenization", "-t", default=None, help="tokenization JSON")
     p.add_argument("--input", "-i", default=None, help="trace to tokenize (alternative to -t)")
     p.add_argument("--ground-truth", "-g", required=True, help="ground-truth JSON spec")
-    _add_analysis_flags(p)
+    _add_capture_flags(p)
+    _add_tokenizer_flags(p)
     return parser
 
 
@@ -199,14 +206,15 @@ def cmd_score(args) -> int:
         with open(args.tokenization) as fh:
             tok = tokenizer.tokenization_from_dict(json.load(fh))
     elif args.input:
-        toks = tokenizer.tokenize_trace(_load(args), _config(args))
+        config = _config(args)
+        groups = dict(_select_groups(_load(args), {gt.arbitration_id}))
         key = (gt.arbitration_id, gt.bit_width // 8)
-        if key not in toks:
+        if key not in groups:
             raise CantokError(
                 f"trace has no analyzable group for id "
                 f"{tokenizer.format_id(gt.arbitration_id)} dlc {gt.bit_width // 8}"
             )
-        tok = toks[key]
+        tok = tokenizer.tokenize(bitlab.tang_from_idtrace(groups[key]), config)
     else:
         raise CantokError("score needs --tokenization or --input")
     report = synth.score_tokenization(tok, gt)

@@ -5,6 +5,12 @@ Supported on-disk formats:
 * candump compact: ``(<seconds.fraction>) <iface> <HEXID>#<HEXBYTES>``
 * CSV with header ``timestamp,id,dlc,payload_hex``
 
+Both per-line parsers split their record and hand the field texts to one
+frame builder, which checks each against one ASCII pattern: a timestamp is
+``<digits>[.<digits>]``, an id hex digits with an optional ``0x``, a CSV
+dlc decimal digits, and a payload hex pairs. CSV ignores ASCII whitespace
+around a field.
+
 A `Trace` holds one read-only column per frame field, with payloads as an
 (M, 8) matrix zero past each frame's dlc; an `IdTrace` holds one (id, dlc)
 group's timestamps and (M, dlc) payloads. `CanFrame` is the result of
@@ -41,13 +47,13 @@ then exceed glibc's 128 KiB mmap threshold, and freeing them raises it,
 so the heap holds more memory for the rest of the run (peak RSS +1-2%
 at 256 KiB, +4% at 512 KiB).
 
-`write_rows` is the inverse, a columnar row encoder. For each block of
+The writers are the inverse, a columnar row encoder. For each block of
 `ENCODE_ROWS` rows (`row_blocks`), every field becomes an (n, W) byte
 matrix plus a mask of the bytes each row has (digits right-aligned,
 separators broadcast); the masked bytes of the fields side by side
 (`join_fields`), read row by row, are the lines. `write_candump` writes
-with it; `signals.export_series_csv` joins each block's shared columns
-once and writes them with each series' values.
+a trace so; `signals.export_series_csv` joins each block's shared
+columns once and writes them with each series' values.
 `fixed6_field` matches ``f"{v:.6f}"`` byte for byte and hands that
 f-string the rows it cannot show exact: a sixth decimal near a .5 tie, a
 negative or non-finite value, or one of at least 2**53.
@@ -96,10 +102,6 @@ class CanFrame:
                 f"payload length {len(self.payload)} does not match dlc {self.dlc}"
             )
 
-    @property
-    def is_extended(self) -> bool:
-        return self.arbitration_id > STANDARD_ID_MAX
-
 
 def _set_columns(obj, **specs: tuple) -> None:
     """Store each ``name=(dtype, shape)`` attribute of `obj` as a read-only array."""
@@ -119,7 +121,6 @@ class Trace:
     ids: np.ndarray  # (M,) uint32 arbitration ids
     dlcs: np.ndarray  # (M,) uint8
     payloads: np.ndarray  # (M, 8) uint8, zero past each frame's dlc
-    source: str = ""
 
     def __post_init__(self):
         m = len(self.timestamps)
@@ -171,19 +172,15 @@ class IdTrace:
         return len(self.timestamps)
 
 
-def _parse_timestamp(text: str, line: str, lineno: int | None) -> float:
-    """Finite seconds; `float` alone also reads nan, inf, 1e400, ``1_0`` and
-    non-ASCII digits."""
-    try:
-        ts = float(text)
-    except ValueError:
-        ts = math.nan
-    if not text.isascii() or "_" in text or not math.isfinite(ts):
-        raise ParseError(line, "malformed timestamp", lineno)
-    return ts
-
-
+# The capture grammar, one pattern per field. A field is converted only
+# after it matches, so `float`, `int` and `bytes.fromhex` never see what
+# they read but a capture must not hold: a sign, an exponent, ``_``,
+# non-ASCII digits or inner whitespace.
+_TIMESTAMP = re.compile(r"[0-9]+(?:\.[0-9]+)?")
 _HEX_ID = re.compile(r"(?:0[xX])?[0-9A-Fa-f]+")
+_DLC = re.compile(r"\s*[0-9]+\s*", re.ASCII)
+_PAYLOAD = re.compile(r"(?:[0-9A-Fa-f]{2})*")
+_SPACE = " \t\n\r\f\v"  # ASCII whitespace; str.strip() would also take U+00A0
 
 
 def parse_hex_id(text) -> int:
@@ -195,22 +192,35 @@ def parse_hex_id(text) -> int:
     return int(text, 16)
 
 
-def _parse_id(text: str, line: str, lineno: int | None) -> int:
-    try:
-        return parse_hex_id(text)
-    except ValueError:
-        raise ParseError(line, f"unparsable id {text!r}", lineno) from None
+def _build_frame(
+    line: str, lineno: int | None, ts: str, arb_id: str, hexdata: str, dlc: str | None = None
+) -> CanFrame:
+    """The frame a record's field texts give, else ParseError for `line`.
 
-
-def _parse_dlc(text: str, line: str, lineno: int | None) -> int:
-    """Decimal dlc, surrounding spaces allowed; `int` alone also reads a sign,
-    ``_`` and non-ASCII digits."""
+    A candump record has no dlc field (`dlc` None); its payload sets the dlc.
+    """
+    if not _TIMESTAMP.fullmatch(ts) or not math.isfinite(seconds := float(ts)):
+        raise ParseError(line, "malformed timestamp", lineno)  # 400 digits read as inf
+    if not _HEX_ID.fullmatch(arb_id):
+        raise ParseError(line, f"unparsable id {arb_id!r}", lineno)
+    if dlc is not None and not _DLC.fullmatch(dlc):
+        raise ParseError(line, f"unparsable dlc {dlc!r}", lineno)
+    if len(hexdata) % 2:
+        raise ParseError(line, "odd-length hex payload", lineno)
+    if not _PAYLOAD.fullmatch(hexdata):
+        raise ParseError(line, "non-hex payload", lineno)
+    payload = bytes.fromhex(hexdata)
+    if dlc is None:
+        if len(payload) > MAX_DLC:
+            raise ParseError(line, f"payload of {len(payload)} bytes exceeds 8", lineno)
+    elif (digits := dlc.strip(_SPACE).lstrip("0") or "0") != str(len(payload)):
+        # compared as text: `int` refuses a number of more than 4300 digits
+        reason = f"dlc {digits} does not match payload of {len(payload)} bytes"
+        raise ParseError(line, reason, lineno)
     try:
-        if not text.isascii() or text.strip()[:1] in "+-" or "_" in text:
-            raise ValueError
-        return int(text)
-    except ValueError:
-        raise ParseError(line, f"unparsable dlc {text!r}", lineno) from None
+        return CanFrame(seconds, int(arb_id, 16), len(payload), payload)
+    except AnalysisError as exc:
+        raise ParseError(line, str(exc), lineno) from None
 
 
 def parse_candump_line(line: str, lineno: int | None = None) -> CanFrame:
@@ -222,54 +232,30 @@ def parse_candump_line(line: str, lineno: int | None = None) -> CanFrame:
     parts = line.split()
     if len(parts) != 3 or not parts[0].startswith("(") or not parts[0].endswith(")"):
         raise ParseError(line, "not a candump record", lineno)
-    ts = _parse_timestamp(parts[0][1:-1], line, lineno)
-    idstr, sep, hexdata = parts[2].partition("#")
+    arb_id, sep, hexdata = parts[2].partition("#")
     if not sep:
         raise ParseError(line, "missing '#' separator", lineno)
-    arb_id = _parse_id(idstr, line, lineno)
-    if len(hexdata) % 2:
-        raise ParseError(line, "odd-length hex payload", lineno)
-    try:
-        payload = bytes.fromhex(hexdata)
-    except ValueError:
-        raise ParseError(line, "non-hex payload", lineno) from None
-    if len(payload) > MAX_DLC:
-        raise ParseError(line, f"payload of {len(payload)} bytes exceeds 8", lineno)
-    try:
-        return CanFrame(ts, arb_id, len(payload), payload)
-    except AnalysisError as exc:
-        raise ParseError(line, str(exc), lineno) from None
+    return _build_frame(line, lineno, parts[0][1:-1], arb_id, hexdata)
 
 
 CSV_HEADER = "timestamp,id,dlc,payload_hex"
 
 
 def parse_csv_line(line: str, lineno: int | None = None) -> CanFrame:
-    """Decode one ``timestamp,id,dlc,payload_hex`` record like parse_candump_line."""
+    """Decode one ``timestamp,id,dlc,payload_hex`` record like parse_candump_line.
+
+    ASCII whitespace around a field is ignored.
+    """
     try:
         row = next(csv.reader(io.StringIO(line)))
     except StopIteration:
         raise ParseError(line, "empty record", lineno) from None
     if len(row) < 4:
         raise ParseError(line, "missing column (need 4 fields)", lineno)
-    ts = _parse_timestamp(row[0], line, lineno)
-    arb_id = _parse_id(row[1].strip(), line, lineno)
-    dlc = _parse_dlc(row[2], line, lineno)
-    hexdata = row[3].strip()
-    if len(hexdata) % 2:
-        raise ParseError(line, "odd-length hex payload", lineno)
-    try:
-        payload = bytes.fromhex(hexdata)
-    except ValueError:
-        raise ParseError(line, "non-hex payload", lineno) from None
-    if len(payload) != dlc:
-        raise ParseError(
-            line, f"dlc {dlc} does not match payload of {len(payload)} bytes", lineno
-        )
-    try:
-        return CanFrame(ts, arb_id, dlc, payload)
-    except AnalysisError as exc:
-        raise ParseError(line, str(exc), lineno) from None
+    ts, arb_id, dlc, hexdata = row[:4]
+    return _build_frame(
+        line, lineno, ts.strip(_SPACE), arb_id.strip(_SPACE), hexdata.strip(_SPACE), dlc
+    )
 
 
 ENCODE_ROWS = 1 << 16  # rows encoded per block; bounds the writers' memory
@@ -291,14 +277,14 @@ def _digits(values: np.ndarray, width: int) -> np.ndarray:
 
 
 def decimal_field(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``str(v)`` of each uint64 as a field for `write_rows`."""
+    """``str(v)`` of each uint64 as a field for `join_fields`."""
     ndigits = np.maximum(np.searchsorted(_POW10_U64, values, side="right"), 1)
     width = int(ndigits.max(initial=1))
     return _digits(values, width), np.arange(width) >= width - ndigits[:, None]
 
 
 def fixed6_field(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``f"{v:.6f}"`` of each float64 as a field for `write_rows`.
+    """``f"{v:.6f}"`` of each float64 as a field for `join_fields`.
 
     `floor(v)` and ``v - floor(v)`` are exact, and their product with 1e6
     (< 2**20) is within 2**-33 of the exact one, so `rint` rounds it as
@@ -355,41 +341,28 @@ def join_fields(fields, k: int) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(chars, axis=1), np.concatenate(present, axis=1)
 
 
-def write_rows(fh, n: int, fields) -> None:
-    """Write n text rows to the binary file `fh`, one `row_blocks` block at a time.
-
-    ``fields(rows)`` returns the fields of the rows in slice `rows`, in
-    line order, as `join_fields` takes them.
-    """
-    for rows in row_blocks(n):
-        chars, present = join_fields(fields(rows), rows.stop - rows.start)
-        fh.write(chars[present].tobytes())
-
-
-def write_candump(trace: Trace, path, iface: str = "can0") -> None:
-    """Write a trace as compact candump lines.
+def write_candump(trace: Trace, path) -> None:
+    """Write a trace as compact candump lines on interface can0.
 
     Standard ids get 3 hex digits, extended ids 8; timestamps keep
     microsecond precision.
     """
-
-    def fields(rows):
-        ids, payloads = trace.ids[rows], trace.payloads[rows]
-        id_hex = _HEX_UPPER[ids[:, None] >> np.arange(28, -1, -4, dtype=np.uint32) & 0xF]
-        id_width = np.where(ids > STANDARD_ID_MAX, 8, 3)
-        nibbles = np.stack((payloads >> 4, payloads & 0xF), axis=2).reshape(-1, 2 * MAX_DLC)
-        return [
-            b"(", fixed6_field(trace.timestamps[rows]), f") {iface} ".encode(),
-            (id_hex, np.arange(8) >= 8 - id_width[:, None]), b"#",
-            (_HEX_UPPER[nibbles], np.arange(2 * MAX_DLC) < 2 * trace.dlcs[rows, None]),
-            b"\n",
-        ]
-
     with open(path, "wb") as fh:
-        write_rows(fh, len(trace), fields)
+        for rows in row_blocks(len(trace)):
+            ids, payloads = trace.ids[rows], trace.payloads[rows]
+            id_hex = _HEX_UPPER[ids[:, None] >> np.arange(28, -1, -4, dtype=np.uint32) & 0xF]
+            id_width = np.where(ids > STANDARD_ID_MAX, 8, 3)
+            nibbles = np.stack((payloads >> 4, payloads & 0xF), axis=2).reshape(-1, 2 * MAX_DLC)
+            chars, present = join_fields([
+                b"(", fixed6_field(trace.timestamps[rows]), b") can0 ",
+                (id_hex, np.arange(8) >= 8 - id_width[:, None]), b"#",
+                (_HEX_UPPER[nibbles], np.arange(2 * MAX_DLC) < 2 * trace.dlcs[rows, None]),
+                b"\n",
+            ], len(ids))
+            fh.write(chars[present].tobytes())
 
 
-CHUNK_BYTES = 1 << 17  # read size; each chunk is extended to the end of its last line
+CHUNK_BYTES = 1 << 17  # read size; each chunk is cut after its last line end
 
 # Separator bytes of a line shape, in the order its key packs their offsets;
 # a byte listed twice stands for its first and its second occurrence.
@@ -414,9 +387,22 @@ def _columns(n: int) -> list[np.ndarray]:
 
 
 def _chunks(fh) -> Iterator[bytes]:
-    """The rest of a binary file in pieces of about CHUNK_BYTES, each ending a line."""
-    while chunk := fh.read(CHUNK_BYTES):
-        yield chunk if chunk.endswith(b"\n") else chunk + fh.readline()
+    """The rest of a binary file in pieces that each end a line (or the file).
+
+    A piece is cut after its last LF or CR, so it holds at most CHUNK_BYTES
+    plus one line, but never between a CR and an LF after it.
+    """
+    rest = []
+    while block := fh.read(CHUNK_BYTES):
+        if block.endswith(b"\r"):
+            block += fh.read(1)  # the LF of a CR LF, if any, so the CR is not last
+        cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, -1)) + 1
+        if cut:
+            yield b"".join((*rest, memoryview(block)[:cut]))  # one copy of the block
+            rest = []
+        rest.append(block[cut:])
+    if tail := b"".join(rest):
+        yield tail
 
 
 def _shape_keys(buf, starts, ends, separators: bytes) -> np.ndarray:
@@ -577,7 +563,7 @@ def load_trace(path, format: str = "candump", strict: bool = True) -> Trace:
                 column[size : size + n] = chunk_column[decoded]
             size += n
             lineno += len(decoded)
-    trace = Trace(*(column[:size] for column in out), source=str(path))
+    trace = Trace(*(column[:size] for column in out))
     if skipped:
         log.warning("%s: skipped %d malformed line(s)", path, skipped)
     try:

@@ -166,20 +166,19 @@ def generate_trace(gt: GroundTruth) -> Trace:
         ids=np.full(m, gt.arbitration_id, dtype=np.uint32),
         dlcs=np.full(m, gt.bit_width // 8, dtype=np.uint8),
         payloads=np.pad(packed, ((0, 0), (0, MAX_DLC - packed.shape[1]))),
-        source=f"synthetic:{format_id(gt.arbitration_id)}",
     )
 
 
 def merge_traces(traces: list[Trace]) -> Trace:
     """Interleave traces by timestamp (stable, so per-id order is kept)."""
     if not traces:
-        return Trace([], [], [], np.empty((0, MAX_DLC)), source="merged")
+        return Trace([], [], [], np.empty((0, MAX_DLC)))
     columns = [
         np.concatenate([getattr(t, name) for t in traces])
         for name in ("timestamps", "ids", "dlcs", "payloads")
     ]
     order = np.argsort(columns[0], kind="stable")
-    return Trace(*(c[order] for c in columns), source="merged")
+    return Trace(*(c[order] for c in columns))
 
 
 def score_tokenization(tok: Tokenization, gt: GroundTruth) -> ScoreReport:

@@ -36,27 +36,27 @@ def reference_load_trace(path, format: str = "candump", strict: bool = True) -> 
             ids.append(frame.arbitration_id)
             dlcs.append(frame.dlc)
             payloads += frame.payload.ljust(MAX_DLC, b"\0")
-    trace = Trace(timestamps, ids, dlcs, np.reshape(payloads, (-1, MAX_DLC)), str(path))
+    trace = Trace(timestamps, ids, dlcs, np.reshape(payloads, (-1, MAX_DLC)))
     if skipped:
         log.warning("%s: skipped %d malformed line(s)", path, skipped)
     log.info("%s: %d frames", path, len(trace))
     return trace
 
 
-def reference_candump_line(frame, iface: str = "can0") -> str:
+def reference_candump_line(frame) -> str:
     """One compact candump line: 3 hex id digits for a standard id, 8 for extended."""
     width = 3 if frame.arbitration_id <= STANDARD_ID_MAX else 8
     return (
-        f"({frame.timestamp:.6f}) {iface} {frame.arbitration_id:0{width}X}#"
+        f"({frame.timestamp:.6f}) can0 {frame.arbitration_id:0{width}X}#"
         f"{frame.payload.hex().upper()}"
     )
 
 
-def reference_write_candump(trace: Trace, path, iface: str = "can0") -> None:
+def reference_write_candump(trace: Trace, path) -> None:
     """Per-row candump writer: one f-string per frame."""
     with open(path, "w") as fh:
         for frame in trace.frames:
-            fh.write(reference_candump_line(frame, iface) + "\n")
+            fh.write(reference_candump_line(frame) + "\n")
 
 
 def reference_series_csv(series, path) -> None:

@@ -1,5 +1,7 @@
+import dataclasses
 import hashlib
 import json
+from unittest import mock
 
 import pytest
 
@@ -8,9 +10,17 @@ from cantok import (
     tokenize_trace,
     write_candump,
 )
+from cantok import tokenizer
 from cantok.cli import build_parser, main
-from cantok.synth import GroundTruth, SignalSpec, bundled_spec_path, generate_trace, merge_traces
-from cantok.tokenizer import tokenization_to_dict
+from cantok.synth import (
+    GroundTruth,
+    SignalSpec,
+    bundled_spec_path,
+    generate_trace,
+    load_ground_truth,
+    merge_traces,
+)
+from cantok.tokenizer import export_tokenization_json, tokenization_to_dict
 
 
 @pytest.fixture
@@ -219,6 +229,22 @@ class TestSynthScore:
         report = json.loads((tmp_path / "s" / "0100_score.json").read_text())
         assert report["boundary_recall"] == 1.0
 
+    def test_score_from_trace_tokenizes_one_group(self, tmp_path, monkeypatch):
+        gt = load_ground_truth(bundled_spec_path())
+        others = [dataclasses.replace(gt, arbitration_id=i, seed=i) for i in (0x80, 0x200)]
+        capture = tmp_path / "capture.log"
+        write_candump(merge_traces([generate_trace(g) for g in (gt, *others)]), capture)
+        gt_path, tok = str(bundled_spec_path()), tmp_path / "0100_tokens.json"
+        export_tokenization_json(tokenize_trace(load_trace(capture))[(0x100, 8)], tok)
+        assert main(["score", "-t", str(tok), "-g", gt_path, "--out", str(tmp_path / "t")]) == 0
+        spy = mock.MagicMock(wraps=tokenizer.tokenize)
+        monkeypatch.setattr(tokenizer, "tokenize", spy)
+        argv = ["score", "-i", str(capture), "-g", gt_path, "--out", str(tmp_path / "i")]
+        assert main(argv) == 0
+        assert spy.call_count == 1
+        assert (tmp_path / "i" / "0100_score.json").read_bytes() == (
+            tmp_path / "t" / "0100_score.json").read_bytes()
+
 
 class TestErrors:
     def test_missing_input_exit_one(self, tmp_path, capsys):
@@ -365,17 +391,29 @@ def _required(command):
     return [command, "-i", "capture.log"] + (["-g", "gt.json"] if command == "score" else [])
 
 
-@pytest.mark.parametrize("command", ["tang", "tokenize", "extract", "score"])
+TOKENIZING_COMMANDS = ["tokenize", "extract", "score"]
+
+
 class TestSharedFlags:
+    @pytest.mark.parametrize("command", ["tang", *TOKENIZING_COMMANDS])
     def test_same_defaults(self, command):
         args = build_parser().parse_args(_required(command))
-        assert (
-            args.format, args.endianness, args.threshold, args.padding_mode,
-            args.out, args.lenient,
-        ) == ("candump", "big", 0, "exclude", ".", False)
+        assert (args.format, args.out, args.lenient) == ("candump", ".", False)
+        if command in TOKENIZING_COMMANDS:
+            assert (args.endianness, args.threshold, args.padding_mode) == (
+                "big", 0, "exclude")
 
+    @pytest.mark.parametrize("command", TOKENIZING_COMMANDS)
     def test_bogus_padding_mode_rejected(self, command, capsys):
         with pytest.raises(SystemExit) as exc:
             main(_required(command) + ["--padding-mode", "bogus"])
         assert exc.value.code == 2
         assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", [
+        ["--threshold", "1"], ["--endianness", "little"], ["--padding-mode", "strict"]])
+    def test_tang_takes_no_tokenizer_flag(self, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(_required("tang") + flag)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err

@@ -1,3 +1,4 @@
+import io
 import logging
 from unittest import mock
 
@@ -18,7 +19,8 @@ from cantok import frames
 from .conftest import load_outcome, make_trace, reference_candump_line, reference_load_trace
 
 # Strings `float`, `int(_, 16)` and `int` read but a capture must not hold.
-BAD_TIMESTAMPS = ["nan", "inf", "-inf", "1e400", "1_0.5", "\u0661.5"]
+BAD_TIMESTAMPS = ["nan", "inf", "-inf", "1e400", "1_0.5", "\u0661.5",
+                  "-1.5", "+2.0", "1e3", "1E-3", ".5", "5."]
 BAD_IDS = ["+1", "-1", "1_0", "0x_10", "0x1_0", "\u0661\u0660\u0660"]
 BAD_DLCS = ["+1", " +1", "-1", "0_1", "\u0661"]
 
@@ -69,6 +71,15 @@ class TestParseCandump:
         f = parse_candump_line("(1.0) can0 123#0102")
         assert f.payload == b"\x01\x02"
 
+    @pytest.mark.parametrize("line, frame", [
+        ("(5) can0 123#01", (5.0, 0x123, 1, b"\x01")),
+        ("(1.5) can0 0x123#01", (1.5, 0x123, 1, b"\x01")),
+        ("(1.5) can0 000000000123#", (1.5, 0x123, 0, b"")),
+    ], ids=["integer-seconds", "0x-id", "zero-padded-id"])
+    def test_still_accepted(self, line, frame):
+        f = parse_candump_line(line)
+        assert (f.timestamp, f.arbitration_id, f.dlc, f.payload) == frame
+
 
 class TestParseCsv:
     def test_basic(self):
@@ -106,6 +117,33 @@ class TestParseCsv:
     def test_spaced_dlc(self):
         assert parse_csv_line("1.0,100, 1 ,01").dlc == 1
 
+    @pytest.mark.parametrize("line, frame", [
+        (" 2.0 ,100,1,01", (2.0, 0x100, 1, b"\x01")),
+        ("2.0,000000000100,1,01", (2.0, 0x100, 1, b"\x01")),
+    ], ids=["spaced-timestamp", "zero-padded-id"])
+    def test_still_accepted(self, line, frame):
+        f = parse_csv_line(line)
+        assert (f.timestamp, f.arbitration_id, f.dlc, f.payload) == frame
+
+    def test_dlc_too_long_for_int(self):
+        with pytest.raises(ParseError, match="dlc 1{5000} does not match payload of 1 bytes"):
+            parse_csv_line("1.0,100," + "1" * 5000 + ",01")
+
+    def test_inner_space_in_payload(self):
+        with pytest.raises(ParseError, match="non-hex payload"):
+            parse_csv_line("1.0,100,2,01  02")
+
+    @pytest.mark.parametrize("line, reason", [
+        ("\u00a02.0,100,1,01", "malformed timestamp"),
+        ("2.0\u00a0,100,1,01", "malformed timestamp"),
+        ("2.0,100,\u00a01,01", "unparsable dlc"),
+        ("2.0,100,1\u00a0,01", "unparsable dlc"),
+        ("2.0,\u00a0100,1,01", "unparsable id"),
+    ])
+    def test_no_break_space_padding(self, line, reason):
+        with pytest.raises(ParseError, match=reason):
+            parse_csv_line(line)
+
     def test_missing_column(self):
         with pytest.raises(ParseError, match="missing column"):
             parse_csv_line("1.0,123,2")
@@ -119,10 +157,6 @@ class TestFrameInvariants:
     def test_payload_dlc_mismatch(self):
         with pytest.raises(AnalysisError):
             CanFrame(0.0, 1, 2, b"\x00")
-
-    def test_is_extended(self):
-        assert not CanFrame(0.0, 0x7FF, 0, b"").is_extended
-        assert CanFrame(0.0, 0x800, 0, b"").is_extended
 
 
 class TestLoadTrace:
@@ -144,7 +178,6 @@ class TestLoadTrace:
         )
         trace = load_trace(p)
         assert [f.arbitration_id for f in trace.frames] == [0x100, 0x200, 0x100]
-        assert trace.source == str(p)
 
     def test_strict_aborts_with_line_number(self, tmp_path):
         p = self._write(tmp_path, ["(1.0) can0 100#01", "(1.1) can0 100#ABC"])
@@ -233,6 +266,22 @@ class TestChunkEdges:
         assert load_outcome(load_trace, p, strict=strict) == load_outcome(
             reference_load_trace, p, strict=strict
         )
+
+    @pytest.mark.parametrize("chunk_bytes", [5, 64])
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    def test_pieces_end_lines(self, monkeypatch, chunk_bytes, newline):
+        """Each piece ends a line and holds at most CHUNK_BYTES plus one line,
+        whatever ends the lines; a CR LF is never split between pieces."""
+        monkeypatch.setattr(frames, "CHUNK_BYTES", chunk_bytes)
+        lines = [line + newline for line in LINES * 4]
+        data = "".join(lines).encode()
+        pieces = list(frames._chunks(io.BytesIO(data)))
+        assert b"".join(pieces) == data
+        assert max(map(len, pieces)) <= chunk_bytes + max(map(len, lines))
+        for piece, after in zip(pieces, pieces[1:]):
+            assert piece.endswith((b"\n", b"\r")) and not (
+                piece.endswith(b"\r") and after.startswith(b"\n")
+            )
 
     def test_csv_matches_reference(self, tmp_path):
         text = "timestamp,id,dlc,payload_hex\r\n1.0,100,1,AA\r\n2.5,0x1ABCDEF0,0,\n3,7FF,2,0102"
