@@ -38,7 +38,6 @@ from .tokenizer import (
     TokenCluster,
     Tokenization,
     TokenizerConfig,
-    classify_padding,
     tokenize,
     tokenize_trace,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "TokenizerConfig",
     "Trace",
     "build_bit_matrix",
-    "classify_padding",
     "extract_series",
     "generate_trace",
     "load_trace",

@@ -5,16 +5,19 @@ Supported on-disk formats:
 * candump compact: ``(<seconds.fraction>) <iface> <HEXID>#<HEXBYTES>``
 * CSV with header ``timestamp,id,dlc,payload_hex``
 
-Both per-line parsers split their record and hand the field texts to one
-frame builder, which checks each against one ASCII pattern: a timestamp is
+A capture's whitespace is ASCII only; U+00A0 is part of a field. Both
+per-line parsers split their record on it (CSV also strips it around a
+field) and hand the field texts to one frame builder, which owns every rule
+about a line: each field matches one ASCII pattern (a timestamp is
 ``<digits>[.<digits>]``, an id hex digits with an optional ``0x``, a CSV
-dlc decimal digits, and a payload hex pairs. CSV ignores ASCII whitespace
-around a field.
+dlc decimal digits, a payload hex pairs), the dlc fits the payload, and
+the id and dlc are in range.
 
 A `Trace` holds one read-only column per frame field, with payloads as an
-(M, 8) matrix zero past each frame's dlc; an `IdTrace` holds one (id, dlc)
-group's timestamps and (M, dlc) payloads. `CanFrame` is the result of
-parsing one line and the row type `Trace.frames` yields.
+(M, 8) matrix zero past each frame's dlc, and rejects an id above 29 bits
+or a dlc above 8; an `IdTrace` holds one (id, dlc) group's timestamps and
+(M, dlc) payloads. `CanFrame`, the row a parser returns and `Trace.frames`
+yields, checks nothing.
 
 `load_trace` reads a capture in chunks of about `CHUNK_BYTES` and decodes
 most lines in columns with numpy, grouped by shape (line length plus
@@ -68,7 +71,8 @@ import math
 import re
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,28 +83,17 @@ log = logging.getLogger(__name__)
 STANDARD_ID_MAX = 0x7FF
 EXTENDED_ID_MAX = 0x1FFFFFFF
 MAX_DLC = 8
+OUTSIDE_ID_RANGE = "arbitration id 0x{:X} outside extended range"
+OUTSIDE_DLC_RANGE = f"dlc {{}} outside 0..{MAX_DLC}"
 
 
-@dataclass(frozen=True, slots=True)
-class CanFrame:
-    """One timestamped CAN message."""
+class CanFrame(NamedTuple):
+    """One timestamped CAN message, as a row; it checks nothing."""
 
     timestamp: float
     arbitration_id: int
     dlc: int
     payload: bytes
-
-    def __post_init__(self):
-        if not 0 <= self.arbitration_id <= EXTENDED_ID_MAX:
-            raise AnalysisError(
-                f"arbitration id 0x{self.arbitration_id:X} outside extended range"
-            )
-        if not 0 <= self.dlc <= MAX_DLC:
-            raise AnalysisError(f"dlc {self.dlc} outside 0..{MAX_DLC}")
-        if len(self.payload) != self.dlc:
-            raise AnalysisError(
-                f"payload length {len(self.payload)} does not match dlc {self.dlc}"
-            )
 
 
 def _set_columns(obj, **specs: tuple) -> None:
@@ -128,6 +121,10 @@ class Trace:
             self, timestamps=(np.float64, (m,)), ids=(np.uint32, (m,)),
             dlcs=(np.uint8, (m,)), payloads=(np.uint8, (m, MAX_DLC)),
         )
+        for column, top, reason in ((self.ids, EXTENDED_ID_MAX, OUTSIDE_ID_RANGE),
+                                    (self.dlcs, MAX_DLC, OUTSIDE_DLC_RANGE)):
+            if column.max(initial=0) > top:  # a reduction: no temporary of length M
+                raise AnalysisError(reason.format(column[np.argmax(column > top)]))
 
     @property
     def frames(self) -> Iterator[CanFrame]:
@@ -180,7 +177,7 @@ _TIMESTAMP = re.compile(r"[0-9]+(?:\.[0-9]+)?")
 _HEX_ID = re.compile(r"(?:0[xX])?[0-9A-Fa-f]+")
 _DLC = re.compile(r"\s*[0-9]+\s*", re.ASCII)
 _PAYLOAD = re.compile(r"(?:[0-9A-Fa-f]{2})*")
-_SPACE = " \t\n\r\f\v"  # ASCII whitespace; str.strip() would also take U+00A0
+_SPACE = " \t\n\r\f\v"  # a capture's whitespace; str.split() also takes U+00A0
 
 
 def parse_hex_id(text) -> int:
@@ -190,6 +187,18 @@ def parse_hex_id(text) -> int:
     if not isinstance(text, str) or not _HEX_ID.fullmatch(text):
         raise ValueError(f"not a hex id: {text!r}")
     return int(text, 16)
+
+
+def require_uints(obj) -> None:
+    """Raise TypeError unless each ``int`` field of dataclass `obj` holds an int, not a
+    bool (an ``int | None`` one may hold None), and ValueError if one is negative."""
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if f.type == "int" or f.type == "int | None" and value is not None:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise TypeError(f"{f.name} must be an integer, not {value!r}")
+            if value < 0:
+                raise ValueError(f"{f.name} must be nonnegative, not {value}")
 
 
 def _build_frame(
@@ -217,10 +226,11 @@ def _build_frame(
         # compared as text: `int` refuses a number of more than 4300 digits
         reason = f"dlc {digits} does not match payload of {len(payload)} bytes"
         raise ParseError(line, reason, lineno)
-    try:
-        return CanFrame(seconds, int(arb_id, 16), len(payload), payload)
-    except AnalysisError as exc:
-        raise ParseError(line, str(exc), lineno) from None
+    if (arb := int(arb_id, 16)) > EXTENDED_ID_MAX:
+        raise ParseError(line, OUTSIDE_ID_RANGE.format(arb), lineno)
+    if len(payload) > MAX_DLC:  # a CSV dlc; a longer candump payload failed above
+        raise ParseError(line, OUTSIDE_DLC_RANGE.format(len(payload)), lineno)
+    return CanFrame(seconds, arb, len(payload), payload)
 
 
 def parse_candump_line(line: str, lineno: int | None = None) -> CanFrame:
@@ -229,7 +239,7 @@ def parse_candump_line(line: str, lineno: int | None = None) -> CanFrame:
     Format: ``(<ts>) <iface> <ID>#<HEXDATA>``. The interface name is
     discarded; payload hex pairs map to bytes in transmission order.
     """
-    parts = line.split()
+    parts = re.findall(r"\S+", line, re.ASCII)  # split on runs of _SPACE only
     if len(parts) != 3 or not parts[0].startswith("(") or not parts[0].endswith(")"):
         raise ParseError(line, "not a candump record", lineno)
     arb_id, sep, hexdata = parts[2].partition("#")
@@ -375,7 +385,7 @@ _CLASS_TABLE = bytes(
     _ANY | _IFACE * (0x20 < c < 0x80) | _DIGIT * (c in b"0123456789") | _OPEN * (c == ord("("))
     | _HEX * (c in b"0123456789ABCDEFabcdef") | _CLOSE * (c == ord(")"))
     for c in range(256)
-)  # _IFACE: the ASCII bytes str.split() keeps in a field
+)  # _IFACE: printable ASCII, which the record split keeps in a field
 
 
 def _columns(n: int) -> list[np.ndarray]:
@@ -525,7 +535,7 @@ def load_trace(path, format: str = "candump", strict: bool = True) -> Trace:
         """One line by the per-line parser; None for a skipped line."""
         nonlocal skipped
         text = raw.decode("utf-8", "replace")
-        line = text.strip()
+        line = text.strip(_SPACE)
         if not line or line.startswith("#"):
             return None
         if format == "csv" and line.replace(" ", "") == CSV_HEADER:
@@ -555,9 +565,8 @@ def load_trace(path, format: str = "candump", strict: bool = True) -> Trace:
                 frame = parse_line(line(k), lineno + k)
                 if frame is not None:
                     decoded[k] = True
-                    timestamps[k], ids[k] = frame.timestamp, frame.arbitration_id
-                    dlcs[k] = frame.dlc
-                    payloads[k, : frame.dlc] = list(frame.payload)
+                    timestamps[k], ids[k], dlcs[k], payload = frame
+                    payloads[k, : len(payload)] = list(payload)
             n = int(decoded.sum())
             for column, chunk_column in zip(out, cols):
                 column[size : size + n] = chunk_column[decoded]

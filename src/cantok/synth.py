@@ -17,22 +17,12 @@ import numpy as np
 
 from .bitlab import write_field
 from .errors import AnalysisError
-from .frames import EXTENDED_ID_MAX, MAX_DLC, Trace, parse_hex_id
+from .frames import EXTENDED_ID_MAX, MAX_DLC, OUTSIDE_ID_RANGE, Trace, parse_hex_id, require_uints
 from .tokenizer import ENDIANNESSES, SIGNAL, Tokenization, format_id
 
 GENERATOR_KINDS = ("counter", "ramp", "random_walk", "constant", "noise")
 
 FRAME_PERIOD_S = 0.01
-
-
-def _require_ints(obj) -> None:
-    """Raise TypeError unless every field of `obj` annotated ``int`` holds an integer."""
-    for f in fields(obj):
-        if f.type != "int":
-            continue
-        value = getattr(obj, f.name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise TypeError(f"{f.name} must be an integer, not {value!r}")
 
 
 @dataclass(frozen=True, slots=True)
@@ -49,7 +39,9 @@ class SignalSpec:
     start: int = 0  # counter start value
 
     def __post_init__(self):
-        _require_ints(self)
+        require_uints(self)
+        if max(self.step, self.start, self.value) >> 64 or self.max_step >> 63:  # uint64, int64
+            raise ValueError("step, start and value must be below 2**64, max_step below 2**63")
         if self.kind not in GENERATOR_KINDS:
             raise AnalysisError(f"unknown generator kind {self.kind!r}")
         if self.lo > self.hi:
@@ -75,11 +67,11 @@ class GroundTruth:
     start_time: float = 0.0
 
     def __post_init__(self):
-        _require_ints(self)
-        if not 0 <= self.arbitration_id <= EXTENDED_ID_MAX:
-            raise AnalysisError(
-                f"arbitration id 0x{self.arbitration_id:X} outside extended range"
-            )
+        require_uints(self)
+        if self.padding_value > 1:
+            raise ValueError(f"padding_value must be 0 or 1, not {self.padding_value}")
+        if self.arbitration_id > EXTENDED_ID_MAX:
+            raise AnalysisError(OUTSIDE_ID_RANGE.format(self.arbitration_id))
         if isinstance(self.start_time, bool) or not isinstance(self.start_time, (int, float)):
             raise TypeError(f"start_time must be a number, not {self.start_time!r}")
         if not math.isfinite(self.start_time):
@@ -88,7 +80,7 @@ class GroundTruth:
             raise AnalysisError("bit width must be a positive multiple of 8, <= 64")
         covered = set()
         for s in self.specs:
-            if s.lo < 0 or s.hi >= self.bit_width:
+            if s.hi >= self.bit_width:
                 raise AnalysisError(
                     f"signal [{s.lo}, {s.hi}] outside payload width {self.bit_width}"
                 )

@@ -15,7 +15,7 @@ from itertools import groupby
 
 from .bitlab import Tang, tang_from_idtrace
 from .errors import AnalysisError, InvariantError
-from .frames import Trace, parse_hex_id, partition_by_id
+from .frames import Trace, parse_hex_id, partition_by_id, require_uints
 
 log = logging.getLogger(__name__)
 
@@ -46,8 +46,9 @@ class TokenizerConfig:
             raise AnalysisError(f"endianness must be one of {ENDIANNESSES}")
         if self.padding_mode not in PADDING_MODES:
             raise AnalysisError(f"padding_mode must be one of {PADDING_MODES}")
-        if self.threshold < 0:
+        if self.threshold < 0:  # before require_uints, which raises ValueError
             raise AnalysisError("threshold must be nonnegative")
+        require_uints(self)
 
 
 @dataclass(frozen=True, slots=True)
@@ -62,6 +63,9 @@ class TokenCluster:
     lsb_transitions: int | None = None
 
     def __post_init__(self):
+        require_uints(self)
+        if self.kind not in (SIGNAL, PADDING):
+            raise InvariantError(f"unknown cluster kind {self.kind!r}")
         if self.lo > self.hi:
             raise InvariantError(f"empty cluster range [{self.lo}, {self.hi}]")
         if self.kind == SIGNAL and {self.lsb_index, self.msb_index} != {self.lo, self.hi}:
@@ -86,6 +90,7 @@ class Tokenization:
     config: TokenizerConfig
 
     def __post_init__(self):
+        require_uints(self)
         seen = [False] * self.bit_width
         for c in self.clusters:
             for p in c.positions:
@@ -104,11 +109,6 @@ class Tokenization:
     @property
     def padding_clusters(self) -> tuple[TokenCluster, ...]:
         return tuple(c for c in self.clusters if c.kind == PADDING)
-
-
-def classify_padding(tang: Tang) -> set[int]:
-    """Bit positions that never transitioned in the sample."""
-    return {i for i in range(tang.bit_width) if tang.counts[i] == 0}
 
 
 def tokenize(tang: Tang, config: TokenizerConfig = TokenizerConfig()) -> Tokenization:

@@ -20,7 +20,7 @@ def reference_load_trace(path, format: str = "candump", strict: bool = True) -> 
     skipped = 0
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
+            line = raw.strip(" \t\n\r\f\v")  # ASCII whitespace only, not U+00A0
             if not line or line.startswith("#"):
                 continue
             if format == "csv" and line.replace(" ", "") == CSV_HEADER:

@@ -303,6 +303,7 @@ class TestErrors:
     @pytest.mark.parametrize("arb_id, clusters", [
         ("0x0100", [{"kind": "padding", "lo": 0, "hi": 3}]),  # bits 4-7 uncovered
         ("0xZZ", [{"kind": "padding", "lo": 0, "hi": 7}]),  # id is not hex
+        ("0x0100", [{"kind": "bogus", "lo": 0, "hi": 7}]),  # neither signal nor padding
     ])
     def test_score_tokenization_invalid_exit_one(self, arb_id, clusters, tmp_path, capsys):
         tok = tmp_path / "tok.json"
@@ -324,11 +325,18 @@ class TestErrors:
     @pytest.mark.parametrize("field, value", [
         ("bit_width", "64"), ("frames", 5000.0),
         ("start_time", True), ("start_time", "0.005"), ("start_time", float("nan")),
+        ("frames", -1), ("seed", -1), ("padding_value", -1), ("padding_value", 2),
+        ("step", -1), ("max_step", -1), ("start", -1), ("value", -1),
+        ("start", 2**64), ("step", 2**64), ("value", 2**64), ("max_step", 2**63),
     ])
     def test_mistyped_ground_truth_field_exit_one(self, command, field, value, tmp_path, capsys):
         spec = json.loads(bundled_spec_path().read_text())
+        if field in {f.name for f in dataclasses.fields(SignalSpec)}:  # in the first signal
+            spec["signals"][0][field] = value
+        else:
+            spec[field] = value
         gt = tmp_path / "gt.json"
-        gt.write_text(json.dumps({**spec, field: value}))
+        gt.write_text(json.dumps(spec))
         argv = ["synth", "-i", str(gt)] if command == "synth" else ["score", "-g", str(gt)]
         assert main(argv + ["--out", str(tmp_path)]) == 1
         assert "error: invalid ground truth spec" in capsys.readouterr().err
@@ -377,8 +385,20 @@ class TestErrors:
         lambda d: {**d, "clusters": None},
         lambda d: {**d, "config": {**d["config"], "threshold": "1"}},
         lambda d: {**d, "config": "threshold"},
+        lambda d: {**d, "clusters": [{**d["clusters"][0], "hi": 0},
+                                     {**d["clusters"][0], "lo": True}]},
+        lambda d: {**d, "clusters": [{**d["clusters"][0], "hi": True},
+                                     {**d["clusters"][0], "lo": 2}]},
+        lambda d: {**d, "bit_width": True, "clusters": [{**d["clusters"][0], "hi": 0}]},
+        lambda d: {**d, "clusters": [{**d["clusters"][0], "lsb": True}]},
+        lambda d: {**d, "clusters": [{**d["clusters"][0], "msb": 63.0}]},
+        lambda d: {**d, "clusters": [{**d["clusters"][0], "lsb_transitions": 1.5}]},
+        lambda d: {**d, "config": {**d["config"], "threshold": True}},
+        lambda d: {**d, "config": {**d["config"], "threshold": 0.5}},
     ], ids=["not-an-object", "string-lo", "string-bit-width", "null-clusters",
-            "string-threshold", "string-config"])
+            "string-threshold", "string-config", "bool-lo", "bool-hi", "bool-bit-width",
+            "bool-lsb", "float-msb", "float-lsb-transitions", "bool-threshold",
+            "float-threshold"])
     def test_mistyped_tokenization_exit_one(self, edit, tmp_path, capsys):
         tok = tmp_path / "tok.json"
         tok.write_text(json.dumps(edit(_valid_tokenization())))

@@ -2,12 +2,14 @@ import io
 import logging
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from cantok import (
     AnalysisError,
     CanFrame,
     ParseError,
+    Trace,
     load_trace,
     parse_candump_line,
     parse_csv_line,
@@ -149,14 +151,63 @@ class TestParseCsv:
             parse_csv_line("1.0,123,2")
 
 
-class TestFrameInvariants:
-    def test_extended_id_limit(self):
-        with pytest.raises(AnalysisError):
-            CanFrame(0.0, 0x20000000, 0, b"")
+class TestParseErrors:
+    """The reason each parser gives; a line with several faults gets the first
+    in the builder's order: timestamp, id, dlc, payload, dlc match, id range,
+    dlc range."""
 
-    def test_payload_dlc_mismatch(self):
-        with pytest.raises(AnalysisError):
-            CanFrame(0.0, 1, 2, b"\x00")
+    @pytest.mark.parametrize("parse, line, reason", [
+        (parse_candump_line, "(1.0) can0 20000000#00",
+         "arbitration id 0x20000000 outside extended range"),
+        (parse_candump_line, "(1.0) can0 FFFFFFFF#00",
+         "arbitration id 0xFFFFFFFF outside extended range"),
+        (parse_csv_line, "1.0,20000000,0,", "arbitration id 0x20000000 outside extended range"),
+        (parse_csv_line, "1.0,100,9,000102030405060708", "dlc 9 outside 0..8"),
+        (parse_candump_line, "(1.0) can0 20000000#0", "odd-length hex payload"),
+        (parse_candump_line, "(1.0) can0 20000000#" + "00" * 9, "payload of 9 bytes exceeds 8"),
+        (parse_csv_line, "1.0,20000000,2,00", "dlc 2 does not match payload of 1 bytes"),
+        (parse_csv_line, "1.0,20000000,9,000102030405060708",
+         "arbitration id 0x20000000 outside extended range"),
+    ], ids=["id-range", "id-max-u32", "csv-id-range", "csv-dlc-range", "odd-before-id-range",
+            "long-payload-before-id-range", "dlc-match-before-id-range",
+            "id-range-before-dlc-range"])
+    def test_reason(self, parse, line, reason):
+        with pytest.raises(ParseError) as exc:
+            parse(line, lineno=3)
+        assert str(exc.value) == f"{reason} (line 3): {line!r}"
+
+
+class TestFrameInvariants:
+    """A Trace rejects the columns partition_by_id cannot key: an id above 29
+    bits, or a dlc above 8, which its 4-bit dlc key would wrap."""
+
+    @staticmethod
+    def _trace(ids, dlcs):
+        return Trace([0.0, 1.0, 2.0], ids, dlcs, np.zeros((3, 8)))
+
+    def test_extended_id_limit(self):
+        self._trace([0, 0x1FFFFFFF, 1], [0, 8, 1])
+        for ids, first in [([1, 0x20000000, 0xFFFFFFFF], 0x20000000),
+                           ([0xFFFFFFFF, 1, 0x20000000], 0xFFFFFFFF)]:
+            with pytest.raises(
+                AnalysisError, match=f"^arbitration id 0x{first:X} outside extended range$"
+            ):
+                self._trace(ids, [1, 16, 1])  # the id is checked first
+
+    @pytest.mark.parametrize("dlcs, first", [([1, 9, 16], 9), ([16, 1, 9], 16)])
+    def test_dlc_limit(self, dlcs, first):
+        with pytest.raises(AnalysisError, match=f"^dlc {first} outside 0..8$"):
+            self._trace([1, 1, 1], dlcs)
+
+    def test_empty_trace_valid(self):
+        assert len(Trace([], [], [], np.zeros((0, 8)))) == 0
+
+    def test_row_checks_nothing(self):
+        """Rows come only from the line builder and Trace.frames, which both
+        make consistent rows, so a row is a plain tuple."""
+        row = CanFrame(0.5, 0x20000000, 2, b"\x01")  # out of range and mismatched
+        assert row == (0.5, 0x20000000, 2, b"\x01")
+        assert (row.timestamp, row.arbitration_id, row.dlc, row.payload) == tuple(row)
 
 
 class TestLoadTrace:
@@ -201,6 +252,36 @@ class TestLoadTrace:
             trace = load_trace(p, format=format, strict=False)
         assert trace.timestamps.tolist() == [1.0]
         assert f"skipped {len(bad)} malformed" in caplog.text
+
+    @pytest.mark.parametrize("space", ["\u00a0", "\u2003", "\x1c"], ids=["nbsp", "em", "fs"])
+    @pytest.mark.parametrize("bad", [
+        "(1.0){s}can0 123#01", "(1.0) can0{s}123#01", "{s}(1.0) can0 123#01",
+        "(1.0) can0 123#01{s}", "{s}", " {s}\t",
+    ], ids=["separator-1", "separator-2", "leading", "trailing", "alone", "among-ascii"])
+    def test_only_ascii_whitespace(self, tmp_path, caplog, space, bad):
+        """A capture's whitespace is ASCII: a line that pads or separates with
+        another space character is malformed, not blank or split there."""
+        p = tmp_path / "capture.log"
+        p.write_text(f"(0.5) can0 123#00\n{bad.format(s=space)}\n(2.0) can0 123#02\n",
+                     encoding="utf-8")
+        with pytest.raises(ParseError, match=r"\(line 2\)"):
+            load_trace(p)
+        with caplog.at_level(logging.WARNING):
+            trace = load_trace(p, strict=False)
+        assert trace.timestamps.tolist() == [0.5, 2.0]
+        assert caplog.messages == [f"{p}: skipped 1 malformed line(s)"]
+
+    @pytest.mark.parametrize("format, line", [
+        ("candump", "(1.0)\tcan0\t123#01"),
+        ("candump", " \t\x0b(1.0)  can0 \t123#01\x0c \t"),
+        ("csv", "\t 1.0 ,\t123 , 1\x0b,01 \t"),
+    ], ids=["tab-separators", "ascii-padding", "csv-ascii-padding"])
+    def test_ascii_whitespace_loads(self, tmp_path, format, line):
+        p = tmp_path / "capture"
+        p.write_text(f"{line}\n")
+        frames = load_trace(p, format=format).frames
+        assert [(f.timestamp, f.arbitration_id, f.dlc, f.payload) for f in frames] == [
+            (1.0, 0x123, 1, b"\x01")]
 
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(OSError):

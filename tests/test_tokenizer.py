@@ -10,7 +10,6 @@ from cantok import (
     TokenCluster,
     Tang,
     TokenizerConfig,
-    classify_padding,
     tokenize,
     tokenize_trace,
 )
@@ -107,17 +106,6 @@ class TestModesAndThreshold:
     def test_signal_lsb_msb_must_be_the_ends(self, lsb, msb):
         with pytest.raises(InvariantError, match="two ends"):
             TokenCluster(kind="signal", lo=0, hi=3, lsb_index=lsb, msb_index=msb)
-
-
-class TestClassifyPadding:
-    def test_table(self):
-        assert classify_padding(make_tang(TABLE_TANG, 10)) == {0, 1, 2, 3}
-
-    def test_all_positive(self):
-        assert classify_padding(make_tang([1, 2, 3], 4)) == set()
-
-    def test_all_zero(self):
-        assert classify_padding(make_tang([0, 0, 0], 4)) == {0, 1, 2}
 
 
 class TestTokenizeTrace:
