@@ -20,9 +20,8 @@ or a dlc above 8; an `IdTrace` holds one (id, dlc) group's timestamps and
 yields, checks nothing.
 
 `load_trace` reads a capture in chunks of about `CHUNK_BYTES` and decodes
-most lines in columns with numpy, grouped by shape (line length plus
-separator offsets). It decodes a line there only when it can show the
-result equals the per-line parser's:
+most lines in columns with numpy, one line length at a time. It decodes a
+line there only when it can show the result equals the per-line parser's:
 
 * candump ``(<digits>.<digits>) <iface> <id>#<hex>`` with single spaces,
   no other whitespace, 1-8 id digits, an even number of payload digits up
@@ -39,16 +38,21 @@ with its line number, decoded as UTF-8, so those two functions define
 what is valid and every error message. A line that is not valid UTF-8
 is malformed unless it is blank or a ``#`` comment.
 
-A shape's n lines are the rows of a strided (n, length) view of the
-chunk. One byte-class table (digit, hex digit, ``(``, ``)``, interface
-byte, any) maps all their bytes at once, and a line is decoded only if
-each byte has the class the shape's template gives its column. Checked
-digits are read by arithmetic: a hex digit byte c is worth
-``(c & 0xF) + 9 * (c >> 6)``. `CHUNK_BYTES` is 128 KiB. Larger chunks
-load CSV and many-id captures a little faster, but a chunk's temporaries
-then exceed glibc's 128 KiB mmap threshold, and freeing them raises it,
-so the heap holds more memory for the rest of the run (peak RSS +1-2%
-at 256 KiB, +4% at 512 KiB).
+A chunk's lines are grouped by length, and each group is peeled in
+rounds. A round guesses a template from the first line still undecided:
+the columns of its fields, each with a byte class (digit, hex digit or
+interface byte), and its other bytes and CSV dlc as literals. The
+undecided lines with those literals are decoded if each byte has its
+column's class and the numbers are in range. They leave the group either
+way, as does a first line that gives no template, and a line not decoded
+goes to the per-line parser. A group's lines are rows of the chunk
+translated by one byte-class table: a strided view if all the chunk's
+lines have one length and a one-byte end, and if one round then decodes
+them all, its columns are the chunk's, with no scatter.
+`CHUNK_BYTES` is 128 KiB. Larger chunks load CSV and many-id captures a
+little faster, but a chunk's temporaries then exceed glibc's 128 KiB mmap
+threshold, and freeing them raises it, so the heap holds more memory for
+the rest of the run (peak RSS +1-2% at 256 KiB, +4% at 512 KiB).
 
 The writers are the inverse, a columnar row encoder. For each block of
 `ENCODE_ROWS` rows (`row_blocks`), every field becomes an (n, W) byte
@@ -97,9 +101,22 @@ class CanFrame(NamedTuple):
 
 
 def _set_columns(obj, **specs: tuple) -> None:
-    """Store each ``name=(dtype, shape)`` attribute of `obj` as a read-only array."""
+    """Store each ``name=(dtype, shape)`` attribute of `obj` as a read-only array,
+    else AnalysisError if it holds a value `dtype` cannot hold exactly."""
     for name, (dtype, shape) in specs.items():
-        a = np.asarray(getattr(obj, name), dtype=dtype).view()
+        a = np.asarray(getattr(obj, name))
+        if a.dtype != dtype:
+            try:
+                with np.errstate(invalid="ignore"):  # NaN and inf cast to some number
+                    cast = a.astype(dtype)
+                    inexact = np.flatnonzero(cast.astype(a.dtype) != a)
+            except (TypeError, ValueError, OverflowError) as exc:  # text, an int of 2**64
+                raise AnalysisError(f"{name} of {a.dtype}: {exc}") from None
+            if inexact.size:
+                value = a.flat[inexact[0]]
+                raise AnalysisError(f"{name} holds {value}, which is not a {np.dtype(dtype)}")
+            a = cast
+        a = a.view()
         if a.shape != shape:
             raise AnalysisError(f"{name} of shape {a.shape}, expected {shape}")
         a.flags.writeable = False
@@ -374,18 +391,27 @@ def write_candump(trace: Trace, path) -> None:
 
 CHUNK_BYTES = 1 << 17  # read size; each chunk is cut after its last line end
 
-# Separator bytes of a line shape, in the order its key packs their offsets;
-# a byte listed twice stands for its first and its second occurrence.
-_SEPARATORS = {"candump": b"  #.", "csv": b",,,."}
-
-# Byte classes as bit flags, a `bytes.translate` table. A line is decoded only
-# if each of its bytes has the class its shape's template gives its column.
-_DIGIT, _HEX, _OPEN, _CLOSE, _IFACE, _ANY = 1, 2, 4, 8, 16, 32
+# A `bytes.translate` table: class flags in the high nibble, and in the low one a hex
+# digit's value or a separator's code, so literals can be compared after translation.
+_DIGIT, _HEX, _IFACE, _ANY = 0x10, 0x20, 0x40, 0x80
 _CLASS_TABLE = bytes(
-    _ANY | _IFACE * (0x20 < c < 0x80) | _DIGIT * (c in b"0123456789") | _OPEN * (c == ord("("))
-    | _HEX * (c in b"0123456789ABCDEFabcdef") | _CLOSE * (c == ord(")"))
+    _ANY | _IFACE * (0x20 < c < 0x80) | _DIGIT * (c in b"0123456789")
+    | (_HEX | (c & 0xF) + 9 * (c >> 6)) * (c in b"0123456789ABCDEFabcdef")
+    | b"() #.,".find(bytes([c])) + 1
     for c in range(256)
 )  # _IFACE: printable ASCII, which the record split keeps in a field
+
+# The lines read in columns. A template takes each field's columns from the
+# first line of a round; each byte outside a field, and the dlc, is a literal.
+_LINE = {
+    "candump": rb"\((?P<int>[0-9]+)\.(?P<frac>[0-9]+)\) (?P<iface>[!-\x7f]+) "
+               rb"(?P<id>[0-9A-Fa-f]{1,8})#(?P<hex>(?:[0-9A-Fa-f]{2}){0,8})",
+    "csv": rb"(?P<int>[0-9]+)\.(?P<frac>[0-9]+),(?P<id>[0-9A-Fa-f]{1,8}),(?P<dlc>[0-8]),"
+           rb"(?P<hex>(?:[0-9A-Fa-f]{2}){0,8})",
+}
+_FIELD_CLASS = {
+    "int": _DIGIT, "frac": _DIGIT, "iface": _IFACE, "id": _HEX, "dlc": _ANY, "hex": _HEX,
+}
 
 
 def _columns(n: int) -> list[np.ndarray]:
@@ -415,67 +441,45 @@ def _chunks(fh) -> Iterator[bytes]:
         yield tail
 
 
-def _shape_keys(buf, starts, ends, separators: bytes) -> np.ndarray:
-    """Per line, its length and the offsets of `separators` packed 8 bits each.
-
-    The key is -1 for a line longer than 255 bytes or missing a separator.
-    """
-    keys = np.where(ends - starts > 0xFF, -1, ends - starts)
-    for sep in set(separators):
-        pos = np.append(np.flatnonzero(buf == sep), len(buf))  # len(buf) is past every line
-        first = np.searchsorted(pos, starts)  # each line's first `sep` is pos[first], if any
-        for nth, j in enumerate(j for j, s in enumerate(separators) if s == sep):
-            at = pos[np.minimum(first + nth, len(pos) - 1)]
-            keys = np.where(at < ends, keys | (at - starts) << 8 * (j + 1), -1)
-    return keys
-
-
-def _decode_shape(m: np.ndarray, format: str, length: int, a: int, b: int, c: int, dot: int):
-    """Decode the (n, length) bytes of n lines that share one shape.
-
-    `a`, `b`, `c` are the offsets of the first two spaces and the first
-    ``#`` (candump) or of the first three commas (CSV); `dot` is that of
-    the first ``.``. Returns None if no line of this shape can be read
-    here, else a mask of the lines read exactly as the per-line parser
-    reads them, with their timestamps, ids and (n, dlc) payloads.
-    """
-    template = np.full(length, _ANY, np.uint8)  # the class each column's bytes must have
-    if format == "candump":  # (<int>.<frac>) <iface> <id>#<hex>
-        ts0, ts1, id0, id1 = 1, a - 1, b + 1, c
-        fits = a + 1 < b < c
-        template[[0, ts1]] = _OPEN, _CLOSE
-        template[a + 1 : b] = _IFACE
-    else:  # <int>.<frac>,<id>,<dlc digit>,<hex>
-        ts0, ts1, id0, id1 = 0, a, a + 1, b
-        fits = c == b + 2
-    n_hex = length - c - 1
-    if not (
-        fits and ts0 < dot < ts1 - 1 and ts1 - ts0 - 1 <= 18
-        and 0 < id1 - id0 <= 8 and n_hex % 2 == 0 and n_hex <= 2 * MAX_DLC
-    ):
+def _template(line: bytes, format: str):
+    """The template `line` gives: its literals' columns and bytes translated by
+    _CLASS_TABLE, each column's class and its fields; None if it is not read in columns."""
+    f = re.fullmatch(_LINE[format], line)
+    if not f or len(f["int"]) + len(f["frac"]) > 18:
         return None
-    template[ts0:dot] = template[dot + 1 : ts1] = _DIGIT
-    template[id0:id1] = template[c + 1 :] = _HEX
-    classes = np.frombuffer(m.tobytes().translate(_CLASS_TABLE), np.uint8)
-    ok = np.ones(len(m), bool)
-    ok[np.flatnonzero(classes.reshape(m.shape) & template == 0) // length] = False
-    if format == "csv":
-        ok &= m[:, b + 1] - ord("0") == n_hex // 2
-    values = (m & 0xF) + 9 * (m >> 6)  # of a hex digit: low nibble, +9 for A-F and a-f
+    if format == "csv" and int(f["dlc"]) != len(f["hex"]) // 2:
+        return None
+    classes = np.full(len(line), _ANY, np.uint8)
+    for name in f.groupdict():
+        classes[f.start(name) : f.end(name)] = _FIELD_CLASS[name]
+    columns = np.flatnonzero(classes == _ANY)
+    return columns, np.frombuffer(line.translate(_CLASS_TABLE), np.uint8)[columns], classes, f
+
+
+def _decode(m: np.ndarray, classes: np.ndarray, f: re.Match):
+    """Decode n lines of the layout whose fields `f` matched, from their
+    (n, length) bytes translated by _CLASS_TABLE: a mask of the lines read
+    exactly as the per-line parser reads them, and their four columns."""
+    outside = np.flatnonzero(m & classes == 0) // m.shape[1]  # a byte not of its class
+    values = m & 0xF
     # <= 18 digits fit an int64; below 2**53, int / 10**k rounds as float() does
     numer = np.zeros(len(m), np.int64)
-    for j in (*range(ts0, dot), *range(dot + 1, ts1)):
+    for j in (*range(*f.span("int")), *range(*f.span("frac"))):
         numer = numer * 10 + values[:, j]
-    ids = np.zeros(len(m), np.int64)
-    for j in range(id0, id1):
-        ids = ids * 16 + values[:, j]
-    ok &= (numer < _EXACT_INT) & (ids <= EXTENDED_ID_MAX)
-    timestamps = numer / float(10 ** (ts1 - dot - 1))
-    return ok, timestamps, ids, values[:, c + 1 :: 2] << 4 | values[:, c + 2 :: 2]
+    ids = np.zeros(len(m), np.uint32)  # <= 8 hex digits fit
+    for j in range(*f.span("id")):
+        ids = ids << 4 | values[:, j]
+    ok = (numer < _EXACT_INT) & (ids <= EXTENDED_ID_MAX)
+    ok[outside] = False
+    pairs = values[:, f.start("hex") :].view("<u2")  # a byte's two digits, first one low
+    payloads = np.zeros((len(m), MAX_DLC), np.uint8)
+    payloads[:, : pairs.shape[1]] = pairs << 4 | pairs >> 8  # keeps the low byte
+    dlcs = np.full(len(m), pairs.shape[1], np.uint8)
+    return ok, [numer / float(10 ** len(f["frac"])), ids, dlcs, payloads]
 
 
 def _decode_chunk(chunk: bytes, format: str):
-    """Decode the lines of a chunk in columns, grouped by shape.
+    """Decode the lines of a chunk in columns, one length group at a time.
 
     Lines end at LF, CR LF or a lone CR, as in text mode. Returns a mask
     of the decoded lines, per-line columns holding their frames, and a
@@ -492,25 +496,38 @@ def _decode_chunk(chunk: bytes, format: str):
         ends = np.append(ends, len(buf))
     starts = np.concatenate(([0], ends[:-1] + 1))
     ends -= (ends > starts) & (buf[ends - 1] == ord("\r"))  # a \r\n line ends at its \r
-    decoded = np.zeros(len(starts), bool)
-    cols = timestamps, ids, dlcs, payloads = _columns(len(starts))
-    keys = _shape_keys(buf, starts, ends, _SEPARATORS[format])
-    order = np.argsort(keys, kind="stable")
-    for rows in np.split(order, np.flatnonzero(np.diff(keys[order])) + 1):
-        key = int(keys[rows[0]])
-        if key < 0:
+    n, line = len(starts), lambda k: chunk[starts[k] : ends[k]]
+    classes = np.frombuffer(chunk.translate(_CLASS_TABLE), np.uint8)
+    lengths = ends - starts
+    order = np.argsort(lengths, kind="stable")
+    decoded, cols = np.zeros(n, bool), _columns(n)
+    for rows in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
+        length = int(lengths[rows[0]])
+        if length < len("0.0,0,0,"):  # shorter than any line read in columns, or blank
             continue
-        length, *seps = ((key >> s) & 0xFF for s in range(0, 40, 8))
-        lines = np.lib.stride_tricks.sliding_window_view(buf, length)[starts[rows]]
-        shape = _decode_shape(lines, format, length, *seps)
-        if shape is None:
-            continue
-        ok, shape_timestamps, shape_ids, shape_payloads = shape
-        rows, dlc = rows[ok], shape_payloads.shape[1]
-        decoded[rows] = True
-        timestamps[rows], ids[rows], dlcs[rows] = shape_timestamps[ok], shape_ids[ok], dlc
-        payloads[rows, :dlc] = shape_payloads[ok]
-    return decoded, cols, lambda k: chunk[starts[k] : ends[k]]
+        # row k: the `length` translated bytes from offset k
+        window = np.lib.stride_tricks.as_strided(classes, (len(buf) - length + 1, length), (1, 1))
+        strided = len(rows) == n and starts[-1] == (n - 1) * (length + 1)  # one-byte line ends
+        m = window[:: length + 1][:n] if strided else window[starts[rows]]
+        left = np.arange(len(rows))  # the group's undecided lines, as rows of m
+        while left.size:  # a round: the lines with the literals of the first one's template
+            template = _template(line(rows[left[0]]), format)
+            if template is None:
+                left = left[1:]
+                continue
+            columns, literals, *layout = template
+            match = (m[:, columns] == literals).all(axis=1)[left]
+            taken, left = left[match], left[~match]  # decoded or not, they leave the group
+            ok, piece = _decode(m if len(taken) == len(m) else m[taken], *layout)
+            if not ok.all():
+                taken, piece = taken[ok], [c[ok] for c in piece]
+            if len(taken) == n:  # the whole chunk in one round, in line order
+                return np.ones(n, bool), piece, line
+            taken = rows[taken]
+            decoded[taken] = True
+            for column, values in zip(cols, piece):
+                column[taken] = values
+    return decoded, cols, line
 
 
 def load_trace(path, format: str = "candump", strict: bool = True) -> Trace:
@@ -526,7 +543,7 @@ def load_trace(path, format: str = "candump", strict: bool = True) -> Trace:
     columns; every other line goes through `parse_candump_line` or
     `parse_csv_line` with its line number, so those define what is valid.
     """
-    if format not in _SEPARATORS:
+    if format not in _LINE:
         raise AnalysisError(f"unknown capture format {format!r}")
     parse = parse_candump_line if format == "candump" else parse_csv_line
     skipped = 0
@@ -568,8 +585,9 @@ def load_trace(path, format: str = "candump", strict: bool = True) -> Trace:
                     timestamps[k], ids[k], dlcs[k], payload = frame
                     payloads[k, : len(payload)] = list(payload)
             n = int(decoded.sum())
+            kept = slice(None) if n == len(decoded) else decoded
             for column, chunk_column in zip(out, cols):
-                column[size : size + n] = chunk_column[decoded]
+                column[size : size + n] = chunk_column[kept]
             size += n
             lineno += len(decoded)
     trace = Trace(*(column[:size] for column in out))

@@ -23,6 +23,7 @@ from .tokenizer import ENDIANNESSES, SIGNAL, Tokenization, format_id
 GENERATOR_KINDS = ("counter", "ramp", "random_walk", "constant", "noise")
 
 FRAME_PERIOD_S = 0.01
+MAX_FRAMES = 10_000_000  # a 64-bit group of this many frames takes about 1 GB to generate
 
 
 @dataclass(frozen=True, slots=True)
@@ -68,6 +69,8 @@ class GroundTruth:
 
     def __post_init__(self):
         require_uints(self)
+        if self.frame_count > MAX_FRAMES:
+            raise ValueError(f"frame_count must be at most {MAX_FRAMES}, not {self.frame_count}")
         if self.padding_value > 1:
             raise ValueError(f"padding_value must be 0 or 1, not {self.padding_value}")
         if self.arbitration_id > EXTENDED_ID_MAX:

@@ -321,6 +321,16 @@ class TestErrors:
         assert main(argv + ["--out", str(tmp_path)]) == 1
         assert "error: invalid ground truth spec" in capsys.readouterr().err
 
+    def test_too_many_frames_exit_one(self, tmp_path, capsys):
+        """A frame count the generator cannot allocate is an input error, not a traceback."""
+        spec = json.loads(bundled_spec_path().read_text())
+        gt = tmp_path / "gt.json"
+        gt.write_text(json.dumps({**spec, "frames": 10**15}))
+        assert main(["synth", "-i", str(gt), "--out", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: invalid ground truth spec: frame_count must be at most 10000000, not "
+        )
+
     @pytest.mark.parametrize("command", ["synth", "score"])
     @pytest.mark.parametrize("field, value", [
         ("bit_width", "64"), ("frames", 5000.0),

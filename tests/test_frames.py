@@ -1,5 +1,6 @@
 import io
 import logging
+import re
 from unittest import mock
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from cantok import (
     AnalysisError,
     CanFrame,
+    IdTrace,
     ParseError,
     Trace,
     load_trace,
@@ -198,6 +200,37 @@ class TestFrameInvariants:
     def test_dlc_limit(self, dlcs, first):
         with pytest.raises(AnalysisError, match=f"^dlc {first} outside 0..8$"):
             self._trace([1, 1, 1], dlcs)
+
+    @pytest.mark.parametrize("name, column, shown", [
+        ("ids", np.array([2**32 + 5, 5, 5]), "4294967301, which is not a uint32"),
+        ("ids", [5.7, 1, 1], "5.7, which is not a uint32"),
+        ("ids", [float("nan"), 1, 1], "nan, which is not a uint32"),
+        ("dlcs", np.array([264, 8, 8]), "264, which is not a uint8"),
+        ("payloads", np.full((3, 8), 256), "256, which is not a uint8"),
+        ("payloads", np.full((3, 8), 300.5), "300.5, which is not a uint8"),
+        ("timestamps", np.array([2**53 + 1, 0, 0]), "9007199254740993, which is not a float64"),
+    ], ids=["id-2**32+5", "id-5.7", "id-nan", "dlc-264", "payload-256", "payload-300.5",
+            "timestamp-2**53+1"])
+    def test_inexact_cast_rejected(self, name, column, shown):
+        """A column is cast to its dtype only if every value survives the cast."""
+        columns = {"timestamps": [0.0, 1.0, 2.0], "ids": [1, 1, 1], "dlcs": [1, 1, 1],
+                   "payloads": np.zeros((3, 8)), name: column}
+        with pytest.raises(AnalysisError, match=f"^{name} holds {re.escape(shown)}$"):
+            Trace(**columns)
+
+    def test_id_trace_cast_checked(self):
+        with pytest.raises(AnalysisError, match="^payloads holds -1, which is not a uint8$"):
+            IdTrace(1, 1, [0.0, 1.0], [[-1], [0]])
+
+    def test_int_beyond_int64_rejected(self):
+        with pytest.raises(AnalysisError, match="^ids of object: "):
+            Trace([0.0], [2**64], [0], np.zeros((1, 8)))
+
+    def test_exact_cast_kept_and_typed_column_not_copied(self):
+        ids = np.array([1, 0x1FFFFFFF, 2], np.uint32)
+        trace = Trace([0, 1, 2], ids, [1.0, 8.0, 0.0], np.zeros((3, 8)))
+        assert np.shares_memory(trace.ids, ids)
+        assert trace.dlcs.tolist() == [1, 8, 0] and trace.timestamps.dtype == np.float64
 
     def test_empty_trace_valid(self):
         assert len(Trace([], [], [], np.zeros((0, 8)))) == 0
@@ -410,6 +443,42 @@ class TestPerLineFallback:
         assert spy.call_count == offending == 20
         assert len(trace) == 3000 + offending
         assert load_outcome(load_trace, path) == load_outcome(reference_load_trace, path)
+
+    def test_csv_parser_sees_only_offending_lines(self, tmp_path, monkeypatch):
+        """Lines of one length in several shapes (timestamp width traded against
+        id width) are all read in columns, also after a junk or non-ASCII line
+        that comes first in its length group and so makes the first template."""
+        monkeypatch.setattr(frames, "CHUNK_BYTES", 4096)  # about 180 lines a chunk
+
+        def line(k, dlc, width):
+            id_width = (3, 8, 5)[k % 3]
+            frac = 1 + k % (width - id_width - 2)
+            whole = width - id_width - 1 - frac
+            ts = f"{k % 10**whole:0{whole}d}.{k % 10**frac:0{frac}d}"
+            arb = f"{(k * 7919) % 16**id_width & 0x1FFFFFFF:0{id_width}X}"
+            return f"{ts},{arb},{dlc},{bytes([k % 256] * dlc).hex()}"
+
+        lines, offending = [frames.CSV_HEADER], []
+        for k in range(3000):
+            lines.append(line(k, 2 + k % 2, 14))  # 22 or 24 bytes
+            if k % 300 == 150:  # a length group of its own in this chunk
+                bad = [f"{k}.5,1G0,1,00", f"{k}.5,1A0,1,00,caf\u00e9"][k // 300 % 2]
+                offending.append(bad.replace(".5,", ".5" + "0" * (26 - len(bad.encode())) + ","))
+                lines += [offending[-1], *(line(k + j, 4, 14) for j in range(3))]
+        assert {len(x.encode()) for x in offending} == {26}
+        shapes = {(len(x), x.index("."), x.index(",", x.index(",") + 1)) for x in lines[1:]}
+        assert len(shapes) > 3 * len({len(x) for x in lines[1:]})
+        path = tmp_path / "capture.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        spy = mock.MagicMock(wraps=frames.parse_csv_line)
+        monkeypatch.setattr(frames, "parse_csv_line", spy)
+        trace = load_trace(path, format="csv", strict=False)
+        assert [c.args[0] for c in spy.call_args_list] == offending and len(offending) == 10
+        assert len(trace) == 3000 + 3 * 10 + 5  # the five non-ASCII lines are valid
+        for strict in (True, False):
+            assert load_outcome(load_trace, path, format="csv", strict=strict) == load_outcome(
+                reference_load_trace, path, format="csv", strict=strict
+            )
 
 
 # Valid lines the columnar decoder reads: candump with a 3- and an 8-digit

@@ -310,7 +310,8 @@ _other_st = st.one_of(
 
 
 @st.composite
-def _capture_line(draw, fmt):
+def _capture_line(draw, fmt, width=0):
+    """A capture line; one shorter than `width` gets leading timestamp zeros to fill it."""
     part = {"ts": draw(_ts_st), "id": draw(_id_st), "hex": draw(_hex_st),
             "sep": " " if fmt == "candump" else ",", "lead": "", "trail": "",
             "iface": "can0", "open": "(", "close": ")"}
@@ -318,12 +319,28 @@ def _capture_line(draw, fmt):
     n_odd = draw(st.sampled_from([0, 0, 0, 1, 2]))
     for key in draw(st.lists(st.sampled_from(sorted(_ODD)), min_size=n_odd, max_size=n_odd)):
         part[key] = draw(_ODD[key])
-    if fmt == "candump":
-        body = (f"{part['open']}{part['ts']}{part['close']}{part['sep']}{part['iface']} "
-                f"{part['id']}#{part['hex']}")
-    else:
-        body = ",".join((part["ts"], part["id"], part["dlc"], part["hex"]))
-    return part["lead"] + body + part["trail"]
+
+    def text():
+        if fmt == "candump":
+            body = (f"{part['open']}{part['ts']}{part['close']}{part['sep']}{part['iface']} "
+                    f"{part['id']}#{part['hex']}")
+        else:
+            body = ",".join((part["ts"], part["id"], part["dlc"], part["hex"]))
+        return part["lead"] + body + part["trail"]
+
+    part["ts"] = "0" * (width - len(text())) + part["ts"]
+    return text()
+
+
+@st.composite
+def _same_length_lines(draw, fmt):
+    """Capture lines mostly of one length, in several shapes: their timestamp,
+    id and payload widths differ, so their separators sit at different offsets.
+    A copy of the first with one byte swapped may have its shape and still be bad."""
+    width = draw(st.integers(min_value=12, max_value=44))
+    lines = draw(st.lists(_capture_line(fmt, width), min_size=2, max_size=6))
+    k = draw(st.integers(min_value=0, max_value=len(lines[0]) - 1))
+    return [*lines, lines[0][:k] + draw(st.sampled_from("09aFGx() \t#.,")) + lines[0][k + 1 :]]
 
 
 @st.composite
@@ -346,6 +363,9 @@ def _any_line(draw, fmt):
 @settings(max_examples=400, deadline=None)
 def test_load_trace_matches_per_line_reference(data, fmt, newline, final_newline, chunk_bytes):
     lines = data.draw(st.lists(_any_line(fmt), max_size=40))
+    for block in data.draw(st.lists(_same_length_lines(fmt), max_size=2)):
+        at = data.draw(st.integers(min_value=0, max_value=len(lines)))
+        lines[at:at] = block
     text = newline.join(lines) + (newline if final_newline and lines else "")
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
         frames, "CHUNK_BYTES", chunk_bytes

@@ -17,6 +17,7 @@ from cantok import (
 )
 from cantok.bitlab import tang_from_idtrace
 from cantok.synth import (
+    MAX_FRAMES,
     bundled_spec_path,
     ground_truth_from_dict,
     ground_truth_to_dict,
@@ -352,6 +353,15 @@ class TestSpecFiles:
     def test_bad_start_time_rejected(self, value):
         d = {"id": "0x100", "bit_width": 8, "frames": 2, "signals": [], "start_time": value}
         with pytest.raises(AnalysisError, match="invalid ground truth spec: "):
+            ground_truth_from_dict(d)
+
+    def test_frame_bound(self):
+        GroundTruth(arbitration_id=1, bit_width=64, specs=(), frame_count=MAX_FRAMES)
+        d = {"id": "0x100", "bit_width": 8, "frames": MAX_FRAMES + 1, "signals": []}
+        with pytest.raises(
+            AnalysisError,
+            match=f"^invalid ground truth spec: frame_count must be at most {MAX_FRAMES}, not ",
+        ):
             ground_truth_from_dict(d)
 
     def test_missing_field(self):
