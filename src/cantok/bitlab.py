@@ -75,14 +75,22 @@ def transition_matrix(bits: np.ndarray) -> np.ndarray:
 
 
 def tang_from_idtrace(idtrace: IdTrace) -> Tang:
-    """Count each bit position's flips between sequential payloads."""
+    """Count each bit position's flips between sequential payloads.
+
+    The 0/1 flips are summed in uint8, with no per-element cast to int64, in
+    blocks of 255 rows: a block sums to at most 255, so the sum is exact.
+    """
     if len(idtrace) < 2:
         raise AnalysisError(
             "insufficient observations for transition analysis "
             f"(id 0x{idtrace.arbitration_id:X}, M={len(idtrace)})"
         )
     bits = build_bit_matrix(idtrace)
-    counts = np.bitwise_xor(bits[1:], bits[:-1]).sum(axis=0, dtype=np.int64)
+    flips = np.bitwise_xor(bits[1:], bits[:-1])
+    whole = len(flips) // 255 * 255
+    counts = flips[whole:].sum(axis=0, dtype=np.uint8).astype(np.int64)
+    if whole:
+        counts += flips[:whole].reshape(-1, 255, bits.shape[1]).sum(1, np.uint8).sum(0, np.int64)
     counts.flags.writeable = False
     return Tang(counts, observations=len(idtrace), arbitration_id=idtrace.arbitration_id)
 

@@ -570,7 +570,8 @@ def load_trace(path, format: str = "candump", strict: bool = True) -> Trace:
     with open(path, "rb") as fh:
         # a line ends at \n, \r or the end of the file and holds at most one frame
         capacity = 1 + sum(
-            block.count(b"\n") + (block.count(b"\r") if b"\r" in block else 0)
+            np.count_nonzero(np.frombuffer(block, np.uint8) == 10)
+            + (block.count(b"\r") if b"\r" in block else 0)
             for block in iter(lambda: fh.read(CHUNK_BYTES), b"")
         )
         fh.seek(0)
@@ -607,16 +608,21 @@ def partition_by_id(trace: Trace) -> dict[tuple[int, int], IdTrace]:
     Keying on (id, dlc) keeps each group at a fixed bit width even when an
     id violates the fixed-width assumption; such ids are reported in a
     warning. Groups come in ascending (id, dlc) order, and each keeps its
-    frames in capture order.
+    frames in capture order. Keys take the narrowest dtype that holds them,
+    so 11-bit ids get numpy's 16-bit radix sort; a stable order is unique, so
+    the dtype changes nothing.
     """
-    keys = (trace.ids.astype(np.uint64) << np.uint64(4)) | trace.dlcs
+    dtype = np.min_scalar_type(int(trace.ids.max(initial=0)) << 4 | MAX_DLC)
+    keys = np.left_shift(trace.ids, 4, dtype=dtype)
+    keys |= trace.dlcs
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     cuts = (np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()
     edges = [0, *cuts, len(keys)] if len(keys) else []
     group_keys = keys[edges[:-1]].tolist()
     del keys  # freed before the gathered columns, the largest arrays held here
-    timestamps, payloads = trace.timestamps[order], trace.payloads[order]
+    words = np.ascontiguousarray(trace.payloads).view(np.uint64)  # gathered one word a row
+    timestamps, payloads = trace.timestamps[order], words[order].view(np.uint8)
     groups = {}
     for a, b, key in zip(edges, edges[1:], group_keys):
         arb_id, dlc = key >> 4, key & 0xF

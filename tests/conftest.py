@@ -1,12 +1,17 @@
+import json
 import logging
 from array import array
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from cantok import IdTrace, ParseError, Trace, parse_candump_line, parse_csv_line
+from cantok import (
+    IdTrace, ParseError, Tang, TokenizerConfig, Trace, parse_candump_line, parse_csv_line, tokenize,
+)
 from cantok.errors import AnalysisError
 from cantok.frames import CSV_HEADER, MAX_DLC, STANDARD_ID_MAX
+from cantok.tokenizer import tokenization_to_dict
 
 log = logging.getLogger("cantok.frames")
 
@@ -104,6 +109,28 @@ def naive_tang_counts(payloads):
             if bit_a != bit_b:
                 counts[i] += 1
     return counts
+
+
+def reference_cli_outputs(capture, outdir) -> None:
+    """The files `cantok tang` and `cantok tokenize` (default flags) write for a
+    candump capture, by a naive pipeline: the per-line loader, groups built
+    frame by frame, the scalar TANG count and one f-string per CSV row."""
+    groups = {}
+    for f in reference_load_trace(capture).frames:
+        groups.setdefault((f.arbitration_id, f.dlc), []).append(f.payload)
+    groups = {key: rows for key, rows in sorted(groups.items()) if len(rows) > 1}
+    widths = Counter(arb_id for arb_id, _ in groups)
+    for (arb_id, dlc), rows in groups.items():
+        stem = f"{arb_id:04X}" + (f"_dlc{dlc}" if widths[arb_id] > 1 else "")
+        counts = naive_tang_counts(rows)
+        with open(outdir / f"{stem}_tang.csv", "w") as fh:
+            fh.write("bit_position,transitions,normalized\n")
+            for i, count in enumerate(counts):
+                fh.write(f"{i},{count},{count / (len(rows) - 1):.6f}\n")
+        tang = Tang(np.array(counts, np.int64), observations=len(rows), arbitration_id=arb_id)
+        with open(outdir / f"{stem}_tokens.json", "w") as fh:
+            json.dump(tokenization_to_dict(tokenize(tang, TokenizerConfig())), fh, indent=2)
+            fh.write("\n")
 
 
 def bits_of(payload):

@@ -86,6 +86,20 @@ class TestTang:
         tang = tang_from_idtrace(make_idtrace([list(p) for p in payloads]))
         assert tang.counts.tolist() == naive_tang_counts(payloads)
 
+    # M - 1 flip rows around multiples of 255, the rows summed per uint8 block;
+    # alternating 0x00/0xFF rows flip every bit, so each whole block sums to 255
+    @pytest.mark.parametrize("m", [2, 255, 256, 257, 511, 512, 766])
+    @pytest.mark.parametrize("dlc", [1, 8])
+    @pytest.mark.parametrize("fill", ["random", "alternating"])
+    def test_block_edges_vs_scalar_oracle(self, m, dlc, fill):
+        if fill == "random":
+            rows = np.random.default_rng(m * 9 + dlc).integers(0, 256, (m, dlc), dtype=np.uint8)
+        else:
+            rows = np.repeat(np.arange(m, dtype=np.uint8)[:, None] % 2 * 0xFF, dlc, axis=1)
+        payloads = [row.tobytes() for row in rows]
+        tang = tang_from_idtrace(make_idtrace(payloads))
+        assert tang.counts.tolist() == naive_tang_counts(payloads)
+
     def test_counts_bounded(self):
         rng = np.random.default_rng(11)
         for _ in range(25):

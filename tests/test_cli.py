@@ -1,11 +1,17 @@
 import dataclasses
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantok import (
+    Trace,
     load_trace,
     tokenize_trace,
     write_candump,
@@ -21,6 +27,8 @@ from cantok.synth import (
     merge_traces,
 )
 from cantok.tokenizer import export_tokenization_json, tokenization_to_dict
+
+from .conftest import reference_cli_outputs
 
 
 @pytest.fixture
@@ -447,3 +455,49 @@ class TestSharedFlags:
             main(_required("tang") + flag)
         assert exc.value.code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+
+
+@st.composite
+def _bus_st(draw):
+    """(id, dlc, frames) groups and a payload seed: standard and extended ids,
+    one or two dlcs per id, and groups of 1-3 or of 256-600 frames."""
+    ids = draw(st.lists(st.one_of(st.integers(0, 0x7FF), st.integers(0x800, 0x1FFFFFFF)),
+                        min_size=1, max_size=3, unique=True))
+    groups = [
+        (arb_id, dlc, draw(st.one_of(st.integers(1, 3), st.integers(256, 600))))
+        for arb_id in ids
+        for dlc in draw(st.lists(st.integers(1, 8), min_size=1, max_size=2, unique=True))
+    ]
+    return groups, draw(st.integers(0, 2**32 - 1))
+
+
+def _write_bus(groups, seed, path) -> None:
+    """Interleave the groups' frames at random and write them as candump. Each
+    payload holds random bits under a per-group mask, and its last byte counts
+    the group's frames."""
+    rng = np.random.default_rng(seed)
+    group = np.repeat(np.arange(len(groups)), [n for _, _, n in groups])
+    rng.shuffle(group)
+    ids, dlcs = (np.array([g[k] for g in groups])[group] for k in (0, 1))
+    masks = rng.integers(0, 256, (len(groups), 8), dtype=np.uint8)
+    payloads = rng.integers(0, 256, (len(group), 8), dtype=np.uint8) & masks[group]
+    rank = np.empty(len(group), np.int64)
+    for g in range(len(groups)):
+        rank[group == g] = np.arange(np.count_nonzero(group == g))
+    payloads[np.arange(len(group)), dlcs - 1] = rank % 256
+    write_candump(Trace(np.arange(len(group)) * 0.001, ids, dlcs, payloads), path)
+
+
+@given(_bus_st())
+@settings(max_examples=30, deadline=None)
+def test_tang_and_tokenize_match_naive_pipeline(bus):
+    with tempfile.TemporaryDirectory() as tmp:
+        capture, cli_out, naive_out = (Path(tmp) / name for name in ("capture.log", "cli", "naive"))
+        _write_bus(*bus, capture)
+        for command in ("tang", "tokenize"):
+            assert main([command, "-i", str(capture), "--out", str(cli_out)]) == 0
+        naive_out.mkdir()
+        reference_cli_outputs(capture, naive_out)
+        written, expected = ({p.name: p.read_bytes() for p in d.iterdir()}
+                             for d in (cli_out, naive_out))
+        assert written == expected

@@ -14,6 +14,7 @@ from cantok import (
     SignalSeries,
     Tang,
     TokenizerConfig,
+    Trace,
     load_trace,
     parse_candump_line,
     partition_by_id,
@@ -196,18 +197,18 @@ def test_tokenization_dict_round_trip(counts, endianness, mode, threshold):
 
 
 @st.composite
-def capture_st(draw):
-    """Frames in time order over a few (id, dlc) keys.
+def capture_st(draw, id_max=0x1FFFFFFF):
+    """Frames in time order over a few (id, dlc) keys, with ids up to `id_max`.
 
-    The keys always include one standard id under two dlcs, an extended id
-    with dlc 0 and a few random keys, so groups repeat, mix widths, hold
-    empty payloads and sometimes hold a single frame.
+    The keys always include one low id under two dlcs, a high id with
+    dlc 0 and a few random keys, so groups repeat, mix widths, hold empty
+    payloads and sometimes hold a single frame.
     """
-    std = draw(st.integers(min_value=0, max_value=0x7FF))
-    ext = draw(st.integers(min_value=0x800, max_value=0x1FFFFFFF))
+    low = draw(st.integers(min_value=0, max_value=min(id_max, 0x7FF)))
+    high = draw(st.integers(min_value=min(id_max, 0x800), max_value=id_max))
     dlc = draw(st.integers(min_value=0, max_value=8))
-    keys = [(std, dlc), (std, (dlc + 1) % 9), (ext, 0)] + draw(st.lists(
-        st.tuples(st.integers(min_value=0, max_value=0x1FFFFFFF),
+    keys = [(low, dlc), (low, (dlc + 1) % 9), (high, 0)] + draw(st.lists(
+        st.tuples(st.integers(min_value=0, max_value=id_max),
                   st.integers(min_value=0, max_value=8)),
         max_size=3))
     picks = draw(st.lists(st.sampled_from(keys), max_size=40))
@@ -220,13 +221,32 @@ def capture_st(draw):
     return frames
 
 
-@given(capture_st())
+def _edge_frames(*keys):
+    return [CanFrame(k * 0.01, arb_id, dlc, bytes(range(k, k + dlc)))
+            for k, (arb_id, dlc) in enumerate(keys)]
+
+
+# Group keys are (id << 4) | dlc, sorted in the narrowest dtype that holds
+# them: 8 bits for ids up to 0xF, 16 up to 0xFFF (every standard id), 32 or
+# 64 above. The examples sit on both sides of the 16-bit edge (0xFFF8 and
+# 0x10000).
+@given(st.one_of(capture_st(0xF), capture_st(0x7FF), capture_st(0xFFF), capture_st()))
+@example(_edge_frames((0xFFF, 8), (0x1000, 0), (0xFFF, 8), (0xFFF, 7), (0x1000, 0)))
+@example(_edge_frames((0xFFF, 8), (0xFFE, 8), (0xFFF, 8), (0, 0), (0xFFF, 8)))
 @settings(max_examples=300, deadline=None)
 def test_partition_matches_per_frame_filter(frames):
     trace = make_trace(frames)
     assert list(trace.frames) == frames
     groups = partition_by_id(trace)
-    assert set(groups) == {(f.arbitration_id, f.dlc) for f in frames}
+    assert list(groups) == sorted({(f.arbitration_id, f.dlc) for f in frames})
+    # a strided payload column partitions like its contiguous copy
+    wide = np.zeros((len(trace), 16), np.uint8)
+    wide[:, ::2] = trace.payloads
+    strided = partition_by_id(Trace(trace.timestamps, trace.ids, trace.dlcs, wide[:, ::2]))
+    assert list(strided) == list(groups)
+    for g, h in zip(groups.values(), strided.values()):
+        assert g.timestamps.tobytes() == h.timestamps.tobytes()
+        assert g.payloads.tobytes() == h.payloads.tobytes()
     for (arb_id, dlc), g in groups.items():
         expected = [f for f in frames if (f.arbitration_id, f.dlc) == (arb_id, dlc)]
         assert (g.arbitration_id, g.dlc) == (arb_id, dlc)
