@@ -12,7 +12,10 @@ multi-byte values on ascending contiguous positions.
 
 A field is the run of positions between its LSB and MSB position, in
 either order; position p carries place value 2^|p - lsb|. `read_field`
-and `write_field` are the only place values are turned into bits and back.
+reads a field from the bit matrix. `write_field` writes one into a column
+of packed payload words, one uint64 per frame, where position p is bit
+63 - p, so a word's big-endian bytes are the payload (`payload_bytes`).
+These are the only places values are turned into bits and back.
 """
 
 from __future__ import annotations
@@ -38,24 +41,35 @@ class Tang:
         return len(self.counts)
 
 
-def _field_shifts(lsb: int, msb: int):
-    """(position, place-value shift) pairs of the field [lsb .. msb]."""
-    for p in range(min(lsb, msb), max(lsb, msb) + 1):
-        yield p, np.uint64(abs(p - lsb))
-
-
 def read_field(bits: np.ndarray, lsb: int, msb: int) -> np.ndarray:
     """Unsigned value of one field in every row of an (M, N) bit matrix."""
     values = np.zeros(bits.shape[0], dtype=np.uint64)
-    for p, shift in _field_shifts(lsb, msb):
-        values |= bits[:, p].astype(np.uint64) << shift
+    for p in range(min(lsb, msb), max(lsb, msb) + 1):
+        values |= bits[:, p].astype(np.uint64) << np.uint64(abs(p - lsb))
     return values
 
 
-def write_field(bits: np.ndarray, lsb: int, msb: int, values: np.ndarray) -> None:
-    """Store each row's value in one field of an (M, N) bit matrix, in place."""
-    for p, shift in _field_shifts(lsb, msb):
-        bits[:, p] = ((values >> shift) & np.uint64(1)).astype(np.uint8)
+_REVERSED_BITS = np.array([int(f"{b:08b}"[::-1], 2) for b in range(256)], dtype=np.uint8)
+
+
+def write_field(words: np.ndarray, lsb: int, msb: int, values) -> None:
+    """Store each row's value, past the field's width dropped, in one field of
+    (M,) uint64 payload words, in place; `values` broadcast against `words`."""
+    lo, hi = min(lsb, msb), max(lsb, msb)
+    mask = (1 << (hi - lo + 1)) - 1
+    placed = values & np.uint64(mask)
+    if lsb < msb:  # place value rises with position: reverse all 64 bits, then shift
+        placed = _REVERSED_BITS[placed.view(np.uint8)].view(np.uint64).byteswap(inplace=True)
+        placed >>= np.uint64(lo)
+    else:
+        placed <<= np.uint64(63 - hi)
+    words &= ~np.uint64(mask << (63 - hi))
+    words |= placed
+
+
+def payload_bytes(words: np.ndarray) -> np.ndarray:
+    """(M, 8) uint8 payloads of (M,) uint64 words: each word's big-endian bytes."""
+    return words.astype(">u8").view(np.uint8).reshape(-1, 8)
 
 
 def build_bit_matrix(idtrace: IdTrace) -> np.ndarray:

@@ -85,19 +85,20 @@ def _id_filter(args) -> set[int] | None:
 
 
 def _select_groups(trace: Trace, wanted: set[int] | None) -> list[tuple[tuple[int, int], IdTrace]]:
-    """Analyzable (id, dlc) groups, in partition_by_id's ascending (id, dlc) order."""
+    """Analyzable (id, dlc) groups, in partition_by_id's ascending (id, dlc) order:
+    each has two or more frames and a payload of at least one byte."""
     groups = []
     for key, idtrace in partition_by_id(trace).items():
         if wanted is not None and key[0] not in wanted:
             continue
         if len(idtrace) < 2:
-            print(
-                f"warning: skipping id 0x{key[0]:X} dlc {key[1]}: "
-                f"only {len(idtrace)} frame(s)",
-                file=sys.stderr,
-            )
+            reason = f"only {len(idtrace)} frame(s)"
+        elif key[1] == 0:
+            reason = "zero-width payload"
+        else:
+            groups.append((key, idtrace))
             continue
-        groups.append((key, idtrace))
+        print(f"warning: skipping id 0x{key[0]:X} dlc {key[1]}: {reason}", file=sys.stderr)
     return groups
 
 

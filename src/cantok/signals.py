@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitlab import build_bit_matrix, read_field, write_field
+from .bitlab import build_bit_matrix, payload_bytes, read_field, write_field
 from .errors import AnalysisError, InvariantError
 from .frames import IdTrace, decimal_field, fixed6_field, join_fields, row_blocks
 from .tokenizer import PADDING, TokenCluster, Tokenization, format_id
@@ -172,15 +172,15 @@ def repack_payloads(
     Inverse of extraction when the tokenization's signal clusters cover
     every non-padding bit; used to verify lossless decomposition.
     """
-    bits = np.zeros((frame_count, tok.bit_width), dtype=np.uint8)
+    words = np.zeros(frame_count, dtype=np.uint64)
     for p, v in padding_bits.items():
-        bits[:, p] = v
+        write_field(words, p, p, np.uint64(v))
     for c in tok.signal_clusters:
         series = series_by_cluster[(c.lo, c.hi)]
         if len(series) != frame_count:
             raise AnalysisError("series length does not match frame count")
-        write_field(bits, c.lsb_index, c.msb_index, series.values)
-    return np.packbits(bits, axis=1)
+        write_field(words, c.lsb_index, c.msb_index, series.values)
+    return payload_bytes(words)[:, : tok.bit_width // 8]
 
 
 def export_summary_json(summaries: list[dict], path) -> None:

@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from .bitlab import write_field
+from .bitlab import payload_bytes, write_field
 from .errors import AnalysisError
 from .frames import EXTENDED_ID_MAX, MAX_DLC, OUTSIDE_ID_RANGE, Trace, parse_hex_id, require_uints
 from .tokenizer import ENDIANNESSES, SIGNAL, Tokenization, format_id
@@ -23,7 +23,8 @@ from .tokenizer import ENDIANNESSES, SIGNAL, Tokenization, format_id
 GENERATOR_KINDS = ("counter", "ramp", "random_walk", "constant", "noise")
 
 FRAME_PERIOD_S = 0.01
-MAX_FRAMES = 10_000_000  # a 64-bit group of this many frames takes about 1 GB to generate
+MAX_FRAMES = 10_000_000  # a 64-bit group of this many frames takes about 330 MB to generate
+_WALK_BLOCK = 1 << 12  # random-walk steps turned into Python ints at a time
 
 
 @dataclass(frozen=True, slots=True)
@@ -117,33 +118,37 @@ def _generate_values(spec: SignalSpec, m: int, rng: np.random.Generator) -> np.n
         return np.full(m, spec.value, dtype=np.uint64)
     if spec.kind == "noise":
         return rng.integers(0, top - 1, size=m, dtype=np.uint64, endpoint=True)
+    v = int(rng.integers(0, min(top, 1 << 62)))
+    hi = top - 1
     if spec.kind == "ramp":
-        out = np.empty(m, dtype=np.uint64)
-        v = int(rng.integers(0, min(top, 1 << 62)))
-        out[0] = v
+        # Segments climb by `slope` per frame, saturating at 0 or hi. Their steps,
+        # as uint64 two's complement, are laid out in runs: the cumsum is exact.
+        runs, lengths = [v], [1]
         pos = 1
         while pos < m:
             slope = int(rng.integers(-spec.max_step, spec.max_step + 1))
-            seg = int(rng.integers(1, max(2, m // 8 + 1)))
-            seg = min(seg, m - pos)
-            ramp = v + slope * np.arange(1, seg + 1, dtype=np.int64)
-            ramp = np.clip(ramp, 0, min(top - 1, np.iinfo(np.int64).max))
-            out[pos : pos + seg] = ramp.astype(np.uint64)
-            v = int(out[pos + seg - 1])
+            seg = min(int(rng.integers(1, max(2, m // 8 + 1))), m - pos)
+            bound = hi if slope > 0 else 0
+            free = min(seg, abs(bound - v) // abs(slope)) if slope else seg
+            end = v + slope * free
+            runs += [slope % 2**64, (bound - end) % 2**64, 0]
+            lengths += [free, int(free < seg), max(seg - free - 1, 0)]
+            v = end if free == seg else bound
             pos += seg
-        return out
+        return np.cumsum(np.repeat(np.array(runs, dtype=np.uint64), lengths)[:m], dtype=np.uint64)
     # random_walk: sequential clamping keeps steps continuous at the edges
     out = np.empty(m, dtype=np.uint64)
-    v = int(rng.integers(0, min(top, 1 << 62)))
     steps = rng.integers(-spec.max_step, spec.max_step + 1, size=m)
-    hi = top - 1
-    for k in range(m):
-        v = v + int(steps[k])
-        if v < 0:
-            v = 0
-        elif v > hi:
-            v = hi
-        out[k] = v
+    for start in range(0, m, _WALK_BLOCK):
+        block = steps[start : start + _WALK_BLOCK].tolist()
+        for k, step in enumerate(block):
+            v += step
+            if v < 0:
+                v = 0
+            elif v > hi:
+                v = hi
+            block[k] = v
+        out[start : start + len(block)] = block
     return out
 
 
@@ -151,16 +156,17 @@ def generate_trace(gt: GroundTruth) -> Trace:
     """Deterministically synthesize the trace described by a GroundTruth."""
     rng = np.random.default_rng(gt.seed)
     m = gt.frame_count
-    bits = np.full((m, gt.bit_width), gt.padding_value, dtype=np.uint8)
+    words = np.full(m, 2**64 - 1 if gt.padding_value else 0, dtype=np.uint64)
     for spec in gt.specs:
         lsb, msb = (spec.hi, spec.lo) if spec.endianness == "big" else (spec.lo, spec.hi)
-        write_field(bits, lsb, msb, _generate_values(spec, m, rng))
-    packed = np.packbits(bits, axis=1)
+        write_field(words, lsb, msb, _generate_values(spec, m, rng))
+    payloads = payload_bytes(words)
+    payloads[:, gt.bit_width // 8 :] = 0
     return Trace(
         timestamps=gt.start_time + np.arange(m) * FRAME_PERIOD_S,
         ids=np.full(m, gt.arbitration_id, dtype=np.uint32),
         dlcs=np.full(m, gt.bit_width // 8, dtype=np.uint8),
-        payloads=np.pad(packed, ((0, 0), (0, MAX_DLC - packed.shape[1]))),
+        payloads=payloads,
     )
 
 

@@ -11,6 +11,7 @@ from cantok import (
 )
 from cantok.errors import AnalysisError
 from cantok.frames import CSV_HEADER, MAX_DLC, STANDARD_ID_MAX
+from cantok.synth import FRAME_PERIOD_S
 from cantok.tokenizer import tokenization_to_dict
 
 log = logging.getLogger("cantok.frames")
@@ -70,6 +71,52 @@ def reference_series_csv(series, path) -> None:
         fh.write("index,timestamp,value\n")
         for i, (ts, v) in enumerate(zip(series.timestamps, series.values)):
             fh.write(f"{i},{ts:.6f},{int(v)}\n")
+
+
+def _reference_values(spec, m, rng):
+    """Length-m value sequence of one signal spec, stepped in Python ints."""
+    top = 1 << spec.width
+    if spec.kind == "counter":
+        return [(spec.start + spec.step * k) % top for k in range(m)]
+    if spec.kind == "constant":
+        return [spec.value] * m
+    if spec.kind == "noise":
+        return rng.integers(0, top - 1, size=m, dtype=np.uint64, endpoint=True).tolist()
+    v = int(rng.integers(0, min(top, 1 << 62)))
+    if spec.kind == "ramp":  # segments of one slope, saturating at 0 and top - 1
+        out = [v]
+        while len(out) < m:
+            slope = int(rng.integers(-spec.max_step, spec.max_step + 1))
+            seg = min(int(rng.integers(1, max(2, m // 8 + 1))), m - len(out))
+            out += [min(max(v + slope * k, 0), top - 1) for k in range(1, seg + 1)]
+            v = out[-1]
+        return out[:m]
+    out = []  # random_walk
+    steps = rng.integers(-spec.max_step, spec.max_step + 1, size=m)
+    for k in range(m):
+        v = min(max(v + int(steps[k]), 0), top - 1)
+        out.append(v)
+    return out
+
+
+def reference_generate_trace(gt) -> Trace:
+    """Bit-matrix generator: one uint8 per payload bit, each field written bit by
+    bit under the position numbering, then packed and padded to MAX_DLC bytes."""
+    rng = np.random.default_rng(gt.seed)
+    m = gt.frame_count
+    bits = np.full((m, gt.bit_width), gt.padding_value, dtype=np.uint8)
+    for spec in gt.specs:
+        lsb = spec.hi if spec.endianness == "big" else spec.lo
+        values = np.array(_reference_values(spec, m, rng), dtype=np.uint64)
+        for p in range(spec.lo, spec.hi + 1):
+            bits[:, p] = (values >> np.uint64(abs(p - lsb))) & np.uint64(1)
+    packed = np.packbits(bits, axis=1)
+    return Trace(
+        timestamps=gt.start_time + np.arange(m) * FRAME_PERIOD_S,
+        ids=np.full(m, gt.arbitration_id, dtype=np.uint32),
+        dlcs=np.full(m, gt.bit_width // 8, dtype=np.uint8),
+        payloads=np.pad(packed, ((0, 0), (0, MAX_DLC - packed.shape[1]))),
+    )
 
 
 def make_trace(frames):

@@ -254,6 +254,16 @@ class TestSynthScore:
             tmp_path / "t" / "0100_score.json").read_bytes()
 
 
+@pytest.mark.parametrize("command", ["tang", "tokenize", "extract"])
+def test_zero_width_group_skipped(command, tmp_path, capsys):
+    path = tmp_path / "x.log"
+    path.write_text("(0.1) can0 123#\n(0.2) can0 123#\n(0.3) can0 124#01\n(0.4) can0 124#02\n")
+    out = tmp_path / "o"
+    assert main([command, "-i", str(path), "--out", str(out)]) == 0
+    assert {p.name.split("_")[0] for p in out.iterdir()} == {"0124"}
+    assert "warning: skipping id 0x123 dlc 0: zero-width payload" in capsys.readouterr().err
+
+
 class TestErrors:
     def test_missing_input_exit_one(self, tmp_path, capsys):
         assert main(["tang", "-i", str(tmp_path / "nope.log")]) == 1

@@ -1,8 +1,11 @@
 import hashlib
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cantok import (
     AnalysisError,
@@ -28,6 +31,7 @@ from cantok.synth import (
 )
 from cantok.tokenizer import TokenCluster, Tokenization, TokenizerConfig
 
+from .conftest import reference_generate_trace
 from .test_signals import signal
 
 
@@ -168,6 +172,90 @@ class TestGenerate:
         gt = GroundTruth(arbitration_id=1, bit_width=8, specs=(), frame_count=3)
         ts = [f.timestamp for f in generate_trace(gt).frames]
         assert ts == pytest.approx([0.0, 0.01, 0.02])
+
+    def test_ramp_steps_bounded_at_64_bits(self):
+        # v + slope * k leaves the int64 range here; the steps must stay exact
+        gt = GroundTruth(
+            arbitration_id=1,
+            bit_width=64,
+            specs=(SignalSpec(lo=0, hi=63, kind="ramp", max_step=2**62),),
+            frame_count=300,
+            seed=5,
+        )
+        values = extract_series(single_id_trace(gt), [signal(0, 63)])[0].values.tolist()
+        assert max(abs(b - a) for a, b in zip(values, values[1:])) <= 2**62
+
+    def test_peak_memory_per_frame(self):
+        m = 200_000
+        gt = GroundTruth(
+            arbitration_id=0x100,
+            bit_width=64,
+            specs=(
+                SignalSpec(lo=0, hi=15, kind="counter"),
+                SignalSpec(lo=20, hi=43, kind="random_walk", endianness="little", max_step=3),
+                SignalSpec(lo=56, hi=63, kind="noise"),
+            ),
+            frame_count=m,
+            seed=3,
+        )
+        tracemalloc.start()
+        try:
+            generate_trace(gt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / m <= 48
+
+
+near_top = st.integers(min_value=2**64 - 2**10, max_value=2**64 - 1)
+max_step_st = st.one_of(st.integers(0, 9), st.integers(0, 2**63 - 1))
+
+
+@st.composite
+def signal_spec_st(draw, lo, hi):
+    kind = draw(st.sampled_from(["counter", "ramp", "random_walk", "constant", "noise"]))
+    return SignalSpec(
+        lo=lo,
+        hi=hi,
+        kind=kind,
+        endianness=draw(st.sampled_from(["big", "little"])),
+        step=draw(st.one_of(st.integers(0, 2**64 - 1), near_top)),
+        start=draw(st.one_of(st.integers(0, 2**64 - 1), near_top)),
+        max_step=draw(max_step_st),
+        value=draw(st.integers(0, 2 ** (hi - lo + 1) - 1)),
+    )
+
+
+@st.composite
+def ground_truth_st(draw):
+    """Fields and gaps tiling the payload, so fields also touch positions 0 and N-1."""
+    n = 8 * draw(st.integers(1, 8))
+    cuts = sorted(draw(st.sets(st.integers(1, n - 1), max_size=6)))
+    specs = tuple(
+        draw(signal_spec_st(lo, hi - 1))
+        for lo, hi in zip([0, *cuts], [*cuts, n])
+        if draw(st.booleans())
+    )
+    return GroundTruth(
+        arbitration_id=0x100,
+        bit_width=n,
+        specs=specs,
+        frame_count=draw(st.integers(0, 600)),
+        seed=draw(st.integers(0, 2**32)),
+        padding_value=draw(st.integers(0, 1)),
+    )
+
+
+@given(ground_truth_st())
+@example(GroundTruth(0x100, 64, (SignalSpec(0, 63, "counter", step=2**64 - 1, start=7),), 3))
+@example(GroundTruth(0x100, 64, (SignalSpec(0, 63, "ramp", "little", max_step=2**62),), 300, 5))
+@example(GroundTruth(0x100, 8, (SignalSpec(0, 0, "noise"), SignalSpec(7, 7, "noise")), 9, 1, 1))
+@example(GroundTruth(0x100, 8, (SignalSpec(0, 7, "ramp"),), 0))
+@settings(max_examples=200, deadline=None)
+def test_generate_matches_bit_matrix_reference(gt):
+    got, want = generate_trace(gt), reference_generate_trace(gt)
+    for name in ("timestamps", "ids", "dlcs", "payloads"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def make_tok(bit_width, signal_ranges, padding_ranges, arb_id=0x100):
