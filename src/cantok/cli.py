@@ -84,11 +84,11 @@ def _id_filter(args) -> set[int] | None:
     return wanted
 
 
-def _select_groups(trace: Trace, wanted: set[int] | None) -> list[tuple[tuple[int, int], IdTrace]]:
-    """Analyzable (id, dlc) groups, in partition_by_id's ascending (id, dlc) order:
-    each has two or more frames and a payload of at least one byte."""
-    groups = []
-    for key, idtrace in partition_by_id(trace).items():
+def _select_groups(groups: dict, wanted: set[int] | None) -> list[tuple[tuple[int, int], IdTrace]]:
+    """Analyzable groups of a partition_by_id result, in its ascending (id, dlc)
+    order: each has two or more frames and a payload of at least one byte."""
+    kept = []
+    for key, idtrace in groups.items():
         if wanted is not None and key[0] not in wanted:
             continue
         if len(idtrace) < 2:
@@ -96,10 +96,10 @@ def _select_groups(trace: Trace, wanted: set[int] | None) -> list[tuple[tuple[in
         elif key[1] == 0:
             reason = "zero-width payload"
         else:
-            groups.append((key, idtrace))
+            kept.append((key, idtrace))
             continue
         print(f"warning: skipping id 0x{key[0]:X} dlc {key[1]}: {reason}", file=sys.stderr)
-    return groups
+    return kept
 
 
 def _stems(groups) -> dict[tuple[int, int], str]:
@@ -120,7 +120,8 @@ def _analysis_input(args):
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     wanted = _id_filter(args)  # before the load, so a bad filter fails fast
-    groups = _select_groups(_load(args), wanted)
+    # no name holds the capture, so partition_by_id frees each column once gathered
+    groups = _select_groups(partition_by_id(_load(args)), wanted)
     if not groups:
         print("warning: no analyzable ids", file=sys.stderr)
     return outdir, groups, _stems(groups)
@@ -208,7 +209,7 @@ def cmd_score(args) -> int:
             tok = tokenizer.tokenization_from_dict(json.load(fh))
     elif args.input:
         config = _config(args)
-        groups = dict(_select_groups(_load(args), {gt.arbitration_id}))
+        groups = dict(_select_groups(partition_by_id(_load(args)), {gt.arbitration_id}))
         key = (gt.arbitration_id, gt.bit_width // 8)
         if key not in groups:
             raise CantokError(

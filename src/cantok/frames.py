@@ -611,18 +611,26 @@ def partition_by_id(trace: Trace) -> dict[tuple[int, int], IdTrace]:
     frames in capture order. Keys take the narrowest dtype that holds them,
     so 11-bit ids get numpy's 16-bit radix sort; a stable order is unique, so
     the dtype changes nothing.
+
+    When it holds the only reference to `trace`, as in
+    ``partition_by_id(load_trace(path))`` on CPython >= 3.11, it frees each
+    capture column once it has gathered it, so the capture and its groups
+    are never both held in full.
     """
-    dtype = np.min_scalar_type(int(trace.ids.max(initial=0)) << 4 | MAX_DLC)
-    keys = np.left_shift(trace.ids, 4, dtype=dtype)
-    keys |= trace.dlcs
+    timestamps, ids, dlcs, payloads = trace.timestamps, trace.ids, trace.dlcs, trace.payloads
+    dtype = np.min_scalar_type(int(ids.max(initial=0)) << 4 | MAX_DLC)
+    keys = np.left_shift(ids, 4, dtype=dtype)
+    keys |= dlcs
+    del trace, ids, dlcs  # from here on, a column rebound to its gather is freed if unshared
     order = np.argsort(keys, kind="stable")
     keys = keys[order]
     cuts = (np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()
     edges = [0, *cuts, len(keys)] if len(keys) else []
     group_keys = keys[edges[:-1]].tolist()
     del keys  # freed before the gathered columns, the largest arrays held here
-    words = np.ascontiguousarray(trace.payloads).view(np.uint64)  # gathered one word a row
-    timestamps, payloads = trace.timestamps[order], words[order].view(np.uint8)
+    timestamps = timestamps[order]
+    words = np.ascontiguousarray(payloads).view(np.uint64)[order]  # gathered one word a row
+    payloads = words.view(np.uint8)
     groups = {}
     for a, b, key in zip(edges, edges[1:], group_keys):
         arb_id, dlc = key >> 4, key & 0xF

@@ -174,12 +174,13 @@ def merge_traces(traces: list[Trace]) -> Trace:
     """Interleave traces by timestamp (stable, so per-id order is kept)."""
     if not traces:
         return Trace([], [], [], np.empty((0, MAX_DLC)))
-    columns = [
-        np.concatenate([getattr(t, name) for t in traces])
-        for name in ("timestamps", "ids", "dlcs", "payloads")
-    ]
-    order = np.argsort(columns[0], kind="stable")
-    return Trace(*(c[order] for c in columns))
+    timestamps = np.concatenate([t.timestamps for t in traces])
+    order = np.argsort(timestamps, kind="stable")
+    timestamps = timestamps[order]  # column by column: each concatenation is freed once gathered
+    return Trace(timestamps, *(
+        np.concatenate([getattr(t, name) for t in traces])[order]
+        for name in ("ids", "dlcs", "payloads")
+    ))
 
 
 def score_tokenization(tok: Tokenization, gt: GroundTruth) -> ScoreReport:

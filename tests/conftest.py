@@ -158,25 +158,49 @@ def naive_tang_counts(payloads):
     return counts
 
 
-def reference_cli_outputs(capture, outdir) -> None:
-    """The files `cantok tang` and `cantok tokenize` (default flags) write for a
-    candump capture, by a naive pipeline: the per-line loader, groups built
-    frame by frame, the scalar TANG count and one f-string per CSV row."""
+def reference_cli_outputs(capture, outdir, format: str = "candump", strict: bool = True) -> None:
+    """The files `cantok tang`, `tokenize` and `extract` (default flags) write
+    for a capture, by a naive pipeline: the per-line loader, groups built
+    frame by frame, the scalar TANG count, each value summed bit by bit and
+    one f-string per CSV row."""
     groups = {}
-    for f in reference_load_trace(capture).frames:
-        groups.setdefault((f.arbitration_id, f.dlc), []).append(f.payload)
-    groups = {key: rows for key, rows in sorted(groups.items()) if len(rows) > 1}
+    for f in reference_load_trace(capture, format, strict).frames:
+        groups.setdefault((f.arbitration_id, f.dlc), []).append(f)
+    groups = {  # the CLI skips one-frame and zero-width groups
+        key: frames for key, frames in sorted(groups.items()) if len(frames) > 1 and key[1]
+    }
     widths = Counter(arb_id for arb_id, _ in groups)
-    for (arb_id, dlc), rows in groups.items():
+    for (arb_id, dlc), frames in groups.items():
         stem = f"{arb_id:04X}" + (f"_dlc{dlc}" if widths[arb_id] > 1 else "")
+        rows = [f.payload for f in frames]
         counts = naive_tang_counts(rows)
         with open(outdir / f"{stem}_tang.csv", "w") as fh:
             fh.write("bit_position,transitions,normalized\n")
             for i, count in enumerate(counts):
                 fh.write(f"{i},{count},{count / (len(rows) - 1):.6f}\n")
         tang = Tang(np.array(counts, np.int64), observations=len(rows), arbitration_id=arb_id)
+        tok = tokenize(tang, TokenizerConfig())
         with open(outdir / f"{stem}_tokens.json", "w") as fh:
-            json.dump(tokenization_to_dict(tokenize(tang, TokenizerConfig())), fh, indent=2)
+            json.dump(tokenization_to_dict(tok), fh, indent=2)
+            fh.write("\n")
+        bits = [bits_of(row) for row in rows]
+        summaries = []
+        for c in tok.signal_clusters:
+            step = 1 if c.msb_index >= c.lsb_index else -1
+            lsb_to_msb = range(c.lsb_index, c.msb_index + step, step)
+            values = [sum(b[p] << k for k, p in enumerate(lsb_to_msb)) for b in bits]
+            with open(outdir / f"{stem}_sig{c.lo}-{c.hi}.csv", "w") as fh:
+                fh.write("index,timestamp,value\n")
+                for i, (f, v) in enumerate(zip(frames, values)):
+                    fh.write(f"{i},{f.timestamp:.6f},{v}\n")
+            low, high, unique, transitions, mean_abs = naive_summary(values)
+            summaries.append({
+                "id": f"0x{arb_id:04X}", "lo": c.lo, "hi": c.hi, "width": c.hi - c.lo + 1,
+                "min": low, "max": high, "unique_values": unique,
+                "value_transitions": transitions, "mean_abs_first_difference": mean_abs,
+            })
+        with open(outdir / f"{stem}_summary.json", "w") as fh:
+            json.dump(summaries, fh, indent=2)
             fh.write("\n")
 
 

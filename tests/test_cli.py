@@ -18,6 +18,7 @@ from cantok import (
 )
 from cantok import tokenizer
 from cantok.cli import build_parser, main
+from cantok.frames import CSV_HEADER
 from cantok.synth import (
     GroundTruth,
     SignalSpec,
@@ -28,7 +29,7 @@ from cantok.synth import (
 )
 from cantok.tokenizer import export_tokenization_json, tokenization_to_dict
 
-from .conftest import reference_cli_outputs
+from .conftest import reference_candump_line, reference_cli_outputs
 
 
 @pytest.fixture
@@ -467,10 +468,15 @@ class TestSharedFlags:
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
 
+# Lines neither format reads: each is malformed as candump and as CSV.
+JUNK_LINES = ["junk", "(0.5) can0 1Z3#00", "0.5,1Z3,1,00", "1.0,100,3,0102", "(1.0) can0 100#012"]
+
+
 @st.composite
 def _bus_st(draw):
-    """(id, dlc, frames) groups and a payload seed: standard and extended ids,
-    one or two dlcs per id, and groups of 1-3 or of 256-600 frames."""
+    """(id, dlc, frames) groups, a payload seed, a format and a junk-line count:
+    standard and extended ids, one or two dlcs per id, and groups of 1-3 or
+    of 256-600 frames."""
     ids = draw(st.lists(st.one_of(st.integers(0, 0x7FF), st.integers(0x800, 0x1FFFFFFF)),
                         min_size=1, max_size=3, unique=True))
     groups = [
@@ -478,11 +484,13 @@ def _bus_st(draw):
         for arb_id in ids
         for dlc in draw(st.lists(st.integers(1, 8), min_size=1, max_size=2, unique=True))
     ]
-    return groups, draw(st.integers(0, 2**32 - 1))
+    return (groups, draw(st.integers(0, 2**32 - 1)), draw(st.sampled_from(["candump", "csv"])),
+            draw(st.integers(0, 4)))
 
 
-def _write_bus(groups, seed, path) -> None:
-    """Interleave the groups' frames at random and write them as candump. Each
+def _write_bus(groups, seed, format, junk, path) -> None:
+    """Interleave the groups' frames at random and write them in `format`, one
+    f-string per line, with `junk` lines of JUNK_LINES at random places. Each
     payload holds random bits under a per-group mask, and its last byte counts
     the group's frames."""
     rng = np.random.default_rng(seed)
@@ -495,19 +503,33 @@ def _write_bus(groups, seed, path) -> None:
     for g in range(len(groups)):
         rank[group == g] = np.arange(np.count_nonzero(group == g))
     payloads[np.arange(len(group)), dlcs - 1] = rank % 256
-    write_candump(Trace(np.arange(len(group)) * 0.001, ids, dlcs, payloads), path)
+    frames = Trace(np.arange(len(group)) * 0.001, ids, dlcs, payloads).frames
+    if format == "csv":
+        lines = [CSV_HEADER] + [
+            f"{f.timestamp:.6f},{f.arbitration_id:X},{f.dlc},{f.payload.hex().upper()}"
+            for f in frames
+        ]
+    else:
+        lines = [reference_candump_line(f) for f in frames]
+    for k in rng.integers(0, len(lines) + 1, junk).tolist():
+        lines.insert(k, JUNK_LINES[k % len(JUNK_LINES)])
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 @given(_bus_st())
 @settings(max_examples=30, deadline=None)
-def test_tang_and_tokenize_match_naive_pipeline(bus):
+def test_tang_tokenize_and_extract_match_naive_pipeline(bus):
+    """`tang`, `tokenize` and `extract` write what the naive pipeline writes, on
+    candump and CSV captures, strict or under --lenient with junk lines."""
+    *bus, format, junk = bus
+    flags = ["--format", format] + ["--lenient"] * (junk > 0)
     with tempfile.TemporaryDirectory() as tmp:
-        capture, cli_out, naive_out = (Path(tmp) / name for name in ("capture.log", "cli", "naive"))
-        _write_bus(*bus, capture)
-        for command in ("tang", "tokenize"):
-            assert main([command, "-i", str(capture), "--out", str(cli_out)]) == 0
+        capture, cli_out, naive_out = (Path(tmp) / name for name in ("capture", "cli", "naive"))
+        _write_bus(*bus, format, junk, capture)
+        for command in ("tang", "tokenize", "extract"):
+            assert main([command, "-i", str(capture), "--out", str(cli_out), *flags]) == 0
         naive_out.mkdir()
-        reference_cli_outputs(capture, naive_out)
+        reference_cli_outputs(capture, naive_out, format, strict=not junk)
         written, expected = ({p.name: p.read_bytes() for p in d.iterdir()}
                              for d in (cli_out, naive_out))
         assert written == expected
