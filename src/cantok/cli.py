@@ -120,7 +120,7 @@ def _analysis_input(args):
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     wanted = _id_filter(args)  # before the load, so a bad filter fails fast
-    # no name holds the capture, so partition_by_id frees each column once gathered
+    # no name holds the capture, so partition_by_id frees each column once done with it
     groups = _select_groups(partition_by_id(_load(args)), wanted)
     if not groups:
         print("warning: no analyzable ids", file=sys.stderr)

@@ -344,10 +344,11 @@ def fixed6_field(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return digits, present
 
 
-def row_blocks(n: int) -> Iterator[slice]:
-    """Slices of at most ENCODE_ROWS rows that cover range(n) in order."""
-    for start in range(0, n, ENCODE_ROWS):
-        yield slice(start, min(start + ENCODE_ROWS, n))
+def row_blocks(n: int, rows: int | None = None) -> Iterator[slice]:
+    """Slices of at most `rows` (default ENCODE_ROWS) rows that cover range(n) in order."""
+    rows = rows or ENCODE_ROWS
+    for start in range(0, n, rows):
+        yield slice(start, min(start + rows, n))
 
 
 def join_fields(fields, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -602,35 +603,61 @@ def load_trace(path, format: str = "candump", strict: bool = True) -> Trace:
     return trace
 
 
+PARTITION_ROWS = 1 << 14  # rows per block of the partition's passes; bounds their temporaries
+
+
+def _gather(column: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """``column[order]``, taken PARTITION_ROWS rows at a time."""
+    out = np.empty((len(order), *column.shape[1:]), column.dtype)
+    for rows in row_blocks(len(order), PARTITION_ROWS):  # "clip" writes straight into out
+        np.take(column, order[rows], axis=0, out=out[rows], mode="clip")
+    return out
+
+
 def partition_by_id(trace: Trace) -> dict[tuple[int, int], IdTrace]:
     """Split a trace into per-(arbitration id, dlc) groups.
 
     Keying on (id, dlc) keeps each group at a fixed bit width even when an
     id violates the fixed-width assumption; such ids are reported in a
     warning. Groups come in ascending (id, dlc) order, and each keeps its
-    frames in capture order. Keys take the narrowest dtype that holds them,
-    so 11-bit ids get numpy's 16-bit radix sort; a stable order is unique, so
-    the dtype changes nothing.
+    frames in capture order: frame k of M becomes the distinct uint64 word
+    ``(id << 4 | dlc) << b | k``, ``b = (M - 1).bit_length()``, and one
+    in-place sort of the words orders them. The frame order is read out as
+    uint32 (up to 2**32 frames) and the columns are gathered through it in
+    blocks of PARTITION_ROWS rows. Key and index must fit in 64 bits, else
+    AnalysisError: extended ids allow up to 2**31 frames.
 
     When it holds the only reference to `trace`, as in
     ``partition_by_id(load_trace(path))`` on CPython >= 3.11, it frees each
-    capture column once it has gathered it, so the capture and its groups
-    are never both held in full.
+    capture column once done with it, so it needs 8 bytes a frame over the
+    capture (the words, then one gathered column) plus a few blocks.
     """
     timestamps, ids, dlcs, payloads = trace.timestamps, trace.ids, trace.dlcs, trace.payloads
-    dtype = np.min_scalar_type(int(ids.max(initial=0)) << 4 | MAX_DLC)
-    keys = np.left_shift(ids, 4, dtype=dtype)
-    keys |= dlcs
-    del trace, ids, dlcs  # from here on, a column rebound to its gather is freed if unshared
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    cuts = (np.flatnonzero(keys[1:] != keys[:-1]) + 1).tolist()
-    edges = [0, *cuts, len(keys)] if len(keys) else []
-    group_keys = keys[edges[:-1]].tolist()
-    del keys  # freed before the gathered columns, the largest arrays held here
-    timestamps = timestamps[order]
-    words = np.ascontiguousarray(payloads).view(np.uint64)[order]  # gathered one word a row
-    payloads = words.view(np.uint8)
+    del trace  # from here on, a column rebound or deleted is freed if unshared
+    m = len(timestamps)
+    index_bits = (m - 1).bit_length()
+    key_bits = int(ids.max(initial=0)).bit_length() + 4
+    if key_bits + index_bits > 64:
+        raise AnalysisError(f"cannot partition {m} frames by {key_bits}-bit (id, dlc) keys")
+    words = np.left_shift(ids, 4, dtype=np.uint64)
+    words |= dlcs
+    del ids, dlcs
+    words <<= index_bits
+    for rows in row_blocks(m, PARTITION_ROWS):
+        words[rows] |= np.arange(rows.start, rows.stop, dtype=np.uint64)
+    words.sort()
+    order = np.empty(m, np.uint32 if m <= 1 << 32 else np.intp)
+    cuts = []
+    for rows in row_blocks(m, PARTITION_ROWS):
+        order[rows] = words[rows] & ((1 << index_bits) - 1)
+        lo = max(rows.start - 1, 0)  # each block also compares its first key with the one before
+        keys = words[lo : rows.stop] >> index_bits
+        cuts += (np.flatnonzero(keys[1:] != keys[:-1]) + lo + 1).tolist()
+    edges = [0, *cuts, m] if m else []
+    group_keys = (words[edges[:-1]] >> index_bits).tolist()
+    del words
+    timestamps = _gather(timestamps, order)
+    payloads = _gather(np.ascontiguousarray(payloads).view(np.uint64), order).view(np.uint8)
     groups = {}
     for a, b, key in zip(edges, edges[1:], group_keys):
         arb_id, dlc = key >> 4, key & 0xF

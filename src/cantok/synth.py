@@ -177,10 +177,10 @@ def merge_traces(traces: list[Trace]) -> Trace:
     timestamps = np.concatenate([t.timestamps for t in traces])
     order = np.argsort(timestamps, kind="stable")
     timestamps = timestamps[order]  # column by column: each concatenation is freed once gathered
-    return Trace(timestamps, *(
-        np.concatenate([getattr(t, name) for t in traces])[order]
-        for name in ("ids", "dlcs", "payloads")
-    ))
+    ids, dlcs = (np.concatenate([getattr(t, name) for t in traces])[order]
+                 for name in ("ids", "dlcs"))
+    words = np.concatenate([t.payloads for t in traces]).view(np.uint64)[order]  # one word a row
+    return Trace(timestamps, ids, dlcs, words.view(np.uint8))
 
 
 def score_tokenization(tok: Tokenization, gt: GroundTruth) -> ScoreReport:

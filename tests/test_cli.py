@@ -488,11 +488,11 @@ def _bus_st(draw):
             draw(st.integers(0, 4)))
 
 
-def _write_bus(groups, seed, format, junk, path) -> None:
+def _write_bus(groups, seed, format, junk, end, path) -> None:
     """Interleave the groups' frames at random and write them in `format`, one
-    f-string per line, with `junk` lines of JUNK_LINES at random places. Each
-    payload holds random bits under a per-group mask, and its last byte counts
-    the group's frames."""
+    f-string per line ended by `end`, with `junk` lines of JUNK_LINES at random
+    places. Each payload holds random bits under a per-group mask, and its
+    last byte counts the group's frames."""
     rng = np.random.default_rng(seed)
     group = np.repeat(np.arange(len(groups)), [n for _, _, n in groups])
     rng.shuffle(group)
@@ -513,23 +513,27 @@ def _write_bus(groups, seed, format, junk, path) -> None:
         lines = [reference_candump_line(f) for f in frames]
     for k in rng.integers(0, len(lines) + 1, junk).tolist():
         lines.insert(k, JUNK_LINES[k % len(JUNK_LINES)])
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text(end.join(lines) + end, newline="")
 
 
 @given(_bus_st())
 @settings(max_examples=30, deadline=None)
 def test_tang_tokenize_and_extract_match_naive_pipeline(bus):
     """`tang`, `tokenize` and `extract` write what the naive pipeline writes, on
-    candump and CSV captures, strict or under --lenient with junk lines."""
+    candump and CSV captures, strict or under --lenient with junk lines, with
+    LF, CR or CR LF line ends: the naive pipeline reads the LF capture, and the
+    CLI each of the three."""
     *bus, format, junk = bus
     flags = ["--format", format] + ["--lenient"] * (junk > 0)
     with tempfile.TemporaryDirectory() as tmp:
-        capture, cli_out, naive_out = (Path(tmp) / name for name in ("capture", "cli", "naive"))
-        _write_bus(*bus, format, junk, capture)
-        for command in ("tang", "tokenize", "extract"):
-            assert main([command, "-i", str(capture), "--out", str(cli_out), *flags]) == 0
+        capture, naive_out = Path(tmp) / "capture", Path(tmp) / "naive"
+        _write_bus(*bus, format, junk, "\n", capture)
         naive_out.mkdir()
         reference_cli_outputs(capture, naive_out, format, strict=not junk)
-        written, expected = ({p.name: p.read_bytes() for p in d.iterdir()}
-                             for d in (cli_out, naive_out))
-        assert written == expected
+        expected = {p.name: p.read_bytes() for p in naive_out.iterdir()}
+        for k, end in enumerate(("\n", "\r", "\r\n")):
+            _write_bus(*bus, format, junk, end, capture)
+            cli_out = Path(tmp) / f"cli{k}"
+            for command in ("tang", "tokenize", "extract"):
+                assert main([command, "-i", str(capture), "--out", str(cli_out), *flags]) == 0
+            assert {p.name: p.read_bytes() for p in cli_out.iterdir()} == expected, repr(end)

@@ -231,33 +231,41 @@ def _edge_frames(*keys):
             for k, (arb_id, dlc) in enumerate(keys)]
 
 
-# Group keys are (id << 4) | dlc, sorted in the narrowest dtype that holds
-# them: 8 bits for ids up to 0xF, 16 up to 0xFFF (every standard id), 32 or
-# 64 above. The examples sit on both sides of the 16-bit edge (0xFFF8 and
-# 0x10000).
+# The partition sorts one word a frame, ((id << 4) | dlc) << b | frame index,
+# so the drawn ids (up to 4, 11, 12 and 29 bits) give keys of 8 to 33 bits.
+# It reads the sorted words and gathers the columns in blocks of
+# PARTITION_ROWS rows; each capture is also partitioned in blocks of 1, 2
+# and 3 rows, so that groups straddle block edges. The first two examples
+# put keys on both sides of 0x10000; in the third, one key spans three
+# blocks of 3 rows (sorted rows 0-7); in the fourth, a new key starts on
+# sorted row 6, an edge for blocks of 1, 2 and 3 rows.
 @given(st.one_of(capture_st(0xF), capture_st(0x7FF), capture_st(0xFFF), capture_st()))
 @example(_edge_frames((0xFFF, 8), (0x1000, 0), (0xFFF, 8), (0xFFF, 7), (0x1000, 0)))
 @example(_edge_frames((0xFFF, 8), (0xFFE, 8), (0xFFF, 8), (0, 0), (0xFFF, 8)))
+@example(_edge_frames((0x200, 4), *[(0x100, 2)] * 8, (0x200, 4)))
+@example(_edge_frames(*[(0x1ABCDEF0, 8), (0x7FF, 0)] * 6))
 @settings(max_examples=300, deadline=None)
-def test_partition_matches_per_frame_filter(frames):
-    trace = make_trace(frames)
-    assert list(trace.frames) == frames
-    groups = partition_by_id(trace)
-    assert list(groups) == sorted({(f.arbitration_id, f.dlc) for f in frames})
-    # a strided payload column partitions like its contiguous copy
-    wide = np.zeros((len(trace), 16), np.uint8)
-    wide[:, ::2] = trace.payloads
-    strided = partition_by_id(Trace(trace.timestamps, trace.ids, trace.dlcs, wide[:, ::2]))
-    assert list(strided) == list(groups)
-    for g, h in zip(groups.values(), strided.values()):
-        assert g.timestamps.tobytes() == h.timestamps.tobytes()
-        assert g.payloads.tobytes() == h.payloads.tobytes()
-    for (arb_id, dlc), g in groups.items():
-        expected = [f for f in frames if (f.arbitration_id, f.dlc) == (arb_id, dlc)]
-        assert (g.arbitration_id, g.dlc) == (arb_id, dlc)
-        assert g.payloads.shape == (len(expected), dlc)
-        assert g.timestamps.tolist() == [f.timestamp for f in expected]
-        assert [row.tobytes() for row in g.payloads] == [f.payload for f in expected]
+def test_partition_matches_per_frame_filter(capture):
+    for rows in (frames.PARTITION_ROWS, 1, 2, 3):
+        with mock.patch.object(frames, "PARTITION_ROWS", rows):
+            trace = make_trace(capture)
+            assert list(trace.frames) == capture
+            groups = partition_by_id(trace)
+            assert list(groups) == sorted({(f.arbitration_id, f.dlc) for f in capture})
+            # a strided payload column partitions like its contiguous copy
+            wide = np.zeros((len(trace), 16), np.uint8)
+            wide[:, ::2] = trace.payloads
+            strided = partition_by_id(Trace(trace.timestamps, trace.ids, trace.dlcs, wide[:, ::2]))
+            assert list(strided) == list(groups)
+            for g, h in zip(groups.values(), strided.values()):
+                assert g.timestamps.tobytes() == h.timestamps.tobytes()
+                assert g.payloads.tobytes() == h.payloads.tobytes()
+            for (arb_id, dlc), g in groups.items():
+                expected = [f for f in capture if (f.arbitration_id, f.dlc) == (arb_id, dlc)]
+                assert (g.arbitration_id, g.dlc) == (arb_id, dlc)
+                assert g.payloads.shape == (len(expected), dlc)
+                assert g.timestamps.tolist() == [f.timestamp for f in expected]
+                assert [row.tobytes() for row in g.payloads] == [f.payload for f in expected]
 
 
 @given(capture_st())
