@@ -55,20 +55,21 @@ threshold, and freeing them raises it, so the heap holds more memory for
 the rest of the run (peak RSS +1-2% at 256 KiB, +4% at 512 KiB).
 
 The writers are the inverse, a columnar row encoder. For each block of
-`ENCODE_ROWS` rows (`row_blocks`), every field becomes an (n, W) byte
-matrix plus a mask of the bytes each row has (digits right-aligned,
-separators broadcast); the masked bytes of the fields side by side
-(`join_fields`), read row by row, are the lines. `write_candump` writes
-a trace so; `signals.export_series_csv` joins each block's shared
-columns once and writes them with each series' values.
-`fixed6_field` matches ``f"{v:.6f}"`` byte for byte and hands that
-f-string the rows it cannot show exact: a sixth decimal near a .5 tie, a
-negative or non-finite value, or one of at least 2**53.
+`ENCODE_ROWS` rows (`row_blocks`), each field is a (k, W) byte matrix,
+NUL where a row has no byte: decimal digits come four at a time from a
+table of ``b"%04d"`` or its twin with leading zeros NUL, hex digits two
+at a time from one of ``b"%02X"``. `join_fields` sets the fields side by
+side and deletes every NUL with one `bytes.translate`, leaving the lines.
+`write_candump` writes a trace so; `signals.export_series_csv` encodes a
+block's index and timestamps once for all its series. `fixed6_field`
+matches ``f"{v:.6f}"`` and hands that f-string the rows it cannot show
+exact: near a .5 tie, negative, non-finite or at least 2**53.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import logging
 import math
@@ -206,16 +207,22 @@ def parse_hex_id(text) -> int:
     return int(text, 16)
 
 
+@functools.cache
+def _int_fields(cls) -> tuple[tuple[str, bool], ...]:
+    """(name, may hold None) of each ``int`` and ``int | None`` field of dataclass `cls`."""
+    return tuple((f.name, f.type != "int") for f in fields(cls) if f.type in ("int", "int | None"))
+
+
 def require_uints(obj) -> None:
     """Raise TypeError unless each ``int`` field of dataclass `obj` holds an int, not a
     bool (an ``int | None`` one may hold None), and ValueError if one is negative."""
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if f.type == "int" or f.type == "int | None" and value is not None:
+    for name, optional in _int_fields(type(obj)):
+        value = getattr(obj, name)
+        if not optional or value is not None:
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise TypeError(f"{f.name} must be an integer, not {value!r}")
+                raise TypeError(f"{name} must be an integer, not {value!r}")
             if value < 0:
-                raise ValueError(f"{f.name} must be nonnegative, not {value}")
+                raise ValueError(f"{name} must be nonnegative, not {value}")
 
 
 def _build_frame(
@@ -288,30 +295,39 @@ def parse_csv_line(line: str, lineno: int | None = None) -> CanFrame:
 ENCODE_ROWS = 1 << 16  # rows encoded per block; bounds the writers' memory
 _EXACT_INT = 1 << 53  # integers below this are exact float64 values
 
-_POW10_U64 = 10 ** np.arange(20, dtype=np.uint64)  # every power below 2**64
-_HEX_UPPER = np.frombuffer(b"0123456789ABCDEF", np.uint8)
+
+def _dec4_table() -> np.ndarray:
+    """(2, 10**4) uint32: the bytes of each number's b"%04d", its leading zeros NUL, then as is."""
+    n, place = np.arange(10**4, dtype=np.uint16)[:, None], np.array([1000, 100, 10, 1], np.uint16)
+    digits = (n // place % 10 + ord("0")).astype(np.uint8)
+    return np.stack((np.where(n < place, 0, digits), digits)).view(np.uint32).reshape(2, -1)
 
 
-def _digits(values: np.ndarray, width: int) -> np.ndarray:
-    """The last `width` decimal digits of each uint64, as ASCII bytes."""
-    out = np.empty((len(values), width), np.uint8)
-    for j in range(width - 1, -1, -1):
+_DEC4 = _dec4_table()
+_HEX2 = np.frombuffer(b"0123456789ABCDEF", np.uint8)[  # 256 uint16: each byte's b"%02X"
+    np.arange(256)[:, None] >> [4, 0] & 0xF].view(np.uint16).ravel()
+# which of a row's 8 id digits `write_candump` keeps: the last 3 of a standard id, or all 8
+_ID_KEEP = np.frombuffer(b"\0" * 5 + b"\xff" * 11, np.uint64)
+
+
+def decimal_field(values: np.ndarray) -> np.ndarray:
+    """``str(v)`` of each uint64, right-aligned after NULs, as a field for `join_fields`."""
+    groups = -(-len(str(int(values.max(initial=0)))) // 4)  # of 4 digits, in the longest
+    words = np.empty((len(values), groups), np.uint32)
+    for j in range(groups - 1, -1, -1):
         # numpy divides by a scalar with a multiply, several times faster than by an array
-        quotient = values // np.uint64(10)
-        out[:, j] = values - quotient * np.uint64(10)
+        quotient = values // np.uint64(10**4)
+        index = values - quotient * np.uint64(10**4)
+        index += (quotient != 0) * np.uint64(10**4)  # b"%04d" below a nonzero quotient
+        np.take(_DEC4, index.view(np.int64), out=words[:, j])
         values = quotient
-    return out + np.uint8(ord("0"))
+    digits = words.view(np.uint8)
+    np.maximum(digits[:, -1], ord("0"), out=digits[:, -1])  # a row of all NUL is 0
+    return digits
 
 
-def decimal_field(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``str(v)`` of each uint64 as a field for `join_fields`."""
-    ndigits = np.maximum(np.searchsorted(_POW10_U64, values, side="right"), 1)
-    width = int(ndigits.max(initial=1))
-    return _digits(values, width), np.arange(width) >= width - ndigits[:, None]
-
-
-def fixed6_field(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``f"{v:.6f}"`` of each float64 as a field for `join_fields`.
+def fixed6_field(x: np.ndarray) -> np.ndarray:
+    """``f"{v:.6f}"`` of each float64, right-aligned after NULs, as a field for `join_fields`.
 
     `floor(v)` and ``v - floor(v)`` are exact, and their product with 1e6
     (< 2**20) is within 2**-33 of the exact one, so `rint` rounds it as
@@ -325,23 +341,17 @@ def fixed6_field(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         exact &= np.abs(micros - np.floor(micros) - 0.5) >= 1e-6
     micros = np.where(exact, np.rint(micros), 0).astype(np.uint64)
     carry = micros == 10**6  # whose last six digits, all the row writes, are 000000
-    digits, present = decimal_field(np.where(exact, whole, 0).astype(np.uint64) + carry)
-    digits = np.concatenate(
-        (digits, np.full((len(x), 1), ord("."), np.uint8), _digits(micros, 6)), axis=1
-    )
-    present = np.concatenate((present, np.ones((len(x), 7), bool)), axis=1)
+    seconds = decimal_field(np.where(exact, whole, 0).astype(np.uint64) + carry)
+    field = np.concatenate((seconds, decimal_field(micros + np.uint64(10**7))), axis=1)
+    field[:, -8:-6] = (0, ord("."))  # over the 10 or 11 before the micros' six digits
     slow = np.flatnonzero(~exact)
     if slow.size:
         texts = [f"{v:.6f}".encode() for v in x[slow].tolist()]
-        grow = max(map(len, texts)) - digits.shape[1]
-        if grow > 0:
-            digits = np.pad(digits, ((0, 0), (0, grow)))
-            present = np.pad(present, ((0, 0), (0, grow)))
-        present[slow] = False
-        for row, text in zip(slow.tolist(), texts):
-            digits[row, : len(text)] = np.frombuffer(text, np.uint8)
-            present[row, : len(text)] = True
-    return digits, present
+        width = max(field.shape[1], *map(len, texts))
+        field = np.pad(field, ((0, 0), (width - field.shape[1], 0)))
+        field[slow] = np.frombuffer(b"".join(t.rjust(width, b"\0") for t in texts), np.uint8
+                                    ).reshape(-1, width)
+    return field
 
 
 def row_blocks(n: int, rows: int | None = None) -> Iterator[slice]:
@@ -351,22 +361,16 @@ def row_blocks(n: int, rows: int | None = None) -> Iterator[slice]:
         yield slice(start, min(start + rows, n))
 
 
-def join_fields(fields, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The fields of k rows side by side, in line order, as one field.
+def join_fields(fields, k: int) -> bytes:
+    """The lines of k rows: their fields side by side, read row by row, less every NUL.
 
-    A field is a literal ``bytes`` or a pair of (k, W) matrices, the
-    field's bytes and which of them each row has. The present bytes of
-    the joined field, read row by row, are the lines.
+    A field is a literal ``bytes`` or a (k, W) uint8 matrix with NUL at each
+    byte a row does not have. No field's other bytes are NUL.
     """
-    chars, present = [], []
-    for field in fields:
-        if isinstance(field, bytes):
-            chars.append(np.broadcast_to(np.frombuffer(field, np.uint8), (k, len(field))))
-            present.append(np.broadcast_to(True, (k, len(field))))
-        else:
-            chars.append(field[0])
-            present.append(field[1])
-    return np.concatenate(chars, axis=1), np.concatenate(present, axis=1)
+    return np.concatenate([
+        np.broadcast_to(np.frombuffer(f, np.uint8), (k, len(f))) if isinstance(f, bytes) else f
+        for f in fields
+    ], axis=1).tobytes().translate(None, b"\0")
 
 
 def write_candump(trace: Trace, path) -> None:
@@ -377,17 +381,15 @@ def write_candump(trace: Trace, path) -> None:
     """
     with open(path, "wb") as fh:
         for rows in row_blocks(len(trace)):
-            ids, payloads = trace.ids[rows], trace.payloads[rows]
-            id_hex = _HEX_UPPER[ids[:, None] >> np.arange(28, -1, -4, dtype=np.uint32) & 0xF]
-            id_width = np.where(ids > STANDARD_ID_MAX, 8, 3)
-            nibbles = np.stack((payloads >> 4, payloads & 0xF), axis=2).reshape(-1, 2 * MAX_DLC)
-            chars, present = join_fields([
-                b"(", fixed6_field(trace.timestamps[rows]), b") can0 ",
-                (id_hex, np.arange(8) >= 8 - id_width[:, None]), b"#",
-                (_HEX_UPPER[nibbles], np.arange(2 * MAX_DLC) < 2 * trace.dlcs[rows, None]),
-                b"\n",
-            ], len(ids))
-            fh.write(chars[present].tobytes())
+            ids = trace.ids[rows]
+            id_hex = np.take(_HEX2, ids.astype(">u4").view(np.uint8).reshape(-1, 4))
+            id_hex.view(np.uint64)[:, 0] &= _ID_KEEP[(ids > STANDARD_ID_MAX).view(np.uint8)]
+            payload_hex = np.take(_HEX2, trace.payloads[rows])
+            payload_hex *= np.arange(MAX_DLC) < trace.dlcs[rows, None]  # NUL past the dlc
+            fh.write(join_fields([
+                b"(", fixed6_field(trace.timestamps[rows]), b") can0 ", id_hex.view(np.uint8),
+                b"#", payload_hex.view(np.uint8), b"\n",
+            ], len(ids)))
 
 
 CHUNK_BYTES = 1 << 17  # read size; each chunk is cut after its last line end

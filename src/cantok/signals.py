@@ -3,8 +3,8 @@
 `export_series_csv` writes the series of one group in one pass with the
 columnar row encoder of `frames`, byte for byte as one
 ``f"{i},{ts:.6f},{v}"`` per row. All its files are open at once; for each
-block of `frames.ENCODE_ROWS` rows it encodes the shared
-``index,timestamp,`` bytes once, then adds each series' values.
+block of `frames.ENCODE_ROWS` rows it encodes the NUL-padded index and
+timestamp fields once and joins them with each series' value field.
 """
 
 from __future__ import annotations
@@ -125,14 +125,11 @@ def export_series_csv(series: Sequence[SignalSeries], paths) -> None:
         for fh in files:
             fh.write(b"index,timestamp,value\n")
         for rows in row_blocks(len(timestamps)):
-            k = rows.stop - rows.start
-            shared = join_fields([
-                decimal_field(np.arange(rows.start, rows.stop, dtype=np.uint64)), b",",
-                fixed6_field(timestamps[rows]), b",",
-            ], k)
+            index = decimal_field(np.arange(rows.start, rows.stop, dtype=np.uint64))
+            stamps = fixed6_field(timestamps[rows])
             for s, fh in zip(series, files):
-                chars, present = join_fields([shared, decimal_field(s.values[rows]), b"\n"], k)
-                fh.write(chars[present].tobytes())
+                fields = [index, b",", stamps, b",", decimal_field(s.values[rows]), b"\n"]
+                fh.write(join_fields(fields, len(index)))
 
 
 def summary_to_dict(series: SignalSeries, summary: SignalSummary) -> dict:

@@ -140,6 +140,10 @@ GOLDEN_LAYOUTS = [
     GroundTruth(0x300, 8, (SignalSpec(0, 7, "noise"),), 1, seed=11, start_time=0.0011),
 ]
 
+# sha256 of the capture `write_candump` writes from GOLDEN_LAYOUTS; the
+# per-row reference writer of conftest writes the same bytes.
+GOLDEN_CAPTURE_DIGEST = "daba9bf6a2ac5bdd89237ec97752f84b07f13ca0d71e34f174ff32d156bbaaad"
+
 # sha256 of each output file and of stdout, from the extract writer that
 # wrote one series file per call.
 GOLDEN_EXTRACT_DIGESTS = {
@@ -183,6 +187,7 @@ class TestExtractGolden:
     def test_outputs_match_digests(self, tmp_path, capsys):
         capture = tmp_path / "golden.log"
         write_candump(merge_traces([generate_trace(gt) for gt in GOLDEN_LAYOUTS]), capture)
+        assert hashlib.sha256(capture.read_bytes()).hexdigest() == GOLDEN_CAPTURE_DIGEST
         out = tmp_path / "out"
         assert main(["extract", "-i", str(capture), "--out", str(out)]) == 0
         digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}

@@ -635,6 +635,30 @@ class TestRoundTrip:
         )
 
 
+class TestEncoder:
+    def test_decimal_field_matches_str(self):
+        values = [*range(10**5), *(10**k + d for k in range(1, 20) for d in (-1, 0, 1)),
+                  2**64 - 1]
+        field = frames.decimal_field(np.array(values, dtype=np.uint64))
+        assert frames.join_fields([field, b"\n"], len(values)) == "".join(
+            f"{v}\n" for v in values
+        ).encode()
+
+    def test_tables_match_their_definitions(self):
+        assert frames._DEC4[1].tobytes() == b"".join(b"%04d" % v for v in range(10**4))
+        assert frames._DEC4[0].tobytes() == b"".join(
+            (b"%d" % v if v else b"").rjust(4, b"\0") for v in range(10**4)
+        )
+        assert frames._HEX2.tobytes() == b"".join(b"%02X" % v for v in range(256))
+        assert frames._ID_KEEP.tobytes() == b"\0" * 5 + b"\xff" * 11
+
+    def test_tables_stay_small(self):
+        """Every array the module builds at import, together, fits in 128 KiB."""
+        tables = [a for a in vars(frames).values() if isinstance(a, np.ndarray)]
+        assert any(a is frames._DEC4 for a in tables)
+        assert sum(a.nbytes for a in tables) <= 128 * 1024
+
+
 def test_trace_validate():
     good = make_trace((CanFrame(1.0, 1, 0, b""), CanFrame(1.0, 1, 0, b"")))
     good.validate()

@@ -412,12 +412,14 @@ def test_load_trace_matches_per_line_reference(data, fmt, newline, final_newline
 
 
 # Values for the writer differential tests: sixth-decimal ties and
-# near-ties, carries into the integer part, epoch-scale stamps, and the
-# values the encoder hands to the f-string (negative, non-finite, >= 2**53).
+# near-ties, carries into the integer part, epoch-scale stamps, the edges
+# of the encoder's groups of 4 digits, and the values it hands to the
+# f-string (negative, non-finite, >= 2**53).
 _stamp_st = st.one_of(
     st.sampled_from([
         0.0, -0.0, 5e-7, 2.5e-6, 0.9999995, 0.9999998, 1e9 + 0.9999999, 2.0**53 - 1,
         2.0**53, 1e300, -1.5, math.nan, math.inf, -math.inf,
+        9999.0, 1e4, 1e8 - 1, 1e8, 1e16, float(10**19 - 1),
     ]),
     st.integers(min_value=0, max_value=10**6).map(lambda k: (k + 0.5) / 1e6),
     st.integers(min_value=0, max_value=2 * 10**9).map(lambda k: k + 0.0000005),
@@ -427,7 +429,9 @@ _stamp_st = st.one_of(
 )
 _value_st = st.one_of(
     st.integers(min_value=0, max_value=2**64 - 1),
-    st.sampled_from([0, 9, 10, 10**19 - 1, 10**19, 2**64 - 1]),
+    st.sampled_from([
+        0, 9, 10, 9999, 10**4, 10**8 - 1, 10**8, 10**16, 10**19 - 1, 10**19, 2**64 - 1,
+    ]),
 )
 _id_any_st = st.one_of(
     st.integers(min_value=0, max_value=0x1FFFFFFF), st.sampled_from([0, 0x7FF, 0x800, 0x1FFFFFFF])
