@@ -39,20 +39,23 @@ what is valid and every error message. A line that is not valid UTF-8
 is malformed unless it is blank or a ``#`` comment.
 
 A chunk's lines are grouped by length, and each group is peeled in
-rounds. A round guesses a template from the first line still undecided:
+rounds. A round takes the template of the first line still undecided:
 the columns of its fields, each with a byte class (digit, hex digit or
-interface byte), and its other bytes and CSV dlc as literals. The
-undecided lines with those literals are decoded if each byte has its
-column's class and the numbers are in range. They leave the group either
-way, as does a first line that gives no template, and a line not decoded
-goes to the per-line parser. A group's lines are rows of the chunk
-translated by one byte-class table: a strided view if all the chunk's
-lines have one length and a one-byte end, and if one round then decodes
-them all, its columns are the chunk's, with no scatter.
-`CHUNK_BYTES` is 128 KiB. Larger chunks load CSV and many-id captures a
-little faster, but a chunk's temporaries then exceed glibc's 128 KiB mmap
-threshold, and freeing them raises it, so the heap holds more memory for
-the rest of the run (peak RSS +1-2% at 256 KiB, +4% at 512 KiB).
+interface byte), and its other bytes and CSV dlc as literals. A template
+is guessed once per load for each line shape (the line with every hex
+digit as 0) and kept for later chunks. The undecided lines with its
+literals are decoded if each byte has its column's class and the numbers
+are in range. They leave the group either way, as does a first line that
+gives no template or lacks a kept one's literals (a CSV dlc that does not
+match its payload), and a line not decoded goes to the per-line parser.
+A group's lines are rows of the chunk translated by one byte-class table:
+a strided view if all the chunk's lines have one length and a one-byte end.
+`CHUNK_BYTES` is 512 KiB. A load reads the file into one buffer, first to
+count its lines and then chunk by chunk, translates each chunk into a
+second and decodes digits in a third. It writes decoded frames straight
+into the trace's columns and moves a chunk's rows up only if it skipped
+lines. So no chunk-sized array is freed per chunk: that raises glibc's
+mmap threshold, and the heap then holds more memory for the rest of the run.
 
 The writers are the inverse, a columnar row encoder. For each block of
 `ENCODE_ROWS` rows (`row_blocks`), each field is a (k, W) byte matrix,
@@ -251,7 +254,10 @@ def _build_frame(
         reason = f"dlc {digits} does not match payload of {len(payload)} bytes"
         raise ParseError(line, reason, lineno)
     if (arb := int(arb_id, 16)) > EXTENDED_ID_MAX:
-        raise ParseError(line, OUTSIDE_ID_RANGE.format(arb), lineno)
+        # linux/can.h: CAN_ERR_FLAG 0x20000000 marks an error frame, whose dlc is 8
+        error = arb >> 29 == 1 and len(payload) == MAX_DLC
+        reason = "error frame (CAN_ERR_FLAG)" if error else OUTSIDE_ID_RANGE.format(arb)
+        raise ParseError(line, reason, lineno)
     if len(payload) > MAX_DLC:  # a CSV dlc; a longer candump payload failed above
         raise ParseError(line, OUTSIDE_DLC_RANGE.format(len(payload)), lineno)
     return CanFrame(seconds, arb, len(payload), payload)
@@ -269,6 +275,8 @@ def parse_candump_line(line: str, lineno: int | None = None) -> CanFrame:
     arb_id, sep, hexdata = parts[2].partition("#")
     if not sep:
         raise ParseError(line, "missing '#' separator", lineno)
+    if hexdata[:1] in ("R", "#"):  # can-utils lib.c: <id>#R[<len>] and <id>##<flags><data>
+        raise ParseError(line, {"R": "remote frame (RTR)", "#": "CAN FD frame"}[hexdata[0]], lineno)
     return _build_frame(line, lineno, parts[0][1:-1], arb_id, hexdata)
 
 
@@ -392,7 +400,8 @@ def write_candump(trace: Trace, path) -> None:
             ], len(ids)))
 
 
-CHUNK_BYTES = 1 << 17  # read size; each chunk is cut after its last line end
+CHUNK_BYTES = 1 << 19  # read size; each chunk is cut after its last line end
+LINE_ROOM = 1 << 12  # room a load's buffers keep for an unfinished line
 
 # A `bytes.translate` table: class flags in the high nibble, and in the low one a hex
 # digit's value or a separator's code, so literals can be compared after translation.
@@ -403,6 +412,7 @@ _CLASS_TABLE = bytes(
     | b"() #.,".find(bytes([c])) + 1
     for c in range(256)
 )  # _IFACE: printable ASCII, which the record split keeps in a field
+_SHAPE_TABLE = bytes.maketrans(b"123456789ABCDEFabcdef", b"0" * 21)  # a line's shape
 
 # The lines read in columns. A template takes each field's columns from the
 # first line of a round; each byte outside a field, and the dlc, is a literal.
@@ -417,31 +427,35 @@ _FIELD_CLASS = {
 }
 
 
-def _columns(n: int) -> list[np.ndarray]:
-    """Timestamp, id, dlc and (n, 8) payload columns for n frames."""
-    return [
-        np.empty(n), np.empty(n, np.uint32), np.empty(n, np.uint8),
-        np.zeros((n, MAX_DLC), np.uint8),
-    ]
+def _buffer(pool: dict, name: str, shape: tuple) -> np.ndarray:
+    """A uint8 `shape` view of the load's buffer `name`, which only a larger one replaces."""
+    if len(pool.get(name, ())) < (size := math.prod(shape)):
+        pool[name] = np.empty(max(size, CHUNK_BYTES + LINE_ROOM), np.uint8)
+    return pool[name][:size].reshape(shape)
 
 
-def _chunks(fh) -> Iterator[bytes]:
+def _chunks(fh, buf: bytearray) -> Iterator[memoryview]:
     """The rest of a binary file in pieces that each end a line (or the file).
 
-    A piece is cut after its last LF or CR, so it holds at most CHUNK_BYTES
-    plus one line, but never between a CR and an LF after it.
+    Each piece is a view of `buf` (over CHUNK_BYTES long), or of a larger
+    copy once a line outgrows it, valid until the next piece is taken. It
+    is cut after its last LF or CR, so it holds at most CHUNK_BYTES plus
+    one line, but never between a CR and an LF after it.
     """
-    rest = []
-    while block := fh.read(CHUNK_BYTES):
-        if block.endswith(b"\r"):
-            block += fh.read(1)  # the LF of a CR LF, if any, so the CR is not last
-        cut = max(block.rfind(b"\n"), block.rfind(b"\r", 0, -1)) + 1
+    rest, view = 0, memoryview(buf)  # rest: the unfinished line at the front of buf
+    while got := fh.readinto(view[rest : rest + CHUNK_BYTES]):
+        end = rest + got
+        if buf[end - 1] == ord("\r"):  # the LF of a CR LF, if any, so the CR is not last
+            end += fh.readinto(view[end : end + 1])
+        cut = max(buf.rfind(b"\n", 0, end), buf.rfind(b"\r", 0, end - 1)) + 1
         if cut:
-            yield b"".join((*rest, memoryview(block)[:cut]))  # one copy of the block
-            rest = []
-        rest.append(block[cut:])
-    if tail := b"".join(rest):
-        yield tail
+            yield view[:cut]
+            buf[: end - cut] = buf[cut:end]
+        if len(buf) <= (rest := end - cut) + CHUNK_BYTES:  # no room for a CR LF's LF
+            buf = buf[:rest] + bytearray(rest + CHUNK_BYTES + 1)
+            view = memoryview(buf)
+    if rest:
+        yield view[:rest]
 
 
 def _template(line: bytes, format: str):
@@ -459,12 +473,14 @@ def _template(line: bytes, format: str):
     return columns, np.frombuffer(line.translate(_CLASS_TABLE), np.uint8)[columns], classes, f
 
 
-def _decode(m: np.ndarray, classes: np.ndarray, f: re.Match):
+def _decode(m: np.ndarray, classes: np.ndarray, f: re.Match, pool: dict):
     """Decode n lines of the layout whose fields `f` matched, from their
     (n, length) bytes translated by _CLASS_TABLE: a mask of the lines read
     exactly as the per-line parser reads them, and their four columns."""
-    outside = np.flatnonzero(m & classes == 0) // m.shape[1]  # a byte not of its class
-    values = m & 0xF
+    values = _buffer(pool, "work", m.shape)
+    outside = np.equal(np.bitwise_and(m, classes, out=values), 0, out=values.view(bool))
+    outside = np.flatnonzero(outside) // m.shape[1]  # the lines with a byte not of its class
+    np.bitwise_and(m, 0xF, out=values)
     # <= 18 digits fit an int64; below 2**53, int / 10**k rounds as float() does
     numer = np.zeros(len(m), np.int64)
     for j in (*range(*f.span("int")), *range(*f.span("frac"))):
@@ -474,36 +490,40 @@ def _decode(m: np.ndarray, classes: np.ndarray, f: re.Match):
         ids = ids << 4 | values[:, j]
     ok = (numer < _EXACT_INT) & (ids <= EXTENDED_ID_MAX)
     ok[outside] = False
-    pairs = values[:, f.start("hex") :].view("<u2")  # a byte's two digits, first one low
+    digits, dlc = values[:, f.start("hex") :], len(f["hex"]) // 2  # two a byte, high one first
     payloads = np.zeros((len(m), MAX_DLC), np.uint8)
-    payloads[:, : pairs.shape[1]] = pairs << 4 | pairs >> 8  # keeps the low byte
-    dlcs = np.full(len(m), pairs.shape[1], np.uint8)
-    return ok, [numer / float(10 ** len(f["frac"])), ids, dlcs, payloads]
+    payloads[:, :dlc] = digits[:, ::2] << 4 | digits[:, 1::2]
+    dlcs = np.full(len(m), dlc, np.uint8)
+    return ok, [numer / float(10 ** len(f["frac"])), ids, dlcs, payloads.view(np.uint64).ravel()]
 
 
-def _decode_chunk(chunk: bytes, format: str):
+def _decode_chunk(chunk: memoryview, format: str, cols: list, templates: dict, pool: dict):
     """Decode the lines of a chunk in columns, one length group at a time.
 
-    Lines end at LF, CR LF or a lone CR, as in text mode. Returns a mask
-    of the decoded lines, per-line columns holding their frames, and a
-    function giving the bytes of line k. No line holding a byte >= 0x80
-    is decoded here: no column template accepts such a byte.
+    Lines end at LF, CR LF or a lone CR, as in text mode. Writes the frame
+    of each line k it decodes to row k of `cols`; returns a mask of the
+    decoded lines and a function giving the bytes of line k. `templates`
+    and `pool` keep the load's templates by line shape and its buffers.
+    No line holding a byte >= 0x80 is decoded: no template accepts one.
     """
-    buf = np.frombuffer(chunk, np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    if b"\r" in chunk:  # a memchr; most captures hold no CR
-        cr = np.flatnonzero(buf == ord("\r"))
+    raw, buf = chunk.obj, np.frombuffer(chunk, np.uint8)  # the view starts `raw`
+    mask = _buffer(pool, "work", buf.shape).view(bool)
+    ends = np.flatnonzero(np.equal(buf, ord("\n"), out=mask))
+    if raw.find(b"\r", 0, len(buf)) >= 0:  # a memchr; most captures hold no CR
+        cr = np.flatnonzero(np.equal(buf, ord("\r"), out=mask))
         lone = cr[buf[np.minimum(cr + 1, len(buf) - 1)] != ord("\n")]  # a final CR reads itself
         ends = np.sort(np.concatenate((ends, lone)))
-    if not chunk.endswith((b"\n", b"\r")):
+    if chunk[-1:] not in (b"\n", b"\r"):
         ends = np.append(ends, len(buf))
     starts = np.concatenate(([0], ends[:-1] + 1))
     ends -= (ends > starts) & (buf[ends - 1] == ord("\r"))  # a \r\n line ends at its \r
-    n, line = len(starts), lambda k: chunk[starts[k] : ends[k]]
-    classes = np.frombuffer(chunk.translate(_CLASS_TABLE), np.uint8)
+    n, line = len(starts), lambda k: chunk[starts[k] : ends[k]].tobytes()
+    classes = _buffer(pool, "classes", buf.shape)
+    for block in row_blocks(len(buf)):  # each temporary below glibc's mmap threshold
+        classes[block] = np.frombuffer(raw[block].translate(_CLASS_TABLE), np.uint8)
     lengths = ends - starts
-    order = np.argsort(lengths, kind="stable")
-    decoded, cols = np.zeros(n, bool), _columns(n)
+    order = np.argsort(np.minimum(lengths, 0xFFFF).astype(np.uint16), kind="stable")  # a radix sort
+    decoded = np.zeros(n, bool)
     for rows in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
         length = int(lengths[rows[0]])
         if length < len("0.0,0,0,"):  # shorter than any line read in columns, or blank
@@ -514,23 +534,24 @@ def _decode_chunk(chunk: bytes, format: str):
         m = window[:: length + 1][:n] if strided else window[starts[rows]]
         left = np.arange(len(rows))  # the group's undecided lines, as rows of m
         while left.size:  # a round: the lines with the literals of the first one's template
-            template = _template(line(rows[left[0]]), format)
-            if template is None:
+            shape = (first := line(rows[left[0]])).translate(_SHAPE_TABLE)
+            if template := templates.get(shape) or _template(first, format):
+                if len(templates) < 1 << 12:  # bounds what a capture of many shapes keeps
+                    templates[shape] = template
+                columns, literals, *layout = template
+                match = (m[:, columns] == literals).all(axis=1)[left]
+            if not template or not match[0]:  # no template, or a kept one's CSV dlc
                 left = left[1:]
                 continue
-            columns, literals, *layout = template
-            match = (m[:, columns] == literals).all(axis=1)[left]
             taken, left = left[match], left[~match]  # decoded or not, they leave the group
-            ok, piece = _decode(m if len(taken) == len(m) else m[taken], *layout)
+            ok, piece = _decode(m if len(taken) == len(m) else m[taken], *layout, pool)
             if not ok.all():
                 taken, piece = taken[ok], [c[ok] for c in piece]
-            if len(taken) == n:  # the whole chunk in one round, in line order
-                return np.ones(n, bool), piece, line
-            taken = rows[taken]
-            decoded[taken] = True
+            at = slice(0, n) if len(taken) == n else rows[taken]  # all, in line order
+            decoded[at] = True
             for column, values in zip(cols, piece):
-                column[taken] = values
-    return decoded, cols, line
+                column[at] = values
+    return decoded, line
 
 
 def load_trace(path, format: str = "candump", strict: bool = True) -> Trace:
@@ -571,30 +592,34 @@ def load_trace(path, format: str = "candump", strict: bool = True) -> Trace:
             return None
 
     with open(path, "rb") as fh:
+        buf, pool, templates = bytearray(CHUNK_BYTES + LINE_ROOM), {}, {}  # for the whole load
         # a line ends at \n, \r or the end of the file and holds at most one frame
-        capacity = 1 + sum(
-            np.count_nonzero(np.frombuffer(block, np.uint8) == 10)
-            + (block.count(b"\r") if b"\r" in block else 0)
-            for block in iter(lambda: fh.read(CHUNK_BYTES), b"")
-        )
+        capacity = 1
+        while size := fh.readinto(buf):
+            lf = _buffer(pool, "work", (size,)).view(bool)
+            capacity += np.count_nonzero(np.equal(np.frombuffer(buf, np.uint8, size), 10, out=lf))
+            capacity += buf.find(b"\r", 0, size) >= 0 and buf.count(b"\r", 0, size)
         fh.seek(0)
-        out, size, lineno = _columns(capacity), 0, 1
-        for chunk in _chunks(fh):
-            decoded, cols, line = _decode_chunk(chunk, format)
+        # timestamp, id, dlc and payload columns, a payload's 8 bytes as one word
+        out = [np.empty(capacity, dtype) for dtype in (np.float64, np.uint32, np.uint8, np.uint64)]
+        size, lineno = 0, 1
+        for chunk in _chunks(fh, buf):
+            cols = [column[size:] for column in out]
+            decoded, line = _decode_chunk(chunk, format, cols, templates, pool)
             timestamps, ids, dlcs, payloads = cols
             for k in np.flatnonzero(~decoded).tolist():
                 frame = parse_line(line(k), lineno + k)
                 if frame is not None:
                     decoded[k] = True
                     timestamps[k], ids[k], dlcs[k], payload = frame
-                    payloads[k, : len(payload)] = list(payload)
-            n = int(decoded.sum())
-            kept = slice(None) if n == len(decoded) else decoded
-            for column, chunk_column in zip(out, cols):
-                column[size : size + n] = chunk_column[kept]
+                    payloads[k] = np.frombuffer(payload.ljust(MAX_DLC, b"\0"), np.uint64)[0]
+            if (n := int(decoded.sum())) < len(decoded):  # compact the chunk's frames
+                for column in cols:
+                    column[:n] = column[: len(decoded)][decoded]
             size += n
             lineno += len(decoded)
-    trace = Trace(*(column[:size] for column in out))
+    timestamps, ids, dlcs, payloads = (column[:size] for column in out)
+    trace = Trace(timestamps, ids, dlcs, payloads.view(np.uint8).reshape(size, MAX_DLC))
     if skipped:
         log.warning("%s: skipped %d malformed line(s)", path, skipped)
     try:

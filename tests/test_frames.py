@@ -182,6 +182,50 @@ class TestParseErrors:
         assert str(exc.value) == f"{reason} (line 3): {line!r}"
 
 
+# can-utils log records of frames that are not classic data frames (linux/can.h,
+# can-utils lib.c), and lines next to them that keep their old reason.
+LINE_CLASSES = [
+    ("(1.0) can0 123#R", "remote frame (RTR)"),
+    ("(1.0) can0 123#R5", "remote frame (RTR)"),
+    ("(1.0) can0 1ABCDEF0#R", "remote frame (RTR)"),
+    ("(1.0) can0 123##1AABB", "CAN FD frame"),
+    ("(1.0) can0 123##0", "CAN FD frame"),
+    ("(1.0) can0 20000080#0000000000000000", "error frame (CAN_ERR_FLAG)"),
+    ("(1.0) can0 3FFFFFFF#0102030405060708", "error frame (CAN_ERR_FLAG)"),
+    ("(1.0) can0 20000080#00", "arbitration id 0x20000080 outside extended range"),
+    ("(1.0) can0 40000080#0000000000000000", "arbitration id 0x40000080 outside extended range"),
+    ("(1.0) can0 123#RR", "remote frame (RTR)"),
+    ("(1.0) can0 123#0R", "non-hex payload"),
+]
+LINE_CLASS_IDS = ["rtr", "rtr-len", "rtr-extended", "fd", "fd-no-data", "error", "error-max",
+                  "error-flag-dlc-1", "rtr-flag-bit", "rtr-junk", "r-after-data"]
+
+
+class TestLineClasses:
+    """Remote, error and CAN FD frames each fail with their own reason: a strict
+    load aborts on one, and a lenient load skips it and counts it."""
+
+    @pytest.mark.parametrize("line, reason", LINE_CLASSES, ids=LINE_CLASS_IDS)
+    def test_reason(self, line, reason):
+        with pytest.raises(ParseError) as exc:
+            parse_candump_line(line, lineno=3)
+        assert str(exc.value) == f"{reason} (line 3): {line!r}"
+
+    @pytest.mark.parametrize("line, reason", LINE_CLASSES, ids=LINE_CLASS_IDS)
+    def test_load(self, tmp_path, caplog, line, reason):
+        p = tmp_path / "capture.log"
+        p.write_text(f"(0.5) can0 123#01\n{line}\n(2.0) can0 123#02\n")
+        with pytest.raises(ParseError, match=f"^{re.escape(reason)} \\(line 2\\)"):
+            load_trace(p)
+        with caplog.at_level(logging.WARNING):
+            assert load_trace(p, strict=False).timestamps.tolist() == [0.5, 2.0]
+        assert caplog.messages == [f"{p}: skipped 1 malformed line(s)"]
+        for strict in (True, False):
+            assert load_outcome(load_trace, p, strict=strict) == load_outcome(
+                reference_load_trace, p, strict=strict
+            )
+
+
 class TestFrameInvariants:
     """A Trace rejects the columns partition_by_id cannot key: an id above 29
     bits, or a dlc above 8, which its 4-bit dlc key would wrap."""
@@ -392,7 +436,8 @@ class TestChunkEdges:
         monkeypatch.setattr(frames, "CHUNK_BYTES", chunk_bytes)
         lines = [line + newline for line in LINES * 4]
         data = "".join(lines).encode()
-        pieces = list(frames._chunks(io.BytesIO(data)))
+        # the pieces are views of one reused buffer: copy each as it comes
+        pieces = [bytes(p) for p in frames._chunks(io.BytesIO(data), bytearray(chunk_bytes + 1))]
         assert b"".join(pieces) == data
         assert max(map(len, pieces)) <= chunk_bytes + max(map(len, lines))
         for piece, after in zip(pieces, pieces[1:]):
@@ -484,6 +529,86 @@ class TestPerLineFallback:
             )
 
 
+def test_load_working_set_is_a_few_chunks(tmp_path):
+    """A load's temporaries stay within a few chunks, whatever the file's size:
+    tracemalloc's peak during load_trace, less what the trace holds after it."""
+    n = 10 * frames.CHUNK_BYTES // 36
+    path = tmp_path / "capture.log"
+    path.write_text("".join(
+        f"({k / 1000:.6f}) can0 {k % 7:X}{k % 5}0#{k * 7919:016X}\n" for k in range(n)
+    ))
+    assert path.stat().st_size > 8 * frames.CHUNK_BYTES
+    tracemalloc.start()
+    try:
+        trace = load_trace(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == n
+    assert peak - held < 8 * frames.CHUNK_BYTES
+
+
+class TestTemplatesAcrossChunks:
+    """The loader guesses each layout's template once per load, and a template
+    kept from an earlier chunk decodes only the lines the per-line parser
+    reads the same: a layout first seen late, and first in a line that gives
+    no template; lines with a kept layout's literals and one byte of the wrong
+    class; and (CSV) a line whose dlc does not match its payload heading its
+    length group, which a kept template must not stall on."""
+
+    @staticmethod
+    def _capture(fmt):
+        """Lines of three layouts, the third only in the last chunks; the lines
+        the per-line parser must see; and the number of layouts."""
+        if fmt == "csv":
+            layouts = ["1.{:06d},1A3,2,{:02X}00", "2.{:06d},1ABCDEF0,8,{:02X}00000000000000",
+                       "3.{:06d},7FF,0,"]
+            wrong = ["1.0000A1,1A3,2,0000", "1.000001,1A3,3,0000"]  # hex in the timestamp, dlc
+            header = [frames.CSV_HEADER]
+        else:
+            layouts = ["(1.{:06d}) can0 1A3#{:02X}00", "(2.{:06d}) vcan1 1ABCDEF0#{:02X}0000",
+                       "(3.{:06d}) can0 7FF#"]
+            wrong = ["(1.0000A1) can0 1A3#0000", "(1.00000f) can0 1A3#0000"]
+            header = []
+        parsed = [layouts[2].format(0).replace("0000", "00A0", 1)]  # the late layout's shape
+        lines = [*header, parsed[0]]
+        for k in range(600):
+            lines.append(layouts[k % 2].format(k, k % 256))
+            if k % 50 == 25:  # a wrong line leads a cluster of its layout's lines
+                parsed.append(wrong[k // 50 % 2])
+                lines += [parsed[-1], *(layouts[0].format(k, j) for j in range(3))]
+            if k >= 550 and k % 10 == 0:
+                lines.append(layouts[2].format(k))
+        return lines, parsed, len(layouts)
+
+    @pytest.mark.parametrize("fmt", ["candump", "csv"])
+    def test_one_guess_per_layout(self, tmp_path, monkeypatch, fmt):
+        monkeypatch.setattr(frames, "CHUNK_BYTES", 512)  # about 20 lines a chunk
+        lines, parsed, layouts = self._capture(fmt)
+        path = tmp_path / "capture"
+        path.write_text("\n".join(lines) + "\n")
+        assert path.stat().st_size > 30 * frames.CHUNK_BYTES
+        for strict in (True, False):
+            assert load_outcome(load_trace, path, format=fmt, strict=strict) == load_outcome(
+                reference_load_trace, path, format=fmt, strict=strict
+            )
+        guess, guessed = frames._template, []
+
+        def spy(line, format):
+            template = guess(line, format)
+            if template is not None:
+                guessed.append(line)
+            return template
+
+        monkeypatch.setattr(frames, "_template", spy)
+        name = "parse_csv_line" if fmt == "csv" else "parse_candump_line"
+        parser = mock.MagicMock(wraps=getattr(frames, name))
+        monkeypatch.setattr(frames, name, parser)
+        assert len(load_trace(path, format=fmt, strict=False)) == 600 + 3 * 12 + 5
+        assert len(guessed) == layouts, guessed
+        assert [c.args[0] for c in parser.call_args_list] == parsed
+
+
 # Valid lines the columnar decoder reads: candump with a 3- and an 8-digit
 # id, and CSV. Each test swaps one byte of one of them for each SUBSTITUTE.
 SUBSTITUTION_TEMPLATES = {
@@ -506,7 +631,9 @@ def _substitutions(line):
 class TestOneByteSubstitutions:
     def test_template_decoded_in_columns(self, name):
         fmt, line = SUBSTITUTION_TEMPLATES[name]
-        decoded, _, _ = frames._decode_chunk(f"{line}\n{line}\n".encode(), fmt)
+        chunk = memoryview(f"{line}\n{line}\n".encode())
+        cols = [np.empty(2, dtype) for dtype in (np.float64, np.uint32, np.uint8, np.uint64)]
+        decoded, _ = frames._decode_chunk(chunk, fmt, cols, {}, {})
         assert decoded.all()
 
     def test_lenient_between_valid_lines(self, tmp_path, name):
