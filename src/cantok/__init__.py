@@ -39,7 +39,6 @@ from .tokenizer import (
     Tokenization,
     TokenizerConfig,
     tokenize,
-    tokenize_trace,
 )
 
 __version__ = "0.1.0"
@@ -74,7 +73,6 @@ __all__ = [
     "summarize",
     "tang_from_idtrace",
     "tokenize",
-    "tokenize_trace",
     "transition_matrix",
     "write_candump",
 ]

@@ -1,9 +1,10 @@
 """Bit-level transition analysis for per-ID payload groups.
 
-Every step is a plain numpy array: `build_bit_matrix` gives a group's
-(M, N) uint8 bit matrix, `transition_matrix` the (M-1, N) XOR of its
-sequential rows, and `tang_from_idtrace` the per-position flip counts,
-wrapped in a `Tang` with the group's id and M.
+`analyzable` picks the groups that can be analysed. Every step is a plain
+numpy array: `build_bit_matrix` gives a group's (M, N) uint8 bit matrix,
+`transition_matrix` the (M-1, N) XOR of its sequential rows, and
+`tang_from_idtrace` the per-position flip counts, wrapped in a `Tang`
+with the group's id and M.
 
 Bit numbering: position i is bit (7 - i % 8) of byte i // 8, so position 0
 is the MSB of the first transmitted byte and position N-1 the LSB of the
@@ -41,6 +42,22 @@ class Tang:
         return len(self.counts)
 
 
+def analyzable(groups: dict, ids=None) -> tuple[list, list]:
+    """``(key, IdTrace)`` for each group of a `partition_by_id` result, in its order,
+    with two or more frames and at least one payload byte, and ``(key, reason)``
+    for each other group. With `ids`, the groups of other ids are in neither list."""
+    kept, skipped = [], []
+    for key, idtrace in groups.items():
+        if ids is None or key[0] in ids:
+            if len(idtrace) < 2:
+                skipped.append((key, f"only {len(idtrace)} frame(s)"))
+            elif key[1] == 0:
+                skipped.append((key, "zero-width payload"))
+            else:
+                kept.append((key, idtrace))
+    return kept, skipped
+
+
 def read_field(bits: np.ndarray, lsb: int, msb: int) -> np.ndarray:
     """Unsigned value of one field in every row of an (M, N) bit matrix."""
     values = np.zeros(bits.shape[0], dtype=np.uint64)
@@ -75,9 +92,7 @@ def payload_bytes(words: np.ndarray) -> np.ndarray:
 def build_bit_matrix(idtrace: IdTrace) -> np.ndarray:
     """Read-only (M, N) uint8 matrix of an IdTrace's payload bits."""
     if len(idtrace) == 0:
-        raise AnalysisError(
-            f"no observations for id 0x{idtrace.arbitration_id:X}"
-        )
+        raise AnalysisError(f"no observations for id 0x{idtrace.arbitration_id:X}")
     bits = np.unpackbits(idtrace.payloads, axis=1)
     bits.flags.writeable = False
     return bits

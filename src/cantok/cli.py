@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import bitlab, signals, synth, tokenizer
 from .errors import CantokError, InvariantError
-from .frames import IdTrace, Trace, load_trace, parse_hex_id, partition_by_id, write_candump
+from .frames import Trace, load_trace, parse_hex_id, partition_by_id, write_candump, write_json
 from .tokenizer import TokenizerConfig
 
 
@@ -84,54 +84,45 @@ def _id_filter(args) -> set[int] | None:
     return wanted
 
 
-def _select_groups(groups: dict, wanted: set[int] | None) -> list[tuple[tuple[int, int], IdTrace]]:
-    """Analyzable groups of a partition_by_id result, in its ascending (id, dlc)
-    order: each has two or more frames and a payload of at least one byte."""
-    kept = []
-    for key, idtrace in groups.items():
-        if wanted is not None and key[0] not in wanted:
-            continue
-        if len(idtrace) < 2:
-            reason = f"only {len(idtrace)} frame(s)"
-        elif key[1] == 0:
-            reason = "zero-width payload"
-        else:
-            kept.append((key, idtrace))
-            continue
-        print(f"warning: skipping id 0x{key[0]:X} dlc {key[1]}: {reason}", file=sys.stderr)
+def _select_groups(groups: dict, wanted: set[int] | None) -> list:
+    """`bitlab.analyzable`'s kept groups, with one warning per skipped group."""
+    kept, skipped = bitlab.analyzable(groups, wanted)
+    for (arb_id, dlc), reason in skipped:
+        print(f"warning: skipping id 0x{arb_id:X} dlc {dlc}: {reason}", file=sys.stderr)
     return kept
 
 
-def _stems(groups) -> dict[tuple[int, int], str]:
-    """File-name stem per group; mixed-dlc ids get a dlc suffix."""
-    by_id = Counter(arb_id for (arb_id, _), _g in groups)
-    return {
-        key: f"{key[0]:04X}" + (f"_dlc{key[1]}" if by_id[key[0]] > 1 else "")
-        for key, _g in groups
-    }
+def _stem(arb_id: int, dlc: int | None = None) -> str:
+    """File-name stem: the id in at least 4 hex digits, then the dlc if given."""
+    return f"{arb_id:04X}" + ("" if dlc is None else f"_dlc{dlc}")
 
 
 def _load(args) -> Trace:
     return load_trace(args.input, format=args.format, strict=not args.lenient)
 
 
-def _analysis_input(args):
-    """Output directory, analyzable groups and their file stems."""
+def _analysis_input(args, header: str):
+    """Output directory, analyzable groups and their file stems (mixed-dlc ids get
+    a dlc suffix); prints the summary table's header if there is a group."""
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     wanted = _id_filter(args)  # before the load, so a bad filter fails fast
     # no name holds the capture, so partition_by_id frees each column once done with it
     groups = _select_groups(partition_by_id(_load(args)), wanted)
-    if not groups:
+    if groups:
+        print(header)
+    else:
         print("warning: no analyzable ids", file=sys.stderr)
-    return outdir, groups, _stems(groups)
+    by_id = Counter(arb_id for (arb_id, _), _g in groups)
+    return outdir, groups, {
+        (i, dlc): _stem(i, dlc if by_id[i] > 1 else None) for (i, dlc), _g in groups
+    }
 
 
 def cmd_tang(args) -> int:
-    outdir, groups, stems = _analysis_input(args)
-    if not groups:
-        return 0
-    print(f"{'id':>10} {'dlc':>3} {'frames':>8} {'active_bits':>11} {'max_transitions':>15}")
+    outdir, groups, stems = _analysis_input(
+        args, f"{'id':>10} {'dlc':>3} {'frames':>8} {'active_bits':>11} {'max_transitions':>15}"
+    )
     for key, idtrace in groups:
         tang = bitlab.tang_from_idtrace(idtrace)
         bitlab.export_tang_csv(tang, outdir / f"{stems[key]}_tang.csv")
@@ -145,10 +136,9 @@ def cmd_tang(args) -> int:
 
 def cmd_tokenize(args) -> int:
     config = _config(args)
-    outdir, groups, stems = _analysis_input(args)
-    if not groups:
-        return 0
-    print(f"{'id':>10} {'dlc':>3} {'signals':>8} {'padding':>8}")
+    outdir, groups, stems = _analysis_input(
+        args, f"{'id':>10} {'dlc':>3} {'signals':>8} {'padding':>8}"
+    )
     for key, idtrace in groups:
         tok = tokenizer.tokenize(bitlab.tang_from_idtrace(idtrace), config)
         tokenizer.export_tokenization_json(tok, outdir / f"{stems[key]}_tokens.json")
@@ -161,10 +151,9 @@ def cmd_tokenize(args) -> int:
 
 def cmd_extract(args) -> int:
     config = _config(args)
-    outdir, groups, stems = _analysis_input(args)
-    if not groups:
-        return 0
-    print(f"{'id':>10} {'cluster':>9} {'width':>5} {'unique':>8} {'mean|d|':>10}")
+    outdir, groups, stems = _analysis_input(
+        args, f"{'id':>10} {'cluster':>9} {'width':>5} {'unique':>8} {'mean|d|':>10}"
+    )
     for key, idtrace in groups:
         tok = tokenizer.tokenize(bitlab.tang_from_idtrace(idtrace), config)
         group = signals.extract_series(idtrace, tok.signal_clusters)
@@ -190,7 +179,7 @@ def cmd_synth(args) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
     gt = synth.load_ground_truth(args.input)
     trace = synth.generate_trace(gt)
-    stem = f"{gt.arbitration_id:04X}"
+    stem = _stem(gt.arbitration_id)
     write_candump(trace, outdir / f"{stem}_trace.log")
     synth.save_ground_truth(gt, outdir / f"{stem}_groundtruth.json")
     print(
@@ -213,18 +202,13 @@ def cmd_score(args) -> int:
         key = (gt.arbitration_id, gt.bit_width // 8)
         if key not in groups:
             raise CantokError(
-                f"trace has no analyzable group for id "
-                f"{tokenizer.format_id(gt.arbitration_id)} dlc {gt.bit_width // 8}"
+                f"trace has no analyzable group for id {tokenizer.format_id(key[0])} dlc {key[1]}"
             )
         tok = tokenizer.tokenize(bitlab.tang_from_idtrace(groups[key]), config)
     else:
         raise CantokError("score needs --tokenization or --input")
-    report = synth.score_tokenization(tok, gt)
-    data = synth.score_to_dict(report)
-    stem = f"{gt.arbitration_id:04X}"
-    with open(outdir / f"{stem}_score.json", "w") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+    data = synth.score_to_dict(synth.score_tokenization(tok, gt))
+    write_json(data, outdir / f"{_stem(gt.arbitration_id)}_score.json")
     print(f"{'metric':<22} value")
     for k, v in data.items():
         print(f"{k:<22} {v}")

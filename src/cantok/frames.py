@@ -74,6 +74,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import json
 import logging
 import math
 import re
@@ -398,6 +399,13 @@ def write_candump(trace: Trace, path) -> None:
                 b"(", fixed6_field(trace.timestamps[rows]), b") can0 ", id_hex.view(np.uint8),
                 b"#", payload_hex.view(np.uint8), b"\n",
             ], len(ids)))
+
+
+def write_json(data, path) -> None:
+    """Write `data` as JSON indented by 2, with a final newline."""
+    with open(path, "w") as fh:
+        json.dump(data, fh, indent=2)
+        fh.write("\n")
 
 
 CHUNK_BYTES = 1 << 19  # read size; each chunk is cut after its last line end

@@ -9,7 +9,6 @@ timestamp fields once and joins them with each series' value field.
 
 from __future__ import annotations
 
-import json
 from collections.abc import Sequence
 from contextlib import ExitStack
 from dataclasses import dataclass
@@ -18,7 +17,7 @@ import numpy as np
 
 from .bitlab import build_bit_matrix, payload_bytes, read_field, write_field
 from .errors import AnalysisError, InvariantError
-from .frames import IdTrace, decimal_field, fixed6_field, join_fields, row_blocks
+from .frames import IdTrace, decimal_field, fixed6_field, join_fields, row_blocks, write_json
 from .tokenizer import PADDING, TokenCluster, Tokenization, format_id
 
 
@@ -181,6 +180,4 @@ def repack_payloads(
 
 
 def export_summary_json(summaries: list[dict], path) -> None:
-    with open(path, "w") as fh:
-        json.dump(summaries, fh, indent=2)
-        fh.write("\n")
+    write_json(summaries, path)

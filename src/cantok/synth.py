@@ -17,7 +17,9 @@ import numpy as np
 
 from .bitlab import payload_bytes, write_field
 from .errors import AnalysisError
-from .frames import EXTENDED_ID_MAX, MAX_DLC, OUTSIDE_ID_RANGE, Trace, parse_hex_id, require_uints
+from .frames import (
+    EXTENDED_ID_MAX, MAX_DLC, OUTSIDE_ID_RANGE, Trace, parse_hex_id, require_uints, write_json,
+)
 from .tokenizer import ENDIANNESSES, SIGNAL, Tokenization, format_id
 
 GENERATOR_KINDS = ("counter", "ramp", "random_walk", "constant", "noise")
@@ -279,9 +281,7 @@ def load_ground_truth(path) -> GroundTruth:
 
 
 def save_ground_truth(gt: GroundTruth, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(ground_truth_to_dict(gt), fh, indent=2)
-        fh.write("\n")
+    write_json(ground_truth_to_dict(gt), path)
 
 
 def bundled_spec_path():

@@ -8,16 +8,12 @@ Positions that never flipped are pooled into padding tokens.
 
 from __future__ import annotations
 
-import json
-import logging
 from dataclasses import asdict, dataclass, fields
 from itertools import groupby
 
-from .bitlab import Tang, tang_from_idtrace
+from .bitlab import Tang
 from .errors import AnalysisError, InvariantError
-from .frames import Trace, parse_hex_id, partition_by_id, require_uints
-
-log = logging.getLogger(__name__)
+from .frames import parse_hex_id, require_uints, write_json
 
 ENDIANNESSES = ("big", "little")
 PADDING_MODES = ("exclude", "strict")
@@ -170,30 +166,8 @@ def tokenize(tang: Tang, config: TokenizerConfig = TokenizerConfig()) -> Tokeniz
     )
 
 
-def tokenize_trace(
-    trace: Trace, config: TokenizerConfig = TokenizerConfig()
-) -> dict[tuple[int, int], Tokenization]:
-    """Run the full pipeline over every (id, dlc) group of a trace.
-
-    Groups with fewer than 2 frames carry no transition information and
-    are skipped with a log message.
-    """
-    if len(trace) == 0:
-        raise AnalysisError("empty trace")
-    out: dict[tuple[int, int], Tokenization] = {}
-    for key, idtrace in partition_by_id(trace).items():
-        if len(idtrace) < 2:
-            log.info(
-                "skipping id 0x%X dlc %d: only %d frame(s)",
-                key[0], key[1], len(idtrace),
-            )
-            continue
-        out[key] = tokenize(tang_from_idtrace(idtrace), config)
-    return out
-
-
 def format_id(arbitration_id: int) -> str:
-    """Hex id string used in reports and file names (min 4 digits)."""
+    """Hex id string used in reports and JSON files (min 4 digits)."""
     return f"0x{arbitration_id:04X}"
 
 
@@ -242,6 +216,4 @@ def tokenization_from_dict(data: dict) -> Tokenization:
 
 
 def export_tokenization_json(tok: Tokenization, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(tokenization_to_dict(tok), fh, indent=2)
-        fh.write("\n")
+    write_json(tokenization_to_dict(tok), path)

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from cantok import (
-    IdTrace, ParseError, Tang, TokenizerConfig, Trace, parse_candump_line, parse_csv_line, tokenize,
+    IdTrace, ParseError, TokenCluster, Tokenization, TokenizerConfig, Trace, parse_candump_line,
+    parse_csv_line,
 )
 from cantok.errors import AnalysisError
 from cantok.frames import CSV_HEADER, MAX_DLC, STANDARD_ID_MAX
@@ -158,11 +159,48 @@ def naive_tang_counts(payloads):
     return counts
 
 
+def reference_tokenize(counts, config, arbitration_id=0x100) -> Tokenization:
+    """The greedy walk with plain loops. Each seed is the unassigned position with
+    the most flips, the first of equal ones met from the side extension grows
+    from (ascending for big-endian, descending for little). Extension toward the
+    MSB (-1 big, +1 little) stops at the array bound, at an assigned position, at
+    a zero count in exclude mode, or where the count tops the last one plus the
+    threshold. Positions never assigned form padding runs."""
+    n, step = len(counts), -1 if config.endianness == "big" else 1
+    scan = range(n) if step == -1 else range(n - 1, -1, -1)
+    assigned, clusters = [False] * n, []
+    while True:
+        seed = None
+        for i in scan:
+            if not assigned[i] and counts[i] > 0 and (seed is None or counts[i] > counts[seed]):
+                seed = i
+        if seed is None:
+            break
+        assigned[seed], msb = True, seed
+        while 0 <= msb + step < n and not assigned[msb + step]:
+            nxt = msb + step
+            if config.padding_mode == "exclude" and counts[nxt] == 0:
+                break
+            if counts[nxt] > counts[msb] + config.threshold:
+                break
+            assigned[nxt], msb = True, nxt
+        lo, hi = min(seed, msb), max(seed, msb)
+        clusters.append(TokenCluster("signal", lo, hi, seed, msb, int(counts[seed])))
+    start = None
+    for i in range(n + 1):
+        if i < n and not assigned[i]:
+            start = i if start is None else start
+        elif start is not None:
+            clusters.append(TokenCluster("padding", start, i - 1))
+            start = None
+    return Tokenization(arbitration_id, n, tuple(sorted(clusters, key=lambda c: c.lo)), config)
+
+
 def reference_cli_outputs(capture, outdir, format: str = "candump", strict: bool = True) -> None:
     """The files `cantok tang`, `tokenize` and `extract` (default flags) write
     for a capture, by a naive pipeline: the per-line loader, groups built
-    frame by frame, the scalar TANG count, each value summed bit by bit and
-    one f-string per CSV row."""
+    frame by frame, the scalar TANG count, the plain-loop greedy walk, each
+    value summed bit by bit and one f-string per CSV row."""
     groups = {}
     for f in reference_load_trace(capture, format, strict).frames:
         groups.setdefault((f.arbitration_id, f.dlc), []).append(f)
@@ -178,8 +216,7 @@ def reference_cli_outputs(capture, outdir, format: str = "candump", strict: bool
             fh.write("bit_position,transitions,normalized\n")
             for i, count in enumerate(counts):
                 fh.write(f"{i},{count},{count / (len(rows) - 1):.6f}\n")
-        tang = Tang(np.array(counts, np.int64), observations=len(rows), arbitration_id=arb_id)
-        tok = tokenize(tang, TokenizerConfig())
+        tok = reference_tokenize(counts, TokenizerConfig(), arb_id)
         with open(outdir / f"{stem}_tokens.json", "w") as fh:
             json.dump(tokenization_to_dict(tok), fh, indent=2)
             fh.write("\n")

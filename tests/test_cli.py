@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import json
 import tempfile
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -13,10 +14,12 @@ from hypothesis import strategies as st
 from cantok import (
     Trace,
     load_trace,
-    tokenize_trace,
+    partition_by_id,
+    tokenize,
     write_candump,
 )
 from cantok import tokenizer
+from cantok.bitlab import analyzable, tang_from_idtrace
 from cantok.cli import build_parser, main
 from cantok.frames import CSV_HEADER
 from cantok.synth import (
@@ -99,7 +102,8 @@ class TestTokenize:
         out = tmp_path / "out"
         main(["tokenize", "-i", str(table1_log), "--out", str(out)])
         cli_data = json.loads((out / "0A15_tokens.json").read_text())
-        toks = tokenize_trace(load_trace(table1_log))
+        groups = analyzable(partition_by_id(load_trace(table1_log)))[0]
+        toks = {key: tokenize(tang_from_idtrace(group)) for key, group in groups}
         assert cli_data == tokenization_to_dict(toks[(0x0A15, 1)])
 
     def test_byte_identical_reruns(self, table1_log, tmp_path):
@@ -249,7 +253,8 @@ class TestSynthScore:
         capture = tmp_path / "capture.log"
         write_candump(merge_traces([generate_trace(g) for g in (gt, *others)]), capture)
         gt_path, tok = str(bundled_spec_path()), tmp_path / "0100_tokens.json"
-        export_tokenization_json(tokenize_trace(load_trace(capture))[(0x100, 8)], tok)
+        groups = dict(analyzable(partition_by_id(load_trace(capture)))[0])
+        export_tokenization_json(tokenize(tang_from_idtrace(groups[(0x100, 8)])), tok)
         assert main(["score", "-t", str(tok), "-g", gt_path, "--out", str(tmp_path / "t")]) == 0
         spy = mock.MagicMock(wraps=tokenizer.tokenize)
         monkeypatch.setattr(tokenizer, "tokenize", spy)
@@ -268,6 +273,47 @@ def test_zero_width_group_skipped(command, tmp_path, capsys):
     assert main([command, "-i", str(path), "--out", str(out)]) == 0
     assert {p.name.split("_")[0] for p in out.iterdir()} == {"0124"}
     assert "warning: skipping id 0x123 dlc 0: zero-width payload" in capsys.readouterr().err
+
+
+
+def _mixed_groups_capture(path):
+    """A capture whose groups the CLI must skip or name by dlc: 0x555 has one
+    frame, 0x123 a zero-width payload, 0x100 two dlcs that are both analysed,
+    and 0x200 two dlcs of which one has a single frame."""
+    lines = []
+    for k in range(6):
+        lines += [f"({k}.0) can0 100#{k:02X}{k * 3:02X}", f"({k}.1) can0 100#{k:02X}",
+                  f"({k}.2) can0 200#{k * 5:04X}", f"({k}.3) can0 1ABCDEF0#{k:016X}"]
+    lines += ["(6.0) can0 555#01", "(6.1) can0 123#", "(6.2) can0 123#", "(6.3) can0 200#000000"]
+    path.write_text("\n".join(lines) + "\n")
+
+
+MIXED_KEPT = [(0x100, 1), (0x100, 2), (0x200, 2), (0x1ABCDEF0, 8)]
+MIXED_SKIPPED = [(0x123, 0), (0x200, 3), (0x555, 1)]
+
+
+@pytest.mark.parametrize("ids", [None, "0x100,0x555,0x200", "0x123", "0x1ABCDEF0"])
+@pytest.mark.parametrize("command", ["tang", "tokenize", "extract"])
+def test_library_and_cli_choose_the_same_groups(command, ids, tmp_path, capsys):
+    capture, out = tmp_path / "mixed.log", tmp_path / "o"
+    _mixed_groups_capture(capture)
+    wanted = None if ids is None else {int(i, 16) for i in ids.split(",")}
+    kept, skipped = analyzable(partition_by_id(load_trace(capture)), wanted)
+    argv = [command, "-i", str(capture), "--out", str(out)] + ([] if ids is None else ["--ids", ids])
+    assert main(argv) == 0
+    dlcs_per_id = Counter(arb_id for (arb_id, _), _group in kept)
+    assert {
+        f"{arb_id:04X}" + (f"_dlc{dlc}" if dlcs_per_id[arb_id] > 1 else "")
+        for (arb_id, dlc), _group in kept
+    } == {p.name.rsplit("_", 1)[0] for p in out.iterdir()}
+    warnings = [line for line in capsys.readouterr().err.splitlines() if "skipping" in line]
+    assert [f"warning: skipping id 0x{i:X} dlc {dlc}: {why}" for (i, dlc), why in skipped] == (
+        warnings
+    )
+    assert [key for key, _group in kept] == [k for k in MIXED_KEPT if not wanted or k[0] in wanted]
+    assert [key for key, _why in skipped] == [
+        k for k in MIXED_SKIPPED if not wanted or k[0] in wanted
+    ]
 
 
 class TestErrors:

@@ -324,8 +324,10 @@ _ODD = {
         st.from_regex(r"[0-9A-Fa-f]{1,9}", fullmatch=True),
         st.from_regex(r"[2-9A-Fa-f][0-9A-Fa-f]{7}", fullmatch=True),  # beyond 29 bits
         st.sampled_from(["0x123", "0X1abcdef0", "ZZZ", "", "+12", "1_2", " 7FF"]),
+        st.just("20000080"),  # CAN_ERR_FLAG set: an error frame if it has 8 data bytes
     ),
-    "hex": st.sampled_from(["ABC", "00" * 9, "0G", "A B", "AA,BB"]),
+    # a remote frame (RTR) with and without its length, and a CAN FD frame after `#`
+    "hex": st.sampled_from(["ABC", "00" * 9, "0G", "A B", "AA,BB", "R", "R5", "#1AABB"]),
     "sep": st.sampled_from(["  ", "\t", " \t", "\u00a0"]),
     "lead": st.sampled_from([" ", "\t", "\x0c"]),
     "trail": st.sampled_from([" ", "\t", ",extra"]),

@@ -22,9 +22,12 @@ def _blocks(language):
 
 @pytest.fixture
 def example_dir(tmp_path, monkeypatch):
-    """`capture.log` from the bundled spec, and the spec as `layout.json`."""
+    """`capture.log` from the bundled spec, with a zero-width group and a one-frame
+    group after it that the examples must skip, and the spec as `layout.json`."""
     spec = synth.bundled_spec_path()
     write_candump(synth.generate_trace(synth.load_ground_truth(spec)), tmp_path / "capture.log")
+    with open(tmp_path / "capture.log", "a") as fh:
+        fh.write("(100.000000) can0 123#\n(100.010000) can0 123#\n(100.020000) can0 555#01\n")
     (tmp_path / "layout.json").write_text(spec.read_text())
     monkeypatch.chdir(tmp_path)
     return tmp_path

@@ -16,9 +16,8 @@ from cantok import (
     partition_by_id,
     score_tokenization,
     tokenize,
-    tokenize_trace,
 )
-from cantok.bitlab import tang_from_idtrace
+from cantok.bitlab import analyzable, tang_from_idtrace
 from cantok.synth import (
     MAX_FRAMES,
     bundled_spec_path,
@@ -494,6 +493,7 @@ def test_generated_trace_consumable_by_pipeline(tmp_path):
     trace = generate_trace(gt)
     path = tmp_path / "synth.log"
     write_candump(trace, path)
-    toks = tokenize_trace(load_trace(path))
+    groups = analyzable(partition_by_id(load_trace(path)))[0]
+    toks = {key: tokenize(tang_from_idtrace(group)) for key, group in groups}
     report = score_tokenization(toks[(gt.arbitration_id, 8)], gt)
     assert report.exact_cluster_matches == 3

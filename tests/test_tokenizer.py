@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cantok import (
     AnalysisError,
@@ -10,12 +12,13 @@ from cantok import (
     TokenCluster,
     Tang,
     TokenizerConfig,
+    partition_by_id,
     tokenize,
-    tokenize_trace,
 )
+from cantok.bitlab import analyzable
 from cantok.tokenizer import export_tokenization_json, tokenization_to_dict
 
-from .conftest import make_trace
+from .conftest import make_trace, reference_tokenize
 
 
 def make_tang(counts, observations=None, arb_id=0x100):
@@ -61,6 +64,21 @@ class TestHandTraces:
         first, second = tok.signal_clusters
         assert (first.lsb_index, first.msb_index) == (1, 0)
         assert (second.lsb_index, second.msb_index) == (3, 2)
+
+
+# Few distinct small counts, so ties, zero runs and equal neighbours are common,
+# mixed with wide ones; widths cover a one-bit payload up to eight bytes.
+_COUNTS = st.lists(st.one_of(st.integers(0, 3), st.integers(0, 10**6)), min_size=1, max_size=64)
+
+
+@pytest.mark.parametrize("padding_mode", ["exclude", "strict"])
+@pytest.mark.parametrize("endianness", ["big", "little"])
+@settings(max_examples=150, deadline=None)
+@given(counts=_COUNTS, threshold=st.integers(0, 3))
+def test_tokenize_matches_plain_loop_walk(endianness, padding_mode, counts, threshold):
+    config = TokenizerConfig(endianness, threshold, padding_mode)
+    tok = tokenize(make_tang(counts), config)
+    assert tokenization_to_dict(tok) == tokenization_to_dict(reference_tokenize(counts, config))
 
 
 class TestModesAndThreshold:
@@ -109,16 +127,15 @@ class TestModesAndThreshold:
 
 
 class TestTokenizeTrace:
+    """The groups a walk over a whole trace analyses: `bitlab.analyzable`."""
+
     def test_skips_small_groups(self):
         frames = tuple(
             CanFrame(k * 0.1, 0x100, 1, bytes([k])) for k in range(5)
         ) + (CanFrame(1.0, 0x200, 1, b"\x01"),)
-        toks = tokenize_trace(make_trace(frames))
-        assert set(toks) == {(0x100, 1)}
-
-    def test_empty_trace(self):
-        with pytest.raises(AnalysisError):
-            tokenize_trace(make_trace(()))
+        kept, skipped = analyzable(partition_by_id(make_trace(frames)))
+        assert [key for key, _group in kept] == [(0x100, 1)]
+        assert skipped == [((0x200, 1), "only 1 frame(s)")]
 
 
 class TestExport:
