@@ -138,7 +138,7 @@ def normalize_tang(tang: Tang) -> np.ndarray:
 def export_tang_csv(tang: Tang, path) -> None:
     """Write ``bit_position,transitions,normalized`` rows for plotting.
 
-    One f-string per row, not the columnar encoder (`frames.join_fields`): a
+    One f-string per row, not the columnar encoder (`frames.line_matrix`): a
     file holds at most 64 rows, too few to pay for its per-call numpy overhead.
     """
     rows = zip(tang.counts.tolist(), normalize_tang(tang).tolist())

@@ -57,16 +57,14 @@ into the trace's columns and moves a chunk's rows up only if it skipped
 lines. So no chunk-sized array is freed per chunk: that raises glibc's
 mmap threshold, and the heap then holds more memory for the rest of the run.
 
-The writers are the inverse, a columnar row encoder. For each block of
-`ENCODE_ROWS` rows (`row_blocks`), each field is a (k, W) byte matrix,
-NUL where a row has no byte: decimal digits come four at a time from a
-table of ``b"%04d"`` or its twin with leading zeros NUL, hex digits two
-at a time from one of ``b"%02X"``. `join_fields` sets the fields side by
-side and deletes every NUL with one `bytes.translate`, leaving the lines.
-`write_candump` writes a trace so; `signals.export_series_csv` encodes a
-block's index and timestamps once for all its series. `fixed6_field`
-matches ``f"{v:.6f}"`` and hands that f-string the rows it cannot show
-exact: near a .5 tie, negative, non-finite or at least 2**53.
+The writers are the inverse, a columnar row encoder. A call fills one
+`line_matrix` of up to `ENCODE_ROWS` rows whose literal bytes are set once.
+For each block of rows (`row_blocks`) it writes every field into its own
+columns, right-aligned after NULs: decimal digits four at a time from a
+table of ``b"%04d"`` or its twin with leading zeros NUL, hex digits four
+at a time from one of ``b"%02X%02X"``. One `bytes.translate` deletes the NULs.
+`fixed6_field` matches ``f"{v:.6f}"`` and hands that f-string the rows it
+cannot show exact: near a .5 tie, negative, non-finite or at least 2**53.
 """
 
 from __future__ import annotations
@@ -106,7 +104,7 @@ class CanFrame(NamedTuple):
 
 
 def _set_columns(obj, **specs: tuple) -> None:
-    """Store each ``name=(dtype, shape)`` attribute of `obj` as a read-only array,
+    """Store each ``name=(dtype, shape)`` attribute of `obj` as a read-only C-order array,
     else AnalysisError if it holds a value `dtype` cannot hold exactly."""
     for name, (dtype, shape) in specs.items():
         a = np.asarray(getattr(obj, name))
@@ -121,7 +119,7 @@ def _set_columns(obj, **specs: tuple) -> None:
                 value = a.flat[inexact[0]]
                 raise AnalysisError(f"{name} holds {value}, which is not a {np.dtype(dtype)}")
             a = cast
-        a = a.view()
+        a = np.asarray(a, order="C").view()  # the writers view rows of a column as words
         if a.shape != shape:
             raise AnalysisError(f"{name} of shape {a.shape}, expected {shape}")
         a.flags.writeable = False
@@ -313,54 +311,61 @@ def _dec4_table() -> np.ndarray:
 
 
 _DEC4 = _dec4_table()
+_DOT2 = np.frombuffer(b"".join(b"\0.%02d" % v for v in range(100)), np.uint32)  # micros' head
 _HEX2 = np.frombuffer(b"0123456789ABCDEF", np.uint8)[  # 256 uint16: each byte's b"%02X"
     np.arange(256)[:, None] >> [4, 0] & 0xF].view(np.uint16).ravel()
-# which of a row's 8 id digits `write_candump` keeps: the last 3 of a standard id, or all 8
+# digits of a row `write_candump` keeps: of 8 id digits 3 (standard) or 8, 2 a payload byte
 _ID_KEEP = np.frombuffer(b"\0" * 5 + b"\xff" * 11, np.uint64)
+_DLC_KEEP = (255 * (np.arange(16) < np.arange(0, 18, 2)[:, None])).astype(np.uint8).view(np.uint64)
 
 
-def decimal_field(values: np.ndarray) -> np.ndarray:
-    """``str(v)`` of each uint64, right-aligned after NULs, as a field for `join_fields`."""
-    groups = -(-len(str(int(values.max(initial=0)))) // 4)  # of 4 digits, in the longest
-    words = np.empty((len(values), groups), np.uint32)
-    for j in range(groups - 1, -1, -1):
+def decimal_width(top: int) -> int:
+    """Bytes of a `decimal_field` for values up to `top`: 4 per group of 4 digits."""
+    return 4 * -(-len(str(top)) // 4)
+
+
+def decimal_field(values: np.ndarray, out: np.ndarray) -> None:
+    """Write ``str(v)`` of each uint64 right-aligned after NULs in a (k, `decimal_width`) `out`."""
+    words = out.view(np.uint32)
+    for j in range(words.shape[1] - 1, 0, -1):
         # numpy divides by a scalar with a multiply, several times faster than by an array
         quotient = values // np.uint64(10**4)
         index = values - quotient * np.uint64(10**4)
         index += (quotient != 0) * np.uint64(10**4)  # b"%04d" below a nonzero quotient
-        np.take(_DEC4, index.view(np.int64), out=words[:, j])
+        words[:, j] = np.take(_DEC4, index.view(np.int64))
         values = quotient
-    digits = words.view(np.uint8)
-    np.maximum(digits[:, -1], ord("0"), out=digits[:, -1])  # a row of all NUL is 0
-    return digits
+    words[:, 0] = np.take(_DEC4[0], values.view(np.int64))  # the top group: no quotient
+    np.maximum(out[:, -1], ord("0"), out=out[:, -1])  # a row of all NUL is 0
 
 
-def fixed6_field(x: np.ndarray) -> np.ndarray:
-    """``f"{v:.6f}"`` of each float64, right-aligned after NULs, as a field for `join_fields`.
+def fixed6_width(x: np.ndarray) -> int:
+    """Bytes of a `fixed6_field` for every value of x: 8, and 4 per group of 4 digits before."""
+    chars = len(str(int(np.abs(x).max(where=np.isfinite(x), initial=0)) + 1))  # + 1: a carry
+    return 8 + 4 * -(-(chars + bool(np.signbit(x).any())) // 4)  # and room for a sign
 
-    `floor(v)` and ``v - floor(v)`` are exact, and their product with 1e6
-    (< 2**20) is within 2**-33 of the exact one, so `rint` rounds it as
-    the f-string does unless it lies near a .5 tie. Rows near a tie, and
-    negative, non-finite and >= 2**53 values, are formatted by the f-string.
+
+def fixed6_field(x: np.ndarray, out: np.ndarray) -> None:
+    """Write ``f"{v:.6f}"`` of each float64 right-aligned after NULs in a (k, `fixed6_width`) `out`.
+
+    `floor(v)` and ``v - floor(v)`` are exact, and their product with 1e6 (< 2**20) is within
+    2**-33 of the exact one, so `rint` rounds it as the f-string does unless it lies near a .5
+    tie. The f-string formats rows near a tie, negative (-0.0 too), non-finite or >= 2**53.
     """
     with np.errstate(invalid="ignore"):
         whole = np.floor(x)
         micros = (x - whole) * 1e6
-        exact = ~np.signbit(x) & (x < _EXACT_INT)
-        exact &= np.abs(micros - np.floor(micros) - 0.5) >= 1e-6
-    micros = np.where(exact, np.rint(micros), 0).astype(np.uint64)
-    carry = micros == 10**6  # whose last six digits, all the row writes, are 000000
-    seconds = decimal_field(np.where(exact, whole, 0).astype(np.uint64) + carry)
-    field = np.concatenate((seconds, decimal_field(micros + np.uint64(10**7))), axis=1)
-    field[:, -8:-6] = (0, ord("."))  # over the 10 or 11 before the micros' six digits
+        rounded = np.rint(micros)
+        exact = ~np.signbit(x) & (x < _EXACT_INT) & (np.abs(micros - rounded) <= 0.5 - 1e-6)
     slow = np.flatnonzero(~exact)
+    rounded[slow] = whole[slow] = 0  # the f-string writes their rows below
+    micros = rounded.astype(np.uint64)
+    decimal_field(whole.astype(np.uint64) + (micros == 10**6), out[:, :-8])
+    head, words = micros // np.uint64(10**4), out[:, -8:].view(np.uint32)
+    words[:, 0] = np.take(_DOT2, head.view(np.int64), mode="wrap")  # 10**6 wraps to 000000
+    words[:, 1] = np.take(_DEC4[1], (micros - head * np.uint64(10**4)).view(np.int64))
     if slow.size:
-        texts = [f"{v:.6f}".encode() for v in x[slow].tolist()]
-        width = max(field.shape[1], *map(len, texts))
-        field = np.pad(field, ((0, 0), (width - field.shape[1], 0)))
-        field[slow] = np.frombuffer(b"".join(t.rjust(width, b"\0") for t in texts), np.uint8
-                                    ).reshape(-1, width)
-    return field
+        texts = b"".join(f"{v:.6f}".encode().rjust(out.shape[1], b"\0") for v in x[slow].tolist())
+        out[slow] = np.frombuffer(texts, np.uint8).reshape(len(slow), -1)
 
 
 def row_blocks(n: int, rows: int | None = None) -> Iterator[slice]:
@@ -370,35 +375,35 @@ def row_blocks(n: int, rows: int | None = None) -> Iterator[slice]:
         yield slice(start, min(start + rows, n))
 
 
-def join_fields(fields, k: int) -> bytes:
-    """The lines of k rows: their fields side by side, read row by row, less every NUL.
-
-    A field is a literal ``bytes`` or a (k, W) uint8 matrix with NUL at each
-    byte a row does not have. No field's other bytes are NUL.
-    """
-    return np.concatenate([
-        np.broadcast_to(np.frombuffer(f, np.uint8), (k, len(f))) if isinstance(f, bytes) else f
-        for f in fields
-    ], axis=1).tobytes().translate(None, b"\0")
+def line_matrix(n: int, layout) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The line matrix of a writer of n rows: a block's rows of `layout`, literal ``bytes``
+    and NUL fields of given widths side by side; and a (rows, width) view of each field."""
+    parts = [bytes(p) for p in layout]  # a width, as many NULs
+    matrix = np.tile(np.frombuffer(b"".join(parts), np.uint8), (min(n, ENCODE_ROWS), 1))
+    ends = np.cumsum([len(p) for p in parts]).tolist()
+    return matrix, [matrix[:, e - w:e] for w, e in zip(layout, ends) if isinstance(w, int)]
 
 
 def write_candump(trace: Trace, path) -> None:
     """Write a trace as compact candump lines on interface can0.
 
-    Standard ids get 3 hex digits, extended ids 8; timestamps keep
-    microsecond precision.
+    Standard ids get 3 hex digits, extended ids 8; timestamps keep microsecond precision.
     """
+    lines, (stamps, id_hex, payload_hex) = line_matrix(len(trace), [
+        b"(", fixed6_width(trace.timestamps), b") can0 ", 8, b"#", 16, b"\n"])
+    # b"%02X%02X" of each byte pair, read as a native uint16: 256 KiB, so built per call
+    hex4 = np.take(_HEX2, np.arange(1 << 16, dtype=np.uint16).view(np.uint8)).view(np.uint32)
     with open(path, "wb") as fh:
         for rows in row_blocks(len(trace)):
-            ids = trace.ids[rows]
-            id_hex = np.take(_HEX2, ids.astype(">u4").view(np.uint8).reshape(-1, 4))
-            id_hex.view(np.uint64)[:, 0] &= _ID_KEEP[(ids > STANDARD_ID_MAX).view(np.uint8)]
-            payload_hex = np.take(_HEX2, trace.payloads[rows])
-            payload_hex *= np.arange(MAX_DLC) < trace.dlcs[rows, None]  # NUL past the dlc
-            fh.write(join_fields([
-                b"(", fixed6_field(trace.timestamps[rows]), b") can0 ", id_hex.view(np.uint8),
-                b"#", payload_hex.view(np.uint8), b"\n",
-            ], len(ids)))
+            k, ids, dlcs = rows.stop - rows.start, trace.ids[rows], trace.dlcs[rows]
+            fixed6_field(trace.timestamps[rows], stamps[:k])
+            digits = np.take(hex4, ids.astype(">u4").view(np.uint16)).view(np.uint64)
+            id_hex[:k].view(np.uint64)[:, 0] = digits & np.take(_ID_KEEP, ids > STANDARD_ID_MAX)
+            digits = np.take(hex4, trace.payloads[rows].view(np.uint16)).view(np.uint64)
+            if dlcs.min() < MAX_DLC:
+                digits &= np.take(_DLC_KEEP, dlcs, axis=0)
+            payload_hex[:k].view(np.uint64)[...] = digits
+            fh.write(lines[:k].tobytes().translate(None, b"\0"))
 
 
 def write_json(data, path) -> None:

@@ -2,9 +2,9 @@
 
 `export_series_csv` writes the series of one group in one pass with the
 columnar row encoder of `frames`, byte for byte as one
-``f"{i},{ts:.6f},{v}"`` per row. All its files are open at once; for each
-block of `frames.ENCODE_ROWS` rows it encodes the NUL-padded index and
-timestamp fields once and joins them with each series' value field.
+``f"{i},{ts:.6f},{v}"`` per row. All its files are open at once and share
+one `frames.line_matrix`: each block's index and timestamp columns are
+written once, then each series' value digits and newline in turn.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ import numpy as np
 
 from .bitlab import build_bit_matrix, payload_bytes, read_field, write_field
 from .errors import AnalysisError, InvariantError
-from .frames import IdTrace, decimal_field, fixed6_field, join_fields, row_blocks, write_json
+from .frames import IdTrace, decimal_field, decimal_width, fixed6_field, fixed6_width
+from .frames import line_matrix, row_blocks, write_json
 from .tokenizer import PADDING, TokenCluster, Tokenization, format_id
 
 
@@ -106,29 +107,33 @@ def export_series_csv(series: Sequence[SignalSeries], paths) -> None:
     """Write each series' ``index,timestamp,value`` rows to its path.
 
     Index is chronological order. The series share one timestamps array,
-    so each block's ``index,timestamp,`` bytes are encoded once and
-    written to every file, which is open for the whole call.
+    so each block's ``index,timestamp,`` columns are encoded once for all
+    the files, which are open for the whole call.
     """
     if len(paths) != len(series):
         raise AnalysisError(f"{len(series)} series but {len(paths)} paths")
     if not series:
         return
     timestamps = series[0].timestamps
-    for s in series:
-        if len(s) != len(timestamps) or (
-            s.timestamps is not timestamps and s.timestamps.tobytes() != timestamps.tobytes()
-        ):
-            raise AnalysisError("series written together must share their timestamps")
+    if any(len(s) != len(timestamps) or s.timestamps is not timestamps
+           and s.timestamps.tobytes() != timestamps.tobytes() for s in series):
+        raise AnalysisError("series written together must share their timestamps")
+    widths = [decimal_width(int(s.values.max(initial=0))) for s in series]
+    lines, (index, stamps, values) = line_matrix(len(timestamps), [
+        decimal_width(len(timestamps)), b",", fixed6_width(timestamps), b",", max(widths) + 1])
+    prefix = lines.shape[1] - values.shape[1]
     with ExitStack() as stack:
         files = [stack.enter_context(open(path, "wb")) for path in paths]
         for fh in files:
             fh.write(b"index,timestamp,value\n")
         for rows in row_blocks(len(timestamps)):
-            index = decimal_field(np.arange(rows.start, rows.stop, dtype=np.uint64))
-            stamps = fixed6_field(timestamps[rows])
-            for s, fh in zip(series, files):
-                fields = [index, b",", stamps, b",", decimal_field(s.values[rows]), b"\n"]
-                fh.write(join_fields(fields, len(index)))
+            k = rows.stop - rows.start
+            decimal_field(np.arange(rows.start, rows.stop, dtype=np.uint64), index[:k])
+            fixed6_field(timestamps[rows], stamps[:k])
+            for s, width, fh in zip(series, widths, files):
+                decimal_field(s.values[rows], values[:k, :width])
+                values[:k, width] = ord("\n")
+                fh.write(lines[:k, :prefix + width + 1].tobytes().translate(None, b"\0"))
 
 
 def summary_to_dict(series: SignalSeries, summary: SignalSummary) -> dict:

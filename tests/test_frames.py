@@ -23,7 +23,9 @@ from cantok import (
 )
 from cantok import frames
 
-from .conftest import load_outcome, make_trace, reference_candump_line, reference_load_trace
+from .conftest import (
+    load_outcome, make_trace, reference_candump_line, reference_load_trace, reference_write_candump,
+)
 
 # Strings `float`, `int(_, 16)` and `int` read but a capture must not hold.
 BAD_TIMESTAMPS = ["nan", "inf", "-inf", "1e400", "1_0.5", "\u0661.5",
@@ -754,6 +756,15 @@ class TestRoundTrip:
                 b.payload,
             )
 
+    def test_write_candump_of_a_fortran_order_payload_matrix(self, tmp_path):
+        """`Trace` stores its columns in C order, so the writer's word views of a row hold."""
+        payloads = np.arange(24, dtype=np.uint8).reshape(3, 8) * (np.arange(8) < [[8], [3], [0]])
+        trace = Trace([1.0, 2.0, 3.0], [1, 0x7FF, 0x1ABCDEF0], [8, 3, 0],
+                      np.asfortranarray(payloads))
+        write_candump(trace, tmp_path / "out.log")
+        reference_write_candump(trace, tmp_path / "ref.log")
+        assert (tmp_path / "out.log").read_bytes() == (tmp_path / "ref.log").read_bytes()
+
     def test_id_digit_widths(self):
         assert reference_candump_line(CanFrame(1.0, 0x123, 0, b"")).split()[2] == "123#"
         assert (
@@ -766,8 +777,10 @@ class TestEncoder:
     def test_decimal_field_matches_str(self):
         values = [*range(10**5), *(10**k + d for k in range(1, 20) for d in (-1, 0, 1)),
                   2**64 - 1]
-        field = frames.decimal_field(np.array(values, dtype=np.uint64))
-        assert frames.join_fields([field, b"\n"], len(values)) == "".join(
+        width = frames.decimal_width(max(values))
+        lines = np.full((len(values), width + 1), ord("\n"), np.uint8)
+        frames.decimal_field(np.array(values, dtype=np.uint64), lines[:, :-1])
+        assert lines.tobytes().translate(None, b"\0") == "".join(
             f"{v}\n" for v in values
         ).encode()
 
@@ -778,6 +791,10 @@ class TestEncoder:
         )
         assert frames._HEX2.tobytes() == b"".join(b"%02X" % v for v in range(256))
         assert frames._ID_KEEP.tobytes() == b"\0" * 5 + b"\xff" * 11
+        assert frames._DLC_KEEP.tobytes() == b"".join(
+            (b"\xff" * 2 * dlc).ljust(16, b"\0") for dlc in range(9)
+        )
+        assert frames._DOT2.tobytes() == b"".join(b"\0.%02d" % v for v in range(100))
 
     def test_tables_stay_small(self):
         """Every array the module builds at import, together, fits in 128 KiB."""

@@ -7,6 +7,7 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -484,6 +485,34 @@ def test_group_series_csv_matches_per_row_reference(data, stamps, block):
         for s, name in zip(series, names):
             reference_series_csv(s, ref / name)
             assert (out / name).read_bytes() == (ref / name).read_bytes()
+
+
+# (timestamp, value, id, payload): rows whose fields take the most bytes (f-string stamps,
+# a 20-digit value, an extended id, dlc 8) and rows whose fields take the fewest
+_WIDE_ROWS = [
+    (1e300, 2**64 - 1, 0x1ABCDEF0, bytes(range(8))), (2.0**53, 10**19, 0x1FFFFFFF, b"\xff" * 8),
+]
+_NARROW_ROWS = [(0.0, 0, 0x1, b""), (0.0, 0, 0x1, b"\x01\x02\x03")]
+
+
+@pytest.mark.parametrize("block", [1, 2])
+@pytest.mark.parametrize(
+    "rows", [_WIDE_ROWS + _NARROW_ROWS, _NARROW_ROWS + _WIDE_ROWS], ids=["wide", "narrow"]
+)
+def test_writers_leave_no_bytes_of_an_earlier_block(rows, block):
+    """Each writer reuses one line matrix: a block of narrow rows after wide ones keeps none of
+    their bytes, and wide rows after narrow ones are whole."""
+    trace = make_trace([CanFrame(ts, arb_id, len(p), p) for ts, _, arb_id, p in rows])
+    assert _written(write_candump, trace, block) == _written(reference_write_candump, trace, block)
+    stamps = np.array([row[0] for row in rows])
+    values = np.array([row[1] for row in rows], dtype=np.uint64)
+    series = [SignalSeries(0x100, signal(0, 63), v, stamps) for v in (values, values % 10)]
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(frames, "ENCODE_ROWS", block):
+        paths = [Path(tmp) / f"s{k}.csv" for k in range(len(series))]
+        export_series_csv(series, paths)
+        for s, path in zip(series, paths):
+            reference_series_csv(s, Path(tmp) / "ref.csv")
+            assert path.read_bytes() == (Path(tmp) / "ref.csv").read_bytes()
 
 
 @given(st.lists(st.tuples(_stamp_st, _id_any_st, st.binary(max_size=8)), max_size=12), _block_st)
