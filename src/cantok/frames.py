@@ -104,7 +104,7 @@ class CanFrame(NamedTuple):
 
 
 def _set_columns(obj, **specs: tuple) -> None:
-    """Store each ``name=(dtype, shape)`` attribute of `obj` as a read-only C-order array,
+    """Store each ``name=(dtype, shape)`` attribute of `obj` as a read-only array,
     else AnalysisError if it holds a value `dtype` cannot hold exactly."""
     for name, (dtype, shape) in specs.items():
         a = np.asarray(getattr(obj, name))
@@ -119,7 +119,7 @@ def _set_columns(obj, **specs: tuple) -> None:
                 value = a.flat[inexact[0]]
                 raise AnalysisError(f"{name} holds {value}, which is not a {np.dtype(dtype)}")
             a = cast
-        a = np.asarray(a, order="C").view()  # the writers view rows of a column as words
+        a = a.view()
         if a.shape != shape:
             raise AnalysisError(f"{name} of shape {a.shape}, expected {shape}")
         a.flags.writeable = False
@@ -387,7 +387,8 @@ def line_matrix(n: int, layout) -> tuple[np.ndarray, list[np.ndarray]]:
 def write_candump(trace: Trace, path) -> None:
     """Write a trace as compact candump lines on interface can0.
 
-    Standard ids get 3 hex digits, extended ids 8; timestamps keep microsecond precision.
+    Standard ids get 3 hex digits, extended ids 8; timestamps keep
+    microsecond precision.
     """
     lines, (stamps, id_hex, payload_hex) = line_matrix(len(trace), [
         b"(", fixed6_width(trace.timestamps), b") can0 ", 8, b"#", 16, b"\n"])
@@ -399,7 +400,8 @@ def write_candump(trace: Trace, path) -> None:
             fixed6_field(trace.timestamps[rows], stamps[:k])
             digits = np.take(hex4, ids.astype(">u4").view(np.uint16)).view(np.uint64)
             id_hex[:k].view(np.uint64)[:, 0] = digits & np.take(_ID_KEEP, ids > STANDARD_ID_MAX)
-            digits = np.take(hex4, trace.payloads[rows].view(np.uint16)).view(np.uint64)
+            payloads = np.ascontiguousarray(trace.payloads[rows])  # rows of whole words
+            digits = np.take(hex4, payloads.view(np.uint16)).view(np.uint64)
             if dlcs.min() < MAX_DLC:
                 digits &= np.take(_DLC_KEEP, dlcs, axis=0)
             payload_hex[:k].view(np.uint64)[...] = digits

@@ -115,9 +115,11 @@ def export_series_csv(series: Sequence[SignalSeries], paths) -> None:
     if not series:
         return
     timestamps = series[0].timestamps
-    if any(len(s) != len(timestamps) or s.timestamps is not timestamps
-           and s.timestamps.tobytes() != timestamps.tobytes() for s in series):
-        raise AnalysisError("series written together must share their timestamps")
+    for s in series:
+        if len(s) != len(timestamps) or (
+            s.timestamps is not timestamps and s.timestamps.tobytes() != timestamps.tobytes()
+        ):
+            raise AnalysisError("series written together must share their timestamps")
     widths = [decimal_width(int(s.values.max(initial=0))) for s in series]
     lines, (index, stamps, values) = line_matrix(len(timestamps), [
         decimal_width(len(timestamps)), b",", fixed6_width(timestamps), b",", max(widths) + 1])

@@ -716,24 +716,31 @@ class TestPartition:
         """Handed the only reference, partition_by_id frees each column once it
         is done with it: its peak over the 21 bytes a frame held at the call
         stays within 10 bytes a frame (the packed words or one gathered column,
-        plus block temporaries), with standard and with extended ids."""
+        plus block temporaries), with standard and with extended ids. The
+        groups then keep 16 bytes a frame, the gathered timestamps and
+        payloads, and under 1 KiB a group: with dlcs 1 to 8 too, because a
+        group's payloads are a view of the gathered matrix, not a copy."""
         m = 200_000
-        for low, high in ((0, 0x800), (0x18F00000 - 20, 0x18F00000 + 20)):
+        for low, high, dlc in ((0, 0x800, 8), (0x18F00000 - 20, 0x18F00000 + 20, 8),
+                               (0x18F00000 - 20, 0x18F00000 + 20, 1)):
             rng = np.random.default_rng(7)
             tracemalloc.start()  # first: tracemalloc does not see frees of older blocks
             try:
+                dlcs = rng.integers(dlc, 9, m).astype(np.uint8)
                 traces = [Trace(
-                    np.arange(m) * 0.001, rng.integers(low, high, m).astype(np.uint32),
-                    np.full(m, 8, np.uint8), rng.integers(0, 256, (m, 8), dtype=np.uint8),
+                    np.arange(m) * 0.001, rng.integers(low, high, m).astype(np.uint32), dlcs,
+                    rng.integers(0, 256, (m, 8), dtype=np.uint8) * (np.arange(8) < dlcs[:, None]),
                 )]
+                del dlcs
                 held = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
                 groups = partition_by_id(traces.pop())
-                peak = tracemalloc.get_traced_memory()[1]
+                kept, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
             assert sum(map(len, groups.values())) == m
-            assert (peak - held) / m <= 10, hex(low)
+            assert (peak - held) / m <= 10, (hex(low), dlc)
+            assert (kept - 1024 * len(groups)) / m <= 16, (hex(low), dlc)
 
 
 class TestRoundTrip:
@@ -757,7 +764,7 @@ class TestRoundTrip:
             )
 
     def test_write_candump_of_a_fortran_order_payload_matrix(self, tmp_path):
-        """`Trace` stores its columns in C order, so the writer's word views of a row hold."""
+        """`write_candump` reads a payload row as whole words, also from a Fortran-order matrix."""
         payloads = np.arange(24, dtype=np.uint8).reshape(3, 8) * (np.arange(8) < [[8], [3], [0]])
         trace = Trace([1.0, 2.0, 3.0], [1, 0x7FF, 0x1ABCDEF0], [8, 3, 0],
                       np.asfortranarray(payloads))
