@@ -21,10 +21,14 @@ from .frames import Trace, load_trace, parse_hex_id, partition_by_id, write_cand
 from .tokenizer import TokenizerConfig
 
 
-def _add_capture_flags(p: argparse.ArgumentParser) -> None:
-    """Flags shared by every command that reads a capture."""
-    p.add_argument("--format", choices=("candump", "csv"), default="candump")
+def _add_out_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", default=".", help="output directory")
+
+
+def _add_capture_flags(p: argparse.ArgumentParser) -> None:
+    """Flags shared by every command that reads a capture, and --out."""
+    p.add_argument("--format", choices=("candump", "csv"), default="candump")
+    _add_out_flag(p)
     p.add_argument("--lenient", action="store_true", help="skip malformed lines instead of aborting")
 
 
@@ -43,12 +47,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, summary in (
-        ("tang", "per-id transition count vectors"),
-        ("tokenize", "greedy signal/padding clustering"),
-        ("extract", "unsigned-integer series per signal"),
+    for name, summary, run in (
+        ("tang", "per-id transition count vectors", cmd_tang),
+        ("tokenize", "greedy signal/padding clustering", cmd_tokenize),
+        ("extract", "unsigned-integer series per signal", cmd_extract),
     ):
         p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
         p.add_argument("--input", "-i", required=True, help="capture file")
         p.add_argument("--ids", default=None, help="comma-separated id filter, e.g. 0x100,0x200")
         _add_capture_flags(p)
@@ -56,10 +61,12 @@ def build_parser() -> argparse.ArgumentParser:
             _add_tokenizer_flags(p)
 
     p = sub.add_parser("synth", help="generate a trace from a ground-truth spec")
+    p.set_defaults(run=cmd_synth)
     p.add_argument("--input", "-i", required=True, help="ground-truth JSON spec")
-    p.add_argument("--out", default=".", help="output directory")
+    _add_out_flag(p)
 
     p = sub.add_parser("score", help="compare a tokenization to ground truth")
+    p.set_defaults(run=cmd_score)
     p.add_argument("--tokenization", "-t", default=None, help="tokenization JSON")
     p.add_argument("--input", "-i", default=None, help="trace to tokenize (alternative to -t)")
     p.add_argument("--ground-truth", "-g", required=True, help="ground-truth JSON spec")
@@ -97,6 +104,12 @@ def _stem(arb_id: int, dlc: int | None = None) -> str:
     return f"{arb_id:04X}" + ("" if dlc is None else f"_dlc{dlc}")
 
 
+def _outdir(args) -> Path:
+    """The --out directory, made if missing."""
+    (outdir := Path(args.out)).mkdir(parents=True, exist_ok=True)
+    return outdir
+
+
 def _load(args) -> Trace:
     return load_trace(args.input, format=args.format, strict=not args.lenient)
 
@@ -104,8 +117,7 @@ def _load(args) -> Trace:
 def _analysis_input(args, header: str):
     """Output directory, analyzable groups and their file stems (mixed-dlc ids get
     a dlc suffix); prints the summary table's header if there is a group."""
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _outdir(args)
     wanted = _id_filter(args)  # before the load, so a bad filter fails fast
     # no name holds the capture, so partition_by_id frees each column once done with it
     groups = _select_groups(partition_by_id(_load(args)), wanted)
@@ -175,8 +187,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _outdir(args)
     gt = synth.load_ground_truth(args.input)
     trace = synth.generate_trace(gt)
     stem = _stem(gt.arbitration_id)
@@ -190,8 +201,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_score(args) -> int:
-    outdir = Path(args.out)
-    outdir.mkdir(parents=True, exist_ok=True)
+    outdir = _outdir(args)
     gt = synth.load_ground_truth(args.ground_truth)
     if args.tokenization:
         with open(args.tokenization) as fh:
@@ -215,19 +225,10 @@ def cmd_score(args) -> int:
     return 0
 
 
-_COMMANDS = {
-    "tang": cmd_tang,
-    "tokenize": cmd_tokenize,
-    "extract": cmd_extract,
-    "synth": cmd_synth,
-    "score": cmd_score,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except InvariantError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 2
