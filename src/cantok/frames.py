@@ -316,7 +316,8 @@ _HEX2 = np.frombuffer(b"0123456789ABCDEF", np.uint8)[  # 256 uint16: each byte's
     np.arange(256)[:, None] >> [4, 0] & 0xF].view(np.uint16).ravel()
 # digits of a row `write_candump` keeps: of 8 id digits 3 (standard) or 8, 2 a payload byte
 _ID_KEEP = np.frombuffer(b"\0" * 5 + b"\xff" * 11, np.uint64)
-_DLC_KEEP = (255 * (np.arange(16) < np.arange(0, 18, 2)[:, None])).astype(np.uint8).view(np.uint64)
+_DLC_KEEP = np.frombuffer(b"".join(b"\xff" * 2 * d + b"\0" * (16 - 2 * d) for d in range(9)),
+                          np.uint64).reshape(9, 2)
 
 
 def decimal_width(top: int) -> int:
