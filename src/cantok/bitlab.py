@@ -14,9 +14,11 @@ multi-byte values on ascending contiguous positions.
 A field is the run of positions between its LSB and MSB position, in
 either order; position p carries place value 2^|p - lsb|. `read_field`
 reads a field from the bit matrix. `write_field` writes one into a column
-of packed payload words, one uint64 per frame, where position p is bit
-63 - p, so a word's big-endian bytes are the payload (`payload_bytes`).
-These are the only places values are turned into bits and back.
+of field words, one uint64 per frame, where position p is bit 63 - p, so
+a word's big-endian bytes are the payload. These are the only places
+values are turned into bits and back, and `payload_bytes` is the one
+byte-order conversion: from field words to payloads in memory order, the
+words of `Trace.words`.
 """
 
 from __future__ import annotations
@@ -85,8 +87,8 @@ def write_field(words: np.ndarray, lsb: int, msb: int, values) -> None:
 
 
 def payload_bytes(words: np.ndarray) -> np.ndarray:
-    """(M, 8) uint8 payloads of (M,) uint64 words: each word's big-endian bytes."""
-    return words.astype(">u8").view(np.uint8).reshape(-1, 8)
+    """(M,) uint64 payloads as `Trace.words` holds them: each field word's big-endian bytes."""
+    return words.astype(">u8").view(np.uint64)
 
 
 def build_bit_matrix(idtrace: IdTrace) -> np.ndarray:

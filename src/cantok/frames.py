@@ -13,11 +13,11 @@ about a line: each field matches one ASCII pattern (a timestamp is
 dlc decimal digits, a payload hex pairs), the dlc fits the payload, and
 the id and dlc are in range.
 
-A `Trace` holds one read-only column per frame field, with payloads as an
-(M, 8) matrix zero past each frame's dlc, and rejects an id above 29 bits
-or a dlc above 8; an `IdTrace` holds one (id, dlc) group's timestamps and
-(M, dlc) payloads. `CanFrame`, the row a parser returns and `Trace.frames`
-yields, checks nothing.
+A `Trace` holds one read-only column per frame field, a payload as one
+uint64 of `words` (its bytes in memory order, zero past the dlc), and
+rejects an id above 29 bits or a dlc above 8. An `IdTrace` holds one (id,
+dlc) group's timestamps and (M, dlc) uint8 `payloads`, its words' bytes.
+`CanFrame`, the row a parser returns and `Trace.frames` yields, checks nothing.
 
 `load_trace` reads a capture in chunks of about `CHUNK_BYTES` and decodes
 most lines in columns with numpy, one line length at a time. It decodes a
@@ -112,7 +112,9 @@ def _set_columns(obj, **specs: tuple) -> None:
             try:
                 with np.errstate(invalid="ignore"):  # NaN and inf cast to some number
                     cast = a.astype(dtype)
-                    inexact = np.flatnonzero(cast.astype(a.dtype) != a)
+                    # an int64 column is cast to uint64 and back without loss: check its sign
+                    wraps = a < 0 if a.dtype.kind == "i" and cast.dtype.kind == "u" else False
+                    inexact = np.flatnonzero((cast.astype(a.dtype) != a) | wraps)
             except (TypeError, ValueError, OverflowError) as exc:  # text, an int of 2**64
                 raise AnalysisError(f"{name} of {a.dtype}: {exc}") from None
             if inexact.size:
@@ -133,14 +135,12 @@ class Trace:
     timestamps: np.ndarray  # (M,) float64 seconds
     ids: np.ndarray  # (M,) uint32 arbitration ids
     dlcs: np.ndarray  # (M,) uint8
-    payloads: np.ndarray  # (M, 8) uint8, zero past each frame's dlc
+    words: np.ndarray  # (M,) uint64, the 8 payload bytes in memory order, zero past the dlc
 
     def __post_init__(self):
         m = len(self.timestamps)
-        _set_columns(
-            self, timestamps=(np.float64, (m,)), ids=(np.uint32, (m,)),
-            dlcs=(np.uint8, (m,)), payloads=(np.uint8, (m, MAX_DLC)),
-        )
+        _set_columns(self, timestamps=(np.float64, (m,)), ids=(np.uint32, (m,)),
+                     dlcs=(np.uint8, (m,)), words=(np.uint64, (m,)))
         for column, top, reason in ((self.ids, EXTENDED_ID_MAX, OUTSIDE_ID_RANGE),
                                     (self.dlcs, MAX_DLC, OUTSIDE_DLC_RANGE)):
             if column.max(initial=0) > top:  # a reduction: no temporary of length M
@@ -149,7 +149,7 @@ class Trace:
     @property
     def frames(self) -> Iterator[CanFrame]:
         """Row view: one CanFrame per frame, in capture order."""
-        blob = self.payloads.tobytes()
+        blob = self.words.tobytes()
         rows = zip(self.timestamps.tolist(), self.ids.tolist(), self.dlcs.tolist())
         for k, (ts, arb_id, dlc) in enumerate(rows):
             yield CanFrame(ts, arb_id, dlc, blob[MAX_DLC * k : MAX_DLC * k + dlc])
@@ -401,8 +401,7 @@ def write_candump(trace: Trace, path) -> None:
             fixed6_field(trace.timestamps[rows], stamps[:k])
             digits = np.take(hex4, ids.astype(">u4").view(np.uint16)).view(np.uint64)
             id_hex[:k].view(np.uint64)[:, 0] = digits & np.take(_ID_KEEP, ids > STANDARD_ID_MAX)
-            payloads = np.ascontiguousarray(trace.payloads[rows])  # rows of whole words
-            digits = np.take(hex4, payloads.view(np.uint16)).view(np.uint64)
+            digits = np.take(hex4, trace.words[rows, None].view(np.uint16)).view(np.uint64)
             if dlcs.min() < MAX_DLC:
                 digits &= np.take(_DLC_KEEP, dlcs, axis=0)
             payload_hex[:k].view(np.uint64)[...] = digits
@@ -507,10 +506,10 @@ def _decode(m: np.ndarray, classes: np.ndarray, f: re.Match, pool: dict):
     ok = (numer < _EXACT_INT) & (ids <= EXTENDED_ID_MAX)
     ok[outside] = False
     digits, dlc = values[:, f.start("hex") :], len(f["hex"]) // 2  # two a byte, high one first
-    payloads = np.zeros((len(m), MAX_DLC), np.uint8)
-    payloads[:, :dlc] = digits[:, ::2] << 4 | digits[:, 1::2]
+    words = np.zeros(len(m), np.uint64)
+    words[:, None].view(np.uint8)[:, :dlc] = digits[:, ::2] << 4 | digits[:, 1::2]
     dlcs = np.full(len(m), dlc, np.uint8)
-    return ok, [numer / float(10 ** len(f["frac"])), ids, dlcs, payloads.view(np.uint64).ravel()]
+    return ok, [numer / float(10 ** len(f["frac"])), ids, dlcs, words]
 
 
 def _decode_chunk(chunk: memoryview, format: str, cols: list, templates: dict, pool: dict):
@@ -616,26 +615,25 @@ def load_trace(path, format: str = "candump", strict: bool = True) -> Trace:
             capacity += np.count_nonzero(np.equal(np.frombuffer(buf, np.uint8, size), 10, out=lf))
             capacity += buf.find(b"\r", 0, size) >= 0 and buf.count(b"\r", 0, size)
         fh.seek(0)
-        # timestamp, id, dlc and payload columns, a payload's 8 bytes as one word
+        # the trace's columns: timestamps, ids, dlcs and payload words
         out = [np.empty(capacity, dtype) for dtype in (np.float64, np.uint32, np.uint8, np.uint64)]
         size, lineno = 0, 1
         for chunk in _chunks(fh, buf):
             cols = [column[size:] for column in out]
             decoded, line = _decode_chunk(chunk, format, cols, templates, pool)
-            timestamps, ids, dlcs, payloads = cols
+            timestamps, ids, dlcs, words = cols
             for k in np.flatnonzero(~decoded).tolist():
                 frame = parse_line(line(k), lineno + k)
                 if frame is not None:
                     decoded[k] = True
                     timestamps[k], ids[k], dlcs[k], payload = frame
-                    payloads[k] = np.frombuffer(payload.ljust(MAX_DLC, b"\0"), np.uint64)[0]
+                    words[k] = np.frombuffer(payload.ljust(MAX_DLC, b"\0"), np.uint64)[0]
             if (n := int(decoded.sum())) < len(decoded):  # compact the chunk's frames
                 for column in cols:
                     column[:n] = column[: len(decoded)][decoded]
             size += n
             lineno += len(decoded)
-    timestamps, ids, dlcs, payloads = (column[:size] for column in out)
-    trace = Trace(timestamps, ids, dlcs, payloads.view(np.uint8).reshape(size, MAX_DLC))
+    trace = Trace(*(column[:size] for column in out))
     if skipped:
         log.warning("%s: skipped %d malformed line(s)", path, skipped)
     try:
@@ -675,7 +673,7 @@ def partition_by_id(trace: Trace) -> dict[tuple[int, int], IdTrace]:
     capture column once done with it, so it needs 8 bytes a frame over the
     capture (the words, then one gathered column) plus a few blocks.
     """
-    timestamps, ids, dlcs, payloads = trace.timestamps, trace.ids, trace.dlcs, trace.payloads
+    timestamps, ids, dlcs, payloads = trace.timestamps, trace.ids, trace.dlcs, trace.words
     del trace  # from here on, a column rebound or deleted is freed if unshared
     m = len(timestamps)
     index_bits = (m - 1).bit_length()
@@ -700,7 +698,7 @@ def partition_by_id(trace: Trace) -> dict[tuple[int, int], IdTrace]:
     group_keys = (words[edges[:-1]] >> index_bits).tolist()
     del words
     timestamps = _gather(timestamps, order)
-    payloads = _gather(np.ascontiguousarray(payloads).view(np.uint64), order).view(np.uint8)
+    payloads = _gather(payloads, order)[:, None].view(np.uint8)  # each word's 8 bytes
     groups = {}
     for a, b, key in zip(edges, edges[1:], group_keys):
         arb_id, dlc = key >> 4, key & 0xF

@@ -183,7 +183,7 @@ def repack_payloads(
         if len(series) != frame_count:
             raise AnalysisError("series length does not match frame count")
         write_field(words, c.lsb_index, c.msb_index, series.values)
-    return payload_bytes(words)[:, : tok.bit_width // 8]
+    return payload_bytes(words)[:, None].view(np.uint8)[:, : tok.bit_width // 8]
 
 
 def export_summary_json(summaries: list[dict], path) -> None:

@@ -18,7 +18,7 @@ import numpy as np
 from .bitlab import payload_bytes, write_field
 from .errors import AnalysisError
 from .frames import (
-    EXTENDED_ID_MAX, MAX_DLC, OUTSIDE_ID_RANGE, Trace, parse_hex_id, require_uints, write_json,
+    EXTENDED_ID_MAX, OUTSIDE_ID_RANGE, Trace, parse_hex_id, require_uints, write_json,
 )
 from .tokenizer import ENDIANNESSES, SIGNAL, Tokenization, format_id
 
@@ -158,31 +158,28 @@ def generate_trace(gt: GroundTruth) -> Trace:
     """Deterministically synthesize the trace described by a GroundTruth."""
     rng = np.random.default_rng(gt.seed)
     m = gt.frame_count
-    words = np.full(m, 2**64 - 1 if gt.padding_value else 0, dtype=np.uint64)
+    padding = ((1 << gt.bit_width) - 1) << (64 - gt.bit_width)  # positions 0 to bit_width - 1
+    words = np.full(m, padding if gt.padding_value else 0, dtype=np.uint64)
     for spec in gt.specs:
         lsb, msb = (spec.hi, spec.lo) if spec.endianness == "big" else (spec.lo, spec.hi)
         write_field(words, lsb, msb, _generate_values(spec, m, rng))
-    payloads = payload_bytes(words)
-    payloads[:, gt.bit_width // 8 :] = 0
     return Trace(
         timestamps=gt.start_time + np.arange(m) * FRAME_PERIOD_S,
         ids=np.full(m, gt.arbitration_id, dtype=np.uint32),
         dlcs=np.full(m, gt.bit_width // 8, dtype=np.uint8),
-        payloads=payloads,
+        words=payload_bytes(words),
     )
 
 
 def merge_traces(traces: list[Trace]) -> Trace:
     """Interleave traces by timestamp (stable, so per-id order is kept)."""
     if not traces:
-        return Trace([], [], [], np.empty((0, MAX_DLC)))
+        return Trace([], [], [], [])
     timestamps = np.concatenate([t.timestamps for t in traces])
     order = np.argsort(timestamps, kind="stable")
     timestamps = timestamps[order]  # column by column: each concatenation is freed once gathered
-    ids, dlcs = (np.concatenate([getattr(t, name) for t in traces])[order]
-                 for name in ("ids", "dlcs"))
-    words = np.concatenate([t.payloads for t in traces]).view(np.uint64)[order]  # one word a row
-    return Trace(timestamps, ids, dlcs, words.view(np.uint8))
+    return Trace(timestamps, *(np.concatenate([getattr(t, name) for t in traces])[order]
+                               for name in ("ids", "dlcs", "words")))
 
 
 def score_tokenization(tok: Tokenization, gt: GroundTruth) -> ScoreReport:

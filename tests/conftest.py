@@ -43,7 +43,7 @@ def reference_load_trace(path, format: str = "candump", strict: bool = True) -> 
             ids.append(frame.arbitration_id)
             dlcs.append(frame.dlc)
             payloads += frame.payload.ljust(MAX_DLC, b"\0")
-    trace = Trace(timestamps, ids, dlcs, np.reshape(payloads, (-1, MAX_DLC)))
+    trace = Trace(timestamps, ids, dlcs, np.frombuffer(payloads, np.uint64))
     if skipped:
         log.warning("%s: skipped %d malformed line(s)", path, skipped)
     log.info("%s: %d frames", path, len(trace))
@@ -102,7 +102,8 @@ def _reference_values(spec, m, rng):
 
 def reference_generate_trace(gt) -> Trace:
     """Bit-matrix generator: one uint8 per payload bit, each field written bit by
-    bit under the position numbering, then packed and padded to MAX_DLC bytes."""
+    bit under the position numbering, then packed, padded to MAX_DLC bytes and
+    read as one word a frame."""
     rng = np.random.default_rng(gt.seed)
     m = gt.frame_count
     bits = np.full((m, gt.bit_width), gt.padding_value, dtype=np.uint8)
@@ -116,20 +117,17 @@ def reference_generate_trace(gt) -> Trace:
         timestamps=gt.start_time + np.arange(m) * FRAME_PERIOD_S,
         ids=np.full(m, gt.arbitration_id, dtype=np.uint32),
         dlcs=np.full(m, gt.bit_width // 8, dtype=np.uint8),
-        payloads=np.pad(packed, ((0, 0), (0, MAX_DLC - packed.shape[1]))),
+        words=np.pad(packed, ((0, 0), (0, MAX_DLC - packed.shape[1]))).view(np.uint64)[:, 0],
     )
 
 
 def make_trace(frames):
     """Trace whose columns hold the given CanFrames, in order."""
-    payloads = np.zeros((len(frames), 8), dtype=np.uint8)
-    for k, f in enumerate(frames):
-        payloads[k, : f.dlc] = list(f.payload)
     return Trace(
         [f.timestamp for f in frames],
         [f.arbitration_id for f in frames],
         [f.dlc for f in frames],
-        payloads,
+        np.frombuffer(b"".join(f.payload.ljust(MAX_DLC, b"\0") for f in frames), np.uint64),
     )
 
 
@@ -259,7 +257,7 @@ def naive_summary(values):
     return min(py), max(py), len(set(py)), transitions, mean_abs
 
 
-COLUMNS = ("timestamps", "ids", "dlcs", "payloads")
+COLUMNS = ("timestamps", "ids", "dlcs", "words")
 
 
 def load_outcome(loader, path, **kwargs):

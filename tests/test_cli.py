@@ -554,7 +554,7 @@ def _write_bus(groups, seed, format, junk, end, path) -> None:
     for g in range(len(groups)):
         rank[group == g] = np.arange(np.count_nonzero(group == g))
     payloads[np.arange(len(group)), dlcs - 1] = rank % 256
-    frames = Trace(np.arange(len(group)) * 0.001, ids, dlcs, payloads).frames
+    frames = Trace(np.arange(len(group)) * 0.001, ids, dlcs, payloads.view(np.uint64)[:, 0]).frames
     if format == "csv":
         lines = [CSV_HEADER] + [
             f"{f.timestamp:.6f},{f.arbitration_id:X},{f.dlc},{f.payload.hex().upper()}"

@@ -234,7 +234,7 @@ class TestFrameInvariants:
 
     @staticmethod
     def _trace(ids, dlcs):
-        return Trace([0.0, 1.0, 2.0], ids, dlcs, np.zeros((3, 8)))
+        return Trace([0.0, 1.0, 2.0], ids, dlcs, np.zeros(3))
 
     def test_extended_id_limit(self):
         self._trace([0, 0x1FFFFFFF, 1], [0, 8, 1])
@@ -255,15 +255,15 @@ class TestFrameInvariants:
         ("ids", [5.7, 1, 1], "5.7, which is not a uint32"),
         ("ids", [float("nan"), 1, 1], "nan, which is not a uint32"),
         ("dlcs", np.array([264, 8, 8]), "264, which is not a uint8"),
-        ("payloads", np.full((3, 8), 256), "256, which is not a uint8"),
-        ("payloads", np.full((3, 8), 300.5), "300.5, which is not a uint8"),
+        ("words", np.array([-1, 0, 0]), "-1, which is not a uint64"),
+        ("words", np.full(3, 300.5), "300.5, which is not a uint64"),
         ("timestamps", np.array([2**53 + 1, 0, 0]), "9007199254740993, which is not a float64"),
-    ], ids=["id-2**32+5", "id-5.7", "id-nan", "dlc-264", "payload-256", "payload-300.5",
+    ], ids=["id-2**32+5", "id-5.7", "id-nan", "dlc-264", "payload--1", "payload-300.5",
             "timestamp-2**53+1"])
     def test_inexact_cast_rejected(self, name, column, shown):
         """A column is cast to its dtype only if every value survives the cast."""
         columns = {"timestamps": [0.0, 1.0, 2.0], "ids": [1, 1, 1], "dlcs": [1, 1, 1],
-                   "payloads": np.zeros((3, 8)), name: column}
+                   "words": np.zeros(3), name: column}
         with pytest.raises(AnalysisError, match=f"^{name} holds {re.escape(shown)}$"):
             Trace(**columns)
 
@@ -273,16 +273,16 @@ class TestFrameInvariants:
 
     def test_int_beyond_int64_rejected(self):
         with pytest.raises(AnalysisError, match="^ids of object: "):
-            Trace([0.0], [2**64], [0], np.zeros((1, 8)))
+            Trace([0.0], [2**64], [0], np.zeros(1))
 
     def test_exact_cast_kept_and_typed_column_not_copied(self):
         ids = np.array([1, 0x1FFFFFFF, 2], np.uint32)
-        trace = Trace([0, 1, 2], ids, [1.0, 8.0, 0.0], np.zeros((3, 8)))
+        trace = Trace([0, 1, 2], ids, [1.0, 8.0, 0.0], np.zeros(3))
         assert np.shares_memory(trace.ids, ids)
         assert trace.dlcs.tolist() == [1, 8, 0] and trace.timestamps.dtype == np.float64
 
     def test_empty_trace_valid(self):
-        assert len(Trace([], [], [], np.zeros((0, 8)))) == 0
+        assert len(Trace([], [], [], np.zeros(0))) == 0
 
     def test_row_checks_nothing(self):
         """Rows come only from the line builder and Trace.frames, which both
@@ -690,7 +690,7 @@ class TestPartition:
         m = 2**31 + 1
         capture = SimpleNamespace(
             timestamps=np.broadcast_to(0.0, (m,)), ids=np.array([0x1FFFFFFF], np.uint32),
-            dlcs=np.broadcast_to(np.uint8(8), (m,)), payloads=np.broadcast_to(np.uint8(0), (m, 8)),
+            dlcs=np.broadcast_to(np.uint8(8), (m,)), words=np.broadcast_to(np.uint64(0), (m,)),
         )
         with pytest.raises(AnalysisError, match="33-bit"):
             partition_by_id(capture)
@@ -718,8 +718,8 @@ class TestPartition:
         stays within 10 bytes a frame (the packed words or one gathered column,
         plus block temporaries), with standard and with extended ids. The
         groups then keep 16 bytes a frame, the gathered timestamps and
-        payloads, and under 1 KiB a group: with dlcs 1 to 8 too, because a
-        group's payloads are a view of the gathered matrix, not a copy."""
+        words, and under 1 KiB a group: with dlcs 1 to 8 too, because a
+        group's payloads are a view of the gathered words, not a copy."""
         m = 200_000
         for low, high, dlc in ((0, 0x800, 8), (0x18F00000 - 20, 0x18F00000 + 20, 8),
                                (0x18F00000 - 20, 0x18F00000 + 20, 1)):
@@ -729,7 +729,8 @@ class TestPartition:
                 dlcs = rng.integers(dlc, 9, m).astype(np.uint8)
                 traces = [Trace(
                     np.arange(m) * 0.001, rng.integers(low, high, m).astype(np.uint32), dlcs,
-                    rng.integers(0, 256, (m, 8), dtype=np.uint8) * (np.arange(8) < dlcs[:, None]),
+                    (rng.integers(0, 256, (m, 8), dtype=np.uint8)
+                     * (np.arange(8) < dlcs[:, None])).view(np.uint64)[:, 0],
                 )]
                 del dlcs
                 held = tracemalloc.get_traced_memory()[0]
@@ -763,11 +764,13 @@ class TestRoundTrip:
                 b.payload,
             )
 
-    def test_write_candump_of_a_fortran_order_payload_matrix(self, tmp_path):
-        """`write_candump` reads a payload row as whole words, also from a Fortran-order matrix."""
+    def test_write_candump_of_a_strided_words_column(self, tmp_path):
+        """`write_candump` reads the payload words in place, also from a strided column."""
         payloads = np.arange(24, dtype=np.uint8).reshape(3, 8) * (np.arange(8) < [[8], [3], [0]])
-        trace = Trace([1.0, 2.0, 3.0], [1, 0x7FF, 0x1ABCDEF0], [8, 3, 0],
-                      np.asfortranarray(payloads))
+        wide = np.zeros(6, np.uint64)
+        wide[::2] = payloads.view(np.uint64)[:, 0]
+        trace = Trace([1.0, 2.0, 3.0], [1, 0x7FF, 0x1ABCDEF0], [8, 3, 0], wide[::2])
+        assert trace.words.strides == (16,)
         write_candump(trace, tmp_path / "out.log")
         reference_write_candump(trace, tmp_path / "ref.log")
         assert (tmp_path / "out.log").read_bytes() == (tmp_path / "ref.log").read_bytes()

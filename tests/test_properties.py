@@ -164,18 +164,19 @@ def field_st(draw, bit_width):
 @given(field_st(64), st.data())
 @settings(max_examples=300, deadline=None)
 def test_write_then_read_field_is_identity(field, data):
-    # words -> write_field -> big-endian bytes -> unpackbits -> read_field
+    # words -> write_field -> payload_bytes -> unpackbits -> read_field
     lsb, msb = field
     m = data.draw(st.integers(min_value=1, max_value=16))
     words_st = st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=m, max_size=m)
     before, values = data.draw(words_st), data.draw(words_st)
     words = np.array(before, dtype=np.uint64)
     write_field(words, lsb, msb, np.array(values, dtype=np.uint64))
-    bits = np.unpackbits(payload_bytes(words), axis=1)
+    bits = np.unpackbits(payload_bytes(words)[:, None].view(np.uint8), axis=1)
     width = abs(msb - lsb) + 1
     assert read_field(bits, lsb, msb).tolist() == [v % 2**width for v in values]
     outside = [p for p in range(64) if not min(lsb, msb) <= p <= max(lsb, msb)]
-    old_bits = np.unpackbits(payload_bytes(np.array(before, dtype=np.uint64)), axis=1)
+    old_words = payload_bytes(np.array(before, dtype=np.uint64))
+    old_bits = np.unpackbits(old_words[:, None].view(np.uint8), axis=1)
     assert (bits[:, outside] == old_bits[:, outside]).all()
 
 
@@ -253,10 +254,10 @@ def test_partition_matches_per_frame_filter(capture):
             assert list(trace.frames) == capture
             groups = partition_by_id(trace)
             assert list(groups) == sorted({(f.arbitration_id, f.dlc) for f in capture})
-            # a strided payload column partitions like its contiguous copy
-            wide = np.zeros((len(trace), 16), np.uint8)
-            wide[:, ::2] = trace.payloads
-            strided = partition_by_id(Trace(trace.timestamps, trace.ids, trace.dlcs, wide[:, ::2]))
+            # a strided words column partitions like its contiguous copy
+            wide = np.zeros(2 * len(trace), np.uint64)
+            wide[::2] = trace.words
+            strided = partition_by_id(Trace(trace.timestamps, trace.ids, trace.dlcs, wide[::2]))
             assert list(strided) == list(groups)
             for g, h in zip(groups.values(), strided.values()):
                 assert g.timestamps.tobytes() == h.timestamps.tobytes()
@@ -277,7 +278,7 @@ def test_write_then_load_keeps_columns(frames):
         path = Path(tmp) / "capture.log"
         write_candump(trace, path)
         back = load_trace(path)
-    for name in ("timestamps", "ids", "dlcs", "payloads"):
+    for name in ("timestamps", "ids", "dlcs", "words"):
         assert np.array_equal(getattr(back, name), getattr(trace, name)), name
         assert getattr(back, name).dtype == getattr(trace, name).dtype, name
 

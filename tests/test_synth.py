@@ -253,7 +253,7 @@ def ground_truth_st(draw):
 @settings(max_examples=200, deadline=None)
 def test_generate_matches_bit_matrix_reference(gt):
     got, want = generate_trace(gt), reference_generate_trace(gt)
-    for name in ("timestamps", "ids", "dlcs", "payloads"):
+    for name in ("timestamps", "ids", "dlcs", "words"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
@@ -428,7 +428,7 @@ class TestSpecFiles:
         back = load_ground_truth(path)
         assert back == gt
         a, b = generate_trace(gt), generate_trace(back)
-        for name in ("timestamps", "ids", "dlcs", "payloads"):
+        for name in ("timestamps", "ids", "dlcs", "words"):
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
     def test_zero_start_time_not_written(self):
