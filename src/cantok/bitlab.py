@@ -108,8 +108,11 @@ def transition_matrix(bits: np.ndarray) -> np.ndarray:
 def tang_from_idtrace(idtrace: IdTrace) -> Tang:
     """Count each bit position's flips between sequential payloads.
 
-    The 0/1 flips are summed in uint8, with no per-element cast to int64, in
-    blocks of 255 rows: a block sums to at most 255, so the sum is exact.
+    The 0/1 flips are summed in uint8, with no per-element cast to int64. The
+    first 255·R of the M-1 flip rows, as a (255, R·N) matrix, are summed over
+    its 255 long rows: each sum counts 255 flips at most, so it is exact. The
+    R partial sums of each position and the fewer than 255 rows left over
+    are then added in int64.
     """
     if len(idtrace) < 2:
         raise AnalysisError(
@@ -121,7 +124,8 @@ def tang_from_idtrace(idtrace: IdTrace) -> Tang:
     whole = len(flips) // 255 * 255
     counts = flips[whole:].sum(axis=0, dtype=np.uint8).astype(np.int64)
     if whole:
-        counts += flips[:whole].reshape(-1, 255, bits.shape[1]).sum(1, np.uint8).sum(0, np.int64)
+        counts += flips[:whole].reshape(255, -1).sum(0, np.uint8).reshape(-1, bits.shape[1]).sum(
+            0, np.int64)
     counts.flags.writeable = False
     return Tang(counts, observations=len(idtrace), arbitration_id=idtrace.arbitration_id)
 

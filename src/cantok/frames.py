@@ -475,41 +475,105 @@ def _chunks(fh, buf: bytearray) -> Iterator[memoryview]:
 
 def _template(line: bytes, format: str):
     """The template `line` gives: its literals' columns and bytes translated by
-    _CLASS_TABLE, each column's class and its fields; None if it is not read in columns."""
+    _CLASS_TABLE, the class of each column and of the line's end byte (any
+    byte), and its fields; None if it is not read in columns."""
     f = re.fullmatch(_LINE[format], line)
     if not f or len(f["int"]) + len(f["frac"]) > 18:
         return None
     if format == "csv" and int(f["dlc"]) != len(f["hex"]) // 2:
         return None
-    classes = np.full(len(line), _ANY, np.uint8)
+    classes = np.full(len(line) + 1, _ANY, np.uint8)
     for name in f.groupdict():
         classes[f.start(name) : f.end(name)] = _FIELD_CLASS[name]
-    columns = np.flatnonzero(classes == _ANY)
+    columns = np.flatnonzero(classes[:-1] == _ANY)
     return columns, np.frombuffer(line.translate(_CLASS_TABLE), np.uint8)[columns], classes, f
 
 
-def _decode(m: np.ndarray, classes: np.ndarray, f: re.Match, pool: dict):
+def _digit_word(values: np.ndarray, start: int, k: int, n: int, width: int) -> np.ndarray:
+    """Bytes start..start+7 of each of n rows `width` apart in a uint8 buffer as a
+    uint64, shifted so that its k digit values (first at byte `start`) are the
+    last bytes and zeros lead them, in the order of Lemire's SWAR steps."""
+    x = np.ndarray(n, "<u8", values, start, (width,)).astype(np.uint64)
+    x <<= np.uint64(64 - 8 * k)
+    return x
+
+
+def _decimal(x: np.ndarray) -> np.ndarray:
+    """The value of each `_digit_word` of decimal digits, in place: three SWAR steps
+    (Lemire, arXiv:2101.11408) add pairs of lanes. Digit values up to 15 stay in lane."""
+    for shift, scale, keep in ((8, 10, 0x00FF00FF00FF00FF), (16, 100, 0x0000FFFF0000FFFF),
+                               (32, 10000, 0xFFFFFFFF)):
+        low = x >> np.uint64(shift)
+        x *= np.uint64(scale)
+        x += low
+        x &= np.uint64(keep)
+    return x
+
+
+def _pack_digits(x: np.ndarray) -> np.ndarray:
+    """Pack 8 hex digit values, one a byte with the first least significant,
+    into the low 4 bytes of each uint64 of x, in place: byte k becomes digit
+    2k << 4 | digit 2k+1. A byte above 15 spoils only the bytes after it."""
+    high = x << np.uint64(4)
+    x >>= np.uint64(8)
+    x |= high
+    x &= np.uint64(0x00FF00FF00FF00FF)
+    x |= x >> np.uint64(8)
+    x &= np.uint64(0x0000FFFF0000FFFF)
+    x |= x >> np.uint64(16)
+    x &= np.uint64(0xFFFFFFFF)
+    return x
+
+
+def _decode(m: np.ndarray, classes: np.ndarray, f: re.Match, pool: dict, cols=None):
     """Decode n lines of the layout whose fields `f` matched, from their
-    (n, length) bytes translated by _CLASS_TABLE: a mask of the lines read
-    exactly as the per-line parser reads them, and their four columns."""
-    values = _buffer(pool, "work", m.shape)
-    outside = np.equal(np.bitwise_and(m, classes, out=values), 0, out=values.view(bool))
-    outside = np.flatnonzero(outside) // m.shape[1]  # the lines with a byte not of its class
-    np.bitwise_and(m, 0xF, out=values)
-    # <= 18 digits fit an int64; below 2**53, int / 10**k rounds as float() does
-    numer = np.zeros(len(m), np.int64)
-    for j in (*range(*f.span("int")), *range(*f.span("frac"))):
-        numer = numer * 10 + values[:, j]
-    ids = np.zeros(len(m), np.uint32)  # <= 8 hex digits fit
+    contiguous (n, width) rows translated by _CLASS_TABLE, each ending in its
+    end byte: a mask of the lines read exactly as the per-line parser reads
+    them, and their four columns, written to the first n rows of `cols` if given.
+
+    Each step is one pass over the n·width bytes or one over a column of n.
+    """
+    (n, width), size = m.shape, m.size
+    values = _buffer(pool, "work", (size + 2 * MAX_DLC,))  # room to read 16 digits from any row
+    done = width
+    values[:done] = classes  # the class row, for each line: copied in doubling runs
+    while done < size:
+        step = min(done, size - done)
+        values[done : done + step] = values[:step]
+        done += step
+    flat = np.bitwise_and(m.reshape(-1), values[:size], out=values[:size])
+    outside = np.flatnonzero(np.equal(flat, 0, out=flat.view(bool))) // width  # a byte not of its class
+    digits = np.bitwise_and(m.reshape(-1), 0xF, out=flat).reshape(n, width)
+    if cols is None:
+        cols = [np.empty(n, dtype) for dtype in (np.float64, np.uint32, np.uint8, np.uint64)]
+    stamps, ids, dlcs, words = (column[:n] for column in cols)
+    # <= 18 digits fit a uint64, read 8 at a time; below 2**53, int / 10**k rounds as float() does
+    numer = np.zeros(n, np.uint64)
+    for field in ("int", "frac"):
+        for start in range(*f.span(field), 8):
+            k = min(8, f.end(field) - start)
+            numer *= np.uint64(10**k)
+            numer += _decimal(_digit_word(values, start, k, n, width))
+    ids[...] = 0  # <= 8 hex digits fit
     for j in range(*f.span("id")):
-        ids = ids << 4 | values[:, j]
+        ids <<= 4
+        ids |= digits[:, j]
     ok = (numer < _EXACT_INT) & (ids <= EXTENDED_ID_MAX)
     ok[outside] = False
-    digits, dlc = values[:, f.start("hex") :], len(f["hex"]) // 2  # two a byte, high one first
-    words = np.zeros(len(m), np.uint64)
-    words[:, None].view(np.uint8)[:, :dlc] = digits[:, ::2] << 4 | digits[:, 1::2]
-    dlcs = np.full(len(m), dlc, np.uint8)
-    return ok, [numer / float(10 ** len(f["frac"])), ids, dlcs, words]
+    np.divide(numer, float(10 ** len(f["frac"])), out=stamps)
+    dlc, at = len(f["hex"]) // 2, f.start("hex")
+    dlcs[...] = dlc
+    # the payload's digits two words at a time (a row's digit k is byte at + k of a word
+    # read at any offset), their pairs packed into bytes in memory order
+    out = words.view("<u8")
+    out[...] = np.ndarray(n, "<u8", values, at, (width,))
+    _pack_digits(out)
+    if dlc > MAX_DLC // 2:
+        high = _pack_digits(np.ndarray(n, "<u8", values, at + MAX_DLC, (width,)).copy())
+        high <<= np.uint64(32)
+        out |= high
+    out &= np.uint64((1 << 8 * dlc) - 1)  # zero past the dlc
+    return ok, [stamps, ids, dlcs, words]
 
 
 def _decode_chunk(chunk: memoryview, format: str, cols: list, templates: dict, pool: dict):
@@ -522,31 +586,42 @@ def _decode_chunk(chunk: memoryview, format: str, cols: list, templates: dict, p
     No line holding a byte >= 0x80 is decoded: no template accepts one.
     """
     raw, buf = chunk.obj, np.frombuffer(chunk, np.uint8)  # the view starts `raw`
-    mask = _buffer(pool, "work", buf.shape).view(bool)
-    ends = np.flatnonzero(np.equal(buf, ord("\n"), out=mask))
-    if raw.find(b"\r", 0, len(buf)) >= 0:  # a memchr; most captures hold no CR
-        cr = np.flatnonzero(np.equal(buf, ord("\r"), out=mask))
-        lone = cr[buf[np.minimum(cr + 1, len(buf) - 1)] != ord("\n")]  # a final CR reads itself
-        ends = np.sort(np.concatenate((ends, lone)))
-    if chunk[-1:] not in (b"\n", b"\r"):
-        ends = np.append(ends, len(buf))
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    ends -= (ends > starts) & (buf[ends - 1] == ord("\r"))  # a \r\n line ends at its \r
-    n, line = len(starts), lambda k: chunk[starts[k] : ends[k]].tobytes()
-    classes = _buffer(pool, "classes", buf.shape)
+    classes = _buffer(pool, "classes", (len(buf) + 1,))  # and the end byte of a final line with none
     for block in row_blocks(len(buf)):  # each temporary below glibc's mmap threshold
         classes[block] = np.frombuffer(raw[block].translate(_CLASS_TABLE), np.uint8)
-    lengths = ends - starts
-    order = np.argsort(np.minimum(lengths, 0xFFFF).astype(np.uint16), kind="stable")  # a radix sort
+    classes[-1] = _CLASS_TABLE[ord("\n")]
+    lf = np.equal(buf, ord("\n"), out=_buffer(pool, "work", buf.shape).view(bool))
+    width = raw.find(b"\n", 0, len(buf)) + 1  # the first line's length, with its LF
+    if (width and len(buf) % width == 0 and raw.find(b"\r", 0, len(buf)) < 0
+            and np.count_nonzero(lf) == len(buf) // width and lf[width - 1 :: width].all()):
+        # one length: the chunk is the lines' (n, width) matrix, with no scan and no sort
+        n, line = len(buf) // width, lambda k: chunk[k * width : (k + 1) * width - 1].tobytes()
+        groups = [(width - 1, None)]
+    else:
+        ends = np.flatnonzero(lf)
+        if raw.find(b"\r", 0, len(buf)) >= 0:  # a memchr; most captures hold no CR
+            cr = np.flatnonzero(np.equal(buf, ord("\r"), out=lf))
+            lone = cr[buf[np.minimum(cr + 1, len(buf) - 1)] != ord("\n")]  # a final CR reads itself
+            ends = np.sort(np.concatenate((ends, lone)))
+        if chunk[-1:] not in (b"\n", b"\r"):
+            ends = np.append(ends, len(buf))
+        starts = np.concatenate(([0], ends[:-1] + 1))
+        ends -= (ends > starts) & (buf[ends - 1] == ord("\r"))  # a \r\n line ends at its \r
+        n, line = len(starts), lambda k: chunk[starts[k] : ends[k]].tobytes()
+        lengths = ends - starts
+        order = np.argsort(np.minimum(lengths, 0xFFFF).astype(np.uint16), kind="stable")  # a radix sort
+        groups = [(int(lengths[rows[0]]), rows)
+                  for rows in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1)]
     decoded = np.zeros(n, bool)
-    for rows in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1):
-        length = int(lengths[rows[0]])
+    for length, rows in groups:
         if length < len("0.0,0,0,"):  # shorter than any line read in columns, or blank
             continue
-        # row k: the `length` translated bytes from offset k
-        window = np.lib.stride_tricks.as_strided(classes, (len(buf) - length + 1, length), (1, 1))
-        strided = len(rows) == n and starts[-1] == (n - 1) * (length + 1)  # one-byte line ends
-        m = window[:: length + 1][:n] if strided else window[starts[rows]]
+        if rows is None:  # the one-length chunk
+            rows, m = np.arange(n), classes[:-1].reshape(n, width)
+        else:  # row k: the `length` translated bytes from offset k, and the end byte
+            window = np.lib.stride_tricks.as_strided(
+                classes, (len(classes) - length, length + 1), (1, 1))
+            m = window[starts[rows]]
         left = np.arange(len(rows))  # the group's undecided lines, as rows of m
         while left.size:  # a round: the lines with the literals of the first one's template
             shape = (first := line(rows[left[0]])).translate(_SHAPE_TABLE)
@@ -559,13 +634,15 @@ def _decode_chunk(chunk: memoryview, format: str, cols: list, templates: dict, p
                 left = left[1:]
                 continue
             taken, left = left[match], left[~match]  # decoded or not, they leave the group
+            if len(taken) == n:  # every line of the chunk: decoded straight into its rows
+                decoded[:] = _decode(m, *layout, pool, cols)[0]
+                continue
             ok, piece = _decode(m if len(taken) == len(m) else m[taken], *layout, pool)
             if not ok.all():
                 taken, piece = taken[ok], [c[ok] for c in piece]
-            at = slice(0, n) if len(taken) == n else rows[taken]  # all, in line order
-            decoded[at] = True
+            decoded[rows[taken]] = True
             for column, values in zip(cols, piece):
-                column[at] = values
+                column[rows[taken]] = values
     return decoded, line
 
 
