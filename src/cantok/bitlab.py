@@ -95,7 +95,11 @@ def build_bit_matrix(idtrace: IdTrace) -> np.ndarray:
     """Read-only (M, N) uint8 matrix of an IdTrace's payload bits."""
     if len(idtrace) == 0:
         raise AnalysisError(f"no observations for id 0x{idtrace.arbitration_id:X}")
-    bits = np.unpackbits(idtrace.payloads, axis=1)
+    payloads = idtrace.payloads
+    if payloads.flags.c_contiguous:  # (dlc 8) one long row, not M rows of dlc bytes
+        bits = np.unpackbits(payloads.reshape(-1)).reshape(len(payloads), idtrace.bit_width)
+    else:
+        bits = np.unpackbits(payloads, axis=1)
     bits.flags.writeable = False
     return bits
 

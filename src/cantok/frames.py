@@ -48,8 +48,16 @@ literals are decoded if each byte has its column's class and the numbers
 are in range. They leave the group either way, as does a first line that
 gives no template or lacks a kept one's literals (a CSV dlc that does not
 match its payload), and a line not decoded goes to the per-line parser.
-A group's lines are rows of the chunk translated by one byte-class table:
-a strided view if all the chunk's lines have one length and a one-byte end.
+A group's lines, each with its end byte, are the contiguous rows of a
+matrix of the chunk translated by one byte-class table. If every line of
+the chunk has the first one's length W with its LF (the chunk holds no CR,
+its size is a multiple of W and its LFs are exactly every W-th byte), the
+matrix is a reshape of the translated chunk, with no scan for line ends and
+no sort. Else the lines are sorted by length and each group's rows are
+gathered (a final line with no end byte gets a sentinel). A round reads its
+rows in long passes: the class check against the template's class row
+tiled for them, the nibbles, and each field as 8-byte words read a row
+apart (Lemire's SWAR steps for decimal digits, a nibble pack for a payload).
 `CHUNK_BYTES` is 512 KiB. A load reads the file into one buffer, first to
 count its lines and then chunk by chunk, translates each chunk into a
 second and decodes digits in a third. It writes decoded frames straight
@@ -108,6 +116,8 @@ def _set_columns(obj, **specs: tuple) -> None:
     else AnalysisError if it holds a value `dtype` cannot hold exactly."""
     for name, (dtype, shape) in specs.items():
         a = np.asarray(getattr(obj, name))
+        if a.dtype.kind in "US":  # `astype` would read decimal digits: "100" as 100, not 0x100
+            raise AnalysisError(f"{name} of {a.dtype} holds text, not numbers")
         if a.dtype != dtype:
             try:
                 with np.errstate(invalid="ignore"):  # NaN and inf cast to some number
@@ -115,7 +125,7 @@ def _set_columns(obj, **specs: tuple) -> None:
                     # an int64 column is cast to uint64 and back without loss: check its sign
                     wraps = a < 0 if a.dtype.kind == "i" and cast.dtype.kind == "u" else False
                     inexact = np.flatnonzero((cast.astype(a.dtype) != a) | wraps)
-            except (TypeError, ValueError, OverflowError) as exc:  # text, an int of 2**64
+            except (TypeError, ValueError, OverflowError) as exc:  # an int of 2**64
                 raise AnalysisError(f"{name} of {a.dtype}: {exc}") from None
             if inexact.size:
                 value = a.flat[inexact[0]]
@@ -389,18 +399,23 @@ def write_candump(trace: Trace, path) -> None:
     """Write a trace as compact candump lines on interface can0.
 
     Standard ids get 3 hex digits, extended ids 8; timestamps keep
-    microsecond precision.
+    microsecond precision. The id slot holds 8 digits only if an id is extended.
     """
+    wide = trace.ids.max(initial=0) > STANDARD_ID_MAX
     lines, (stamps, id_hex, payload_hex) = line_matrix(len(trace), [
-        b"(", fixed6_width(trace.timestamps), b") can0 ", 8, b"#", 16, b"\n"])
+        b"(", fixed6_width(trace.timestamps), b") can0 ", 8 if wide else 4, b"#", 16, b"\n"])
     # b"%02X%02X" of each byte pair, read as a native uint16: 256 KiB, so built per call
     hex4 = np.take(_HEX2, np.arange(1 << 16, dtype=np.uint16).view(np.uint8)).view(np.uint32)
     with open(path, "wb") as fh:
         for rows in row_blocks(len(trace)):
             k, ids, dlcs = rows.stop - rows.start, trace.ids[rows], trace.dlcs[rows]
             fixed6_field(trace.timestamps[rows], stamps[:k])
-            digits = np.take(hex4, ids.astype(">u4").view(np.uint16)).view(np.uint64)
-            id_hex[:k].view(np.uint64)[:, 0] = digits & np.take(_ID_KEEP, ids > STANDARD_ID_MAX)
+            if wide:
+                digits = np.take(hex4, ids.astype(">u4").view(np.uint16)).view(np.uint64)
+                id_hex[:k].view(np.uint64)[:, 0] = digits & np.take(_ID_KEEP, ids > STANDARD_ID_MAX)
+            else:  # one word of 4 digits, masked by the last 4 bytes of the standard id's mask
+                digits = np.take(hex4, ids.astype(">u2").view(np.uint16))
+                id_hex[:k].view(np.uint32)[:, 0] = digits & _ID_KEEP.view(np.uint32)[1]
             digits = np.take(hex4, trace.words[rows, None].view(np.uint16)).view(np.uint64)
             if dlcs.min() < MAX_DLC:
                 digits &= np.take(_DLC_KEEP, dlcs, axis=0)

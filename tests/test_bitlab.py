@@ -100,6 +100,18 @@ class TestTang:
         tang = tang_from_idtrace(make_idtrace(payloads))
         assert tang.counts.tolist() == naive_tang_counts(payloads)
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_long_rows_vs_diff(self, seed):
+        """Random payloads, so every block of 255 flip rows sums differently: M - 1
+        from 255 to 1500, dlc 1-8, as contiguous rows and as a view of 8-byte words."""
+        rng = np.random.default_rng(seed)
+        m, dlc = int(rng.integers(256, 1502)), int(rng.integers(1, 9))
+        words = rng.integers(0, 256, (m, 8), dtype=np.uint8)
+        for payloads in (np.ascontiguousarray(words[:, :dlc]), words[:, :dlc]):
+            tang = tang_from_idtrace(IdTrace(0xA15, dlc, np.arange(m) * 0.01, payloads))
+            bits = np.unpackbits(words[:, :dlc], axis=1)
+            assert tang.counts.tolist() == np.count_nonzero(np.diff(bits, axis=0), axis=0).tolist()
+
     def test_counts_bounded(self):
         rng = np.random.default_rng(11)
         for _ in range(25):

@@ -415,6 +415,46 @@ def test_load_trace_matches_per_line_reference(data, fmt, newline, final_newline
             )
 
 
+@st.composite
+def _one_length_capture(draw, fmt):
+    """(text, line bytes with end) of capture lines all of one length, each
+    ending in LF, with at most one of: an LF or CR in place of a byte of a
+    line; one line a byte longer and the next a byte shorter, so the capture's
+    size does not change; a final line with no LF."""
+    first = draw(_capture_line(fmt))
+    width = len(first.encode())
+    more = draw(st.lists(_capture_line(fmt, width), min_size=1, max_size=12))
+    lines = [first, *(line for line in more if len(line.encode()) == width)]
+    case = draw(st.sampled_from(["none", "none", "end-in-line", "longer-shorter", "no-final-lf"]))
+    k = draw(st.integers(min_value=0, max_value=len(lines) - 1))
+    at = draw(st.integers(min_value=0, max_value=len(lines[k]) - 1))
+    if case == "end-in-line":
+        lines[k] = lines[k][:at] + draw(st.sampled_from("\n\r")) + lines[k][at + 1 :]
+    elif case == "longer-shorter" and k + 1 < len(lines):
+        lines[k] = lines[k][:at] + draw(st.sampled_from("0.A ")) + lines[k][at:]
+        cut = draw(st.integers(min_value=0, max_value=len(lines[k + 1]) - 1))
+        lines[k + 1] = lines[k + 1][:cut] + lines[k + 1][cut + 1 :]
+    text = "".join(line + "\n" for line in lines)
+    return (text[:-1] if case == "no-final-lf" else text), width + 1
+
+
+@given(st.data(), st.sampled_from(["candump", "csv"]), st.integers(min_value=1, max_value=4))
+@settings(max_examples=200, deadline=None)
+def test_one_length_chunks_match_per_line_reference(data, fmt, lines_per_chunk):
+    """Chunks of whole lines of one length are decoded as one row matrix; a chunk
+    that only looks like one (same size, another LF or CR count) is not."""
+    text, line_bytes = data.draw(_one_length_capture(fmt))
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        frames, "CHUNK_BYTES", lines_per_chunk * line_bytes
+    ):
+        path = Path(tmp) / "capture"
+        path.write_bytes(text.encode())
+        for strict in (True, False):
+            assert load_outcome(load_trace, path, format=fmt, strict=strict) == load_outcome(
+                reference_load_trace, path, format=fmt, strict=strict
+            )
+
+
 # Values for the writer differential tests: sixth-decimal ties and
 # near-ties, carries into the integer part, epoch-scale stamps, the edges
 # of the encoder's groups of 4 digits, and the values it hands to the
