@@ -56,8 +56,8 @@ matrix is a reshape of the translated chunk, with no scan for line ends and
 no sort. Else the lines are sorted by length and each group's rows are
 gathered (a final line with no end byte gets a sentinel). A round reads its
 rows in long passes: the class check against the template's class row
-tiled for them, the nibbles, and each field as 8-byte words read a row
-apart (Lemire's SWAR steps for decimal digits, a nibble pack for a payload).
+tiled for them, the digit values, and each field's number from 8-byte
+words read a row apart, 8 digits a word (`_number`).
 `CHUNK_BYTES` is 512 KiB. A load reads the file into one buffer, first to
 count its lines and then chunk by chunk, translates each chunk into a
 second and decodes digits in a third. It writes decoded frames straight
@@ -504,40 +504,32 @@ def _template(line: bytes, format: str):
     return columns, np.frombuffer(line.translate(_CLASS_TABLE), np.uint8)[columns], classes, f
 
 
-def _digit_word(values: np.ndarray, start: int, k: int, n: int, width: int) -> np.ndarray:
-    """Bytes start..start+7 of each of n rows `width` apart in a uint8 buffer as a
-    uint64, shifted so that its k digit values (first at byte `start`) are the
-    last bytes and zeros lead them, in the order of Lemire's SWAR steps."""
-    x = np.ndarray(n, "<u8", values, start, (width,)).astype(np.uint64)
-    x <<= np.uint64(64 - 8 * k)
-    return x
+def _number(values: np.ndarray, width: int, n: int, base: int, *spans) -> np.ndarray:
+    """The uint64 number of the base 10 or 16 digits in `spans` of each of n rows
+    `width` apart in a uint8 buffer of digit values, with 8 bytes after its rows.
 
-
-def _decimal(x: np.ndarray) -> np.ndarray:
-    """The value of each `_digit_word` of decimal digits, in place: three SWAR steps
-    (Lemire, arXiv:2101.11408) add pairs of lanes. Digit values up to 15 stay in lane."""
-    for shift, scale, keep in ((8, 10, 0x00FF00FF00FF00FF), (16, 100, 0x0000FFFF0000FFFF),
-                               (32, 10000, 0xFFFFFFFF)):
-        low = x >> np.uint64(shift)
-        x *= np.uint64(scale)
-        x += low
-        x &= np.uint64(keep)
-    return x
-
-
-def _pack_digits(x: np.ndarray) -> np.ndarray:
-    """Pack 8 hex digit values, one a byte with the first least significant,
-    into the low 4 bytes of each uint64 of x, in place: byte k becomes digit
-    2k << 4 | digit 2k+1. A byte above 15 spoils only the bytes after it."""
-    high = x << np.uint64(4)
-    x >>= np.uint64(8)
-    x |= high
-    x &= np.uint64(0x00FF00FF00FF00FF)
-    x |= x >> np.uint64(8)
-    x &= np.uint64(0x0000FFFF0000FFFF)
-    x |= x >> np.uint64(16)
-    x &= np.uint64(0xFFFFFFFF)
-    return x
+    It reads 8 digits at a time as one word whose three SWAR steps add digit
+    pairs, then pairs of those, then pairs of those (Lemire, arXiv:2101.11408).
+    A digit value up to 15 stays in its lane, so a byte of another class spoils
+    only its own row."""
+    number = None
+    for start, stop in spans:
+        for at in range(start, stop, 8):
+            k = min(8, stop - at)
+            x = np.ndarray(n, "<u8", values, at, (width,)).astype(np.uint64)
+            x <<= np.uint64(64 - 8 * k)  # zeros before the k digits, and no byte after them
+            for shift, keep in ((8, 0x00FF00FF00FF00FF), (16, 0x0000FFFF0000FFFF),
+                                (32, 0xFFFFFFFF)):
+                low = x >> np.uint64(shift)
+                x *= np.uint64(base ** (shift // 8))
+                x += low
+                x &= np.uint64(keep)
+            if number is None:
+                number = x
+            else:
+                number *= np.uint64(base**k)
+                number += x
+    return np.zeros(n, np.uint64) if number is None else number
 
 
 def _decode(m: np.ndarray, classes: np.ndarray, f: re.Match, pool: dict, cols=None):
@@ -546,10 +538,10 @@ def _decode(m: np.ndarray, classes: np.ndarray, f: re.Match, pool: dict, cols=No
     end byte: a mask of the lines read exactly as the per-line parser reads
     them, and their four columns, written to the first n rows of `cols` if given.
 
-    Each step is one pass over the n·width bytes or one over a column of n.
+    Each step is one pass over the n·width bytes or over n words.
     """
     (n, width), size = m.shape, m.size
-    values = _buffer(pool, "work", (size + 2 * MAX_DLC,))  # room to read 16 digits from any row
+    values = _buffer(pool, "work", (size + MAX_DLC,))  # room to read 8 digits from any row
     done = width
     values[:done] = classes  # the class row, for each line: copied in doubling runs
     while done < size:
@@ -558,36 +550,20 @@ def _decode(m: np.ndarray, classes: np.ndarray, f: re.Match, pool: dict, cols=No
         done += step
     flat = np.bitwise_and(m.reshape(-1), values[:size], out=values[:size])
     outside = np.flatnonzero(np.equal(flat, 0, out=flat.view(bool))) // width  # a byte not of its class
-    digits = np.bitwise_and(m.reshape(-1), 0xF, out=flat).reshape(n, width)
+    np.bitwise_and(m.reshape(-1), 0xF, out=flat)  # each byte's digit value
     if cols is None:
         cols = [np.empty(n, dtype) for dtype in (np.float64, np.uint32, np.uint8, np.uint64)]
     stamps, ids, dlcs, words = (column[:n] for column in cols)
-    # <= 18 digits fit a uint64, read 8 at a time; below 2**53, int / 10**k rounds as float() does
-    numer = np.zeros(n, np.uint64)
-    for field in ("int", "frac"):
-        for start in range(*f.span(field), 8):
-            k = min(8, f.end(field) - start)
-            numer *= np.uint64(10**k)
-            numer += _decimal(_digit_word(values, start, k, n, width))
-    ids[...] = 0  # <= 8 hex digits fit
-    for j in range(*f.span("id")):
-        ids <<= 4
-        ids |= digits[:, j]
+    # <= 18 digits fit a uint64; below 2**53, int / 10**k rounds as float() does
+    numer = _number(values, width, n, 10, f.span("int"), f.span("frac"))
+    ids[...] = _number(values, width, n, 16, f.span("id"))  # <= 8 hex digits fit
     ok = (numer < _EXACT_INT) & (ids <= EXTENDED_ID_MAX)
     ok[outside] = False
     np.divide(numer, float(10 ** len(f["frac"])), out=stamps)
-    dlc, at = len(f["hex"]) // 2, f.start("hex")
-    dlcs[...] = dlc
-    # the payload's digits two words at a time (a row's digit k is byte at + k of a word
-    # read at any offset), their pairs packed into bytes in memory order
-    out = words.view("<u8")
-    out[...] = np.ndarray(n, "<u8", values, at, (width,))
-    _pack_digits(out)
-    if dlc > MAX_DLC // 2:
-        high = _pack_digits(np.ndarray(n, "<u8", values, at + MAX_DLC, (width,)).copy())
-        high <<= np.uint64(32)
-        out |= high
-    out &= np.uint64((1 << 8 * dlc) - 1)  # zero past the dlc
+    dlcs[...] = dlc = len(f["hex"]) // 2
+    payload = _number(values, width, n, 16, f.span("hex"))  # <= 16 hex digits fit
+    payload <<= np.uint64(64 - 8 * dlc)
+    words.view(">u8")[...] = payload  # the first byte first, zeros past the dlc
     return ok, [stamps, ids, dlcs, words]
 
 
