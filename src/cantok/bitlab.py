@@ -96,7 +96,7 @@ def build_bit_matrix(idtrace: IdTrace) -> np.ndarray:
     if len(idtrace) == 0:
         raise AnalysisError(f"no observations for id 0x{idtrace.arbitration_id:X}")
     payloads = idtrace.payloads
-    if payloads.flags.c_contiguous:  # (dlc 8) one long row, not M rows of dlc bytes
+    if payloads.flags.c_contiguous:  # one long row, not M rows of dlc bytes (a dlc-8 group)
         bits = np.unpackbits(payloads.reshape(-1)).reshape(len(payloads), idtrace.bit_width)
     else:
         bits = np.unpackbits(payloads, axis=1)
@@ -128,8 +128,8 @@ def tang_from_idtrace(idtrace: IdTrace) -> Tang:
     whole = len(flips) // 255 * 255
     counts = flips[whole:].sum(axis=0, dtype=np.uint8).astype(np.int64)
     if whole:
-        counts += flips[:whole].reshape(255, -1).sum(0, np.uint8).reshape(-1, bits.shape[1]).sum(
-            0, np.int64)
+        partial = flips[:whole].reshape(255, -1).sum(0, np.uint8)  # R·N sums of 255 rows each
+        counts += partial.reshape(-1, bits.shape[1]).sum(0, np.int64)
     counts.flags.writeable = False
     return Tang(counts, observations=len(idtrace), arbitration_id=idtrace.arbitration_id)
 

@@ -512,7 +512,7 @@ def _number(values: np.ndarray, width: int, n: int, base: int, *spans) -> np.nda
     pairs, then pairs of those, then pairs of those (Lemire, arXiv:2101.11408).
     A digit value up to 15 stays in its lane, so a byte of another class spoils
     only its own row."""
-    number = None
+    number, low = None, np.empty(n, np.uint64)  # one buffer for every shift, not one each
     for start, stop in spans:
         for at in range(start, stop, 8):
             k = min(8, stop - at)
@@ -520,7 +520,7 @@ def _number(values: np.ndarray, width: int, n: int, base: int, *spans) -> np.nda
             x <<= np.uint64(64 - 8 * k)  # zeros before the k digits, and no byte after them
             for shift, keep in ((8, 0x00FF00FF00FF00FF), (16, 0x0000FFFF0000FFFF),
                                 (32, 0xFFFFFFFF)):
-                low = x >> np.uint64(shift)
+                np.right_shift(x, np.uint64(shift), out=low)
                 x *= np.uint64(base ** (shift // 8))
                 x += low
                 x &= np.uint64(keep)
