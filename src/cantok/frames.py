@@ -57,7 +57,7 @@ no sort. Else the lines are sorted by length and each group's rows are
 gathered (a final line with no end byte gets a sentinel). A round reads its
 rows in long passes: the class check against the template's class row
 tiled for them, the digit values, and each field's number from 8-byte
-words read a row apart, 8 digits a word (`_number`).
+words read a row apart, 8 digits a word (`_numbers`).
 `CHUNK_BYTES` is 512 KiB. A load reads the file into one buffer, first to
 count its lines and then chunk by chunk, translates each chunk into a
 second and decodes digits in a third. It writes decoded frames straight
@@ -491,7 +491,7 @@ def _chunks(fh, buf: bytearray) -> Iterator[memoryview]:
 def _template(line: bytes, format: str):
     """The template `line` gives: its literals' columns and bytes translated by
     _CLASS_TABLE, the class of each column and of the line's end byte (any
-    byte), and its fields; None if it is not read in columns."""
+    byte), its fields and their `_numbers` plan; None if it is not read in columns."""
     f = re.fullmatch(_LINE[format], line)
     if not f or len(f["int"]) + len(f["frac"]) > 18:
         return None
@@ -501,38 +501,56 @@ def _template(line: bytes, format: str):
     for name in f.groupdict():
         classes[f.start(name) : f.end(name)] = _FIELD_CLASS[name]
     columns = np.flatnonzero(classes[:-1] == _ANY)
-    return columns, np.frombuffer(line.translate(_CLASS_TABLE), np.uint8)[columns], classes, f
+    plan = _plan((10, f.span("int"), f.span("frac")), (16, f.span("id")), (16, f.span("hex")))
+    return columns, np.frombuffer(line.translate(_CLASS_TABLE), np.uint8)[columns], classes, f, plan
 
 
-def _number(values: np.ndarray, width: int, n: int, base: int, *spans) -> np.ndarray:
-    """The uint64 number of the base 10 or 16 digits in `spans` of each of n rows
-    `width` apart in a uint8 buffer of digit values, with 8 bytes after its rows.
-
-    It reads 8 digits at a time as one word whose three SWAR steps add digit
-    pairs, then pairs of those, then pairs of those (Lemire, arXiv:2101.11408).
-    A digit value up to 15 stays in its lane, so a byte of another class spoils
-    only its own row."""
-    number, low = None, np.empty(n, np.uint64)  # one buffer for every shift, not one each
-    for start, stop in spans:
-        for at in range(start, stop, 8):
-            k = min(8, stop - at)
-            x = np.ndarray(n, "<u8", values, at, (width,)).astype(np.uint64)
-            x <<= np.uint64(64 - 8 * k)  # zeros before the k digits, and no byte after them
-            for shift, keep in ((8, 0x00FF00FF00FF00FF), (16, 0x0000FFFF0000FFFF),
-                                (32, 0xFFFFFFFF)):
-                np.right_shift(x, np.uint64(shift), out=low)
-                x *= np.uint64(base ** (shift // 8))
-                x += low
-                x &= np.uint64(keep)
-            if number is None:
-                number = x
-            else:
-                number *= np.uint64(base**k)
-                number += x
-    return np.zeros(n, np.uint64) if number is None else number
+def _plan(*fields) -> tuple:
+    """How `_numbers` reads ``(base, *spans)`` fields: the number of fields; for
+    each word of 8 digits (fewer at a span's end) its field, first byte and
+    place value, base ** digits; and as (words, 1) columns each word's left
+    shift and the multipliers of its three SWAR steps."""
+    words = [(field, base, at, min(8, stop - at)) for field, (base, *spans) in enumerate(fields)
+             for start, stop in spans for at in range(start, stop, 8)]
+    column = lambda values: np.array(values, np.uint64)[:, None]
+    return (len(fields), [(field, at, np.uint64(base**k)) for field, base, at, k in words],
+            column([64 - 8 * k for *_, k in words]),
+            [column([1 + (base ** (shift // 8) << shift) for _, base, *_ in words])
+             for shift in (8, 16, 32)])
 
 
-def _decode(m: np.ndarray, classes: np.ndarray, f: re.Match, pool: dict, cols=None):
+def _numbers(values: np.ndarray, width: int, n: int, pool: dict, plan: tuple) -> list:
+    """The uint64 number of each field of a `_plan` in n rows `width` apart of a
+    uint8 buffer of digit values with 8 bytes after its rows: the base 10 or 16
+    digits in its spans, in order. Each is valid until the next call.
+
+    Each 8 digits are read as one word, with zeros before fewer. All the words
+    go through three SWAR steps at once, each a multiply and a shift that adds
+    neighbouring lanes: digit pairs, pairs of those, then the two halves
+    (Lemire, arXiv:2101.11408). A digit value up to 15 stays in its lane, so a
+    byte of another class spoils only its own row.
+    """
+    fields, words, lead, scales = plan
+    x = _buffer(pool, "words", (len(words), 8 * n)).view(np.uint64)
+    for row, (_, at, _) in zip(x, words):
+        row[...] = np.ndarray(n, "<u8", values, at, (width,))
+    x <<= lead  # the digits last: no byte after them
+    for scale, shift, keep in zip(scales, (8, 16, 32), (0x00FF00FF00FF00FF, 0x0000FFFF0000FFFF, 0)):
+        x *= scale
+        x >>= np.uint64(shift)
+        if keep:
+            x &= np.uint64(keep)
+    numbers = [None] * fields
+    for row, (field, _, place) in zip(x, words):
+        if numbers[field] is None:
+            numbers[field] = row
+        else:
+            numbers[field] *= place
+            numbers[field] += row
+    return [np.zeros(n, np.uint64) if number is None else number for number in numbers]
+
+
+def _decode(m: np.ndarray, classes: np.ndarray, f: re.Match, plan: tuple, pool: dict, cols=None):
     """Decode n lines of the layout whose fields `f` matched, from their
     contiguous (n, width) rows translated by _CLASS_TABLE, each ending in its
     end byte: a mask of the lines read exactly as the per-line parser reads
@@ -554,14 +572,13 @@ def _decode(m: np.ndarray, classes: np.ndarray, f: re.Match, pool: dict, cols=No
     if cols is None:
         cols = [np.empty(n, dtype) for dtype in (np.float64, np.uint32, np.uint8, np.uint64)]
     stamps, ids, dlcs, words = (column[:n] for column in cols)
-    # <= 18 digits fit a uint64; below 2**53, int / 10**k rounds as float() does
-    numer = _number(values, width, n, 10, f.span("int"), f.span("frac"))
-    ids[...] = _number(values, width, n, 16, f.span("id"))  # <= 8 hex digits fit
+    # <= 18 digits, 8 hex digits and 16 hex digits fit a uint64
+    numer, arb, payload = _numbers(values, width, n, pool, plan)
+    ids[...] = arb
     ok = (numer < _EXACT_INT) & (ids <= EXTENDED_ID_MAX)
     ok[outside] = False
-    np.divide(numer, float(10 ** len(f["frac"])), out=stamps)
+    np.divide(numer, float(10 ** len(f["frac"])), out=stamps)  # below 2**53, as float() rounds
     dlcs[...] = dlc = len(f["hex"]) // 2
-    payload = _number(values, width, n, 16, f.span("hex"))  # <= 16 hex digits fit
     payload <<= np.uint64(64 - 8 * dlc)
     words.view(">u8")[...] = payload  # the first byte first, zeros past the dlc
     return ok, [stamps, ids, dlcs, words]
@@ -631,9 +648,10 @@ def _decode_chunk(chunk: memoryview, format: str, cols: list, templates: dict, p
             ok, piece = _decode(m if len(taken) == len(m) else m[taken], *layout, pool)
             if not ok.all():
                 taken, piece = taken[ok], [c[ok] for c in piece]
-            decoded[rows[taken]] = True
+            at = rows[taken]
+            decoded[at] = True
             for column, values in zip(cols, piece):
-                column[rows[taken]] = values
+                column[at] = values
     return decoded, line
 
 
