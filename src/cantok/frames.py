@@ -60,10 +60,11 @@ tiled for them, the digit values, and each field's number from 8-byte
 words read a row apart, 8 digits a word (`_numbers`).
 `CHUNK_BYTES` is 512 KiB. A load reads the file into one buffer, first to
 count its lines and then chunk by chunk, translates each chunk into a
-second and decodes digits in a third. It writes decoded frames straight
-into the trace's columns and moves a chunk's rows up only if it skipped
-lines. So no chunk-sized array is freed per chunk: that raises glibc's
-mmap threshold, and the heap then holds more memory for the rest of the run.
+second, takes digit values in a third and reads their words into a fourth.
+It writes decoded frames straight into the trace's columns and moves a
+chunk's rows up only if it skipped lines. So no chunk-sized array is freed
+per chunk: that raises glibc's mmap threshold, and the heap then holds more
+memory for the rest of the run.
 
 The writers are the inverse, a columnar row encoder. A call fills one
 `line_matrix` of up to `ENCODE_ROWS` rows whose literal bytes are set once.
