@@ -98,7 +98,7 @@ def build_bit_matrix(idtrace: IdTrace) -> np.ndarray:
     payloads = idtrace.payloads
     if payloads.flags.c_contiguous:  # one long row, not M rows of dlc bytes (a dlc-8 group)
         bits = np.unpackbits(payloads.reshape(-1)).reshape(len(payloads), idtrace.bit_width)
-    else:
+    else:  # a strided group: a flat copy costs more than unpacking it row by row
         bits = np.unpackbits(payloads, axis=1)
     bits.flags.writeable = False
     return bits

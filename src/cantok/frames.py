@@ -117,7 +117,9 @@ def _set_columns(obj, **specs: tuple) -> None:
     else AnalysisError if it holds a value `dtype` cannot hold exactly."""
     for name, (dtype, shape) in specs.items():
         a = np.asarray(getattr(obj, name))
-        if a.dtype.kind in "US":  # `astype` would read decimal digits: "100" as 100, not 0x100
+        # `astype` would read decimal digits: "100" as 100, not 0x100
+        if a.dtype.kind in "US" or a.dtype.kind == "O" and any(
+                isinstance(v, (str, bytes)) for v in a.flat):
             raise AnalysisError(f"{name} of {a.dtype} holds text, not numbers")
         if a.dtype != dtype:
             try:
@@ -400,23 +402,18 @@ def write_candump(trace: Trace, path) -> None:
     """Write a trace as compact candump lines on interface can0.
 
     Standard ids get 3 hex digits, extended ids 8; timestamps keep
-    microsecond precision. The id slot holds 8 digits only if an id is extended.
+    microsecond precision.
     """
-    wide = trace.ids.max(initial=0) > STANDARD_ID_MAX
     lines, (stamps, id_hex, payload_hex) = line_matrix(len(trace), [
-        b"(", fixed6_width(trace.timestamps), b") can0 ", 8 if wide else 4, b"#", 16, b"\n"])
+        b"(", fixed6_width(trace.timestamps), b") can0 ", 8, b"#", 16, b"\n"])
     # b"%02X%02X" of each byte pair, read as a native uint16: 256 KiB, so built per call
     hex4 = np.take(_HEX2, np.arange(1 << 16, dtype=np.uint16).view(np.uint8)).view(np.uint32)
     with open(path, "wb") as fh:
         for rows in row_blocks(len(trace)):
             k, ids, dlcs = rows.stop - rows.start, trace.ids[rows], trace.dlcs[rows]
             fixed6_field(trace.timestamps[rows], stamps[:k])
-            if wide:
-                digits = np.take(hex4, ids.astype(">u4").view(np.uint16)).view(np.uint64)
-                id_hex[:k].view(np.uint64)[:, 0] = digits & np.take(_ID_KEEP, ids > STANDARD_ID_MAX)
-            else:  # one word of 4 digits, masked by the last 4 bytes of the standard id's mask
-                digits = np.take(hex4, ids.astype(">u2").view(np.uint16))
-                id_hex[:k].view(np.uint32)[:, 0] = digits & _ID_KEEP.view(np.uint32)[1]
+            digits = np.take(hex4, ids.astype(">u4").view(np.uint16)).view(np.uint64)
+            id_hex[:k].view(np.uint64)[:, 0] = digits & np.take(_ID_KEEP, ids > STANDARD_ID_MAX)
             digits = np.take(hex4, trace.words[rows, None].view(np.uint16)).view(np.uint64)
             if dlcs.min() < MAX_DLC:
                 digits &= np.take(_DLC_KEEP, dlcs, axis=0)

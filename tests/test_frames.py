@@ -275,17 +275,25 @@ class TestFrameInvariants:
         with pytest.raises(AnalysisError, match="^ids of object: "):
             Trace([0.0], [2**64], [0], np.zeros(1))
 
+    @pytest.mark.parametrize("dtype", [None, object], ids=["typed", "object"])
     @pytest.mark.parametrize("text", [str, str.encode], ids=["str", "bytes"])
-    def test_text_column_rejected(self, text):
+    def test_text_column_rejected(self, text, dtype):
         """`astype` reads decimal digits: the id "100" would be 100, not 0x100."""
+        def col(*values):
+            return np.array(values, dtype)
+
         with pytest.raises(AnalysisError, match=r"^timestamps of \S+ holds text, not numbers$"):
-            Trace([text("0.5")], [1], [1], [1])
+            Trace(col(text("0.5")), [1], [1], [1])
         with pytest.raises(AnalysisError, match=r"^ids of \S+ holds text, not numbers$"):
-            Trace([0.5], [text("100")], [1], [1])
+            Trace([0.5], col(text("100")), [1], [1])
         with pytest.raises(AnalysisError, match=r"^timestamps of \S+ holds text, not numbers$"):
-            IdTrace(1, 1, [text("0")], [[7]])
+            IdTrace(1, 1, col(text("0")), [[7]])
         with pytest.raises(AnalysisError, match=r"^payloads of \S+ holds text, not numbers$"):
-            IdTrace(1, 1, [0.0], [[text("7")]])
+            IdTrace(1, 1, [0.0], col([text("7")]))
+
+    def test_text_among_numbers_in_object_column_rejected(self):
+        with pytest.raises(AnalysisError, match=r"^ids of object holds text, not numbers$"):
+            Trace([0.5, 0.6], np.array([1, "100"], object), [1, 1], [1, 1])
 
     def test_exact_cast_kept_and_typed_column_not_copied(self):
         ids = np.array([1, 0x1FFFFFFF, 2], np.uint32)
