@@ -1,16 +1,18 @@
 """Byte-identity corpus: sha256 digests of everything cantok writes on small seeded inputs.
 
-`build(root)` writes three captures into `root`, built with `synth` the way
+`build(root)` writes four captures into `root`, built with `synth` the way
 the benchmark's workloads are (a 20-id bus of long groups, a mixed bus of
 skewed group sizes as CSV with junk lines, and many short J1939 groups),
-plus a copy of the bundled spec. It then runs `tang`, `tokenize`,
+and the bus again with a few frames swapped, so its timestamps go
+backwards, plus a copy of the bundled spec. It then runs `tang`, `tokenize`,
 `extract`, `synth` and `score` on them in-process from `root`, with
 relative paths only, so no digest depends on where `root` is. It returns
 one sha256 per input and output file and per run's stdout and stderr, and
 each run's exit code.
 
 `tests/test_corpus.py` compares that with `MANIFEST`. A change that alters
-an output on purpose rewrites the manifest and names each changed entry::
+an output on purpose rewrites the manifest and names each entry it adds,
+removes or changes::
 
     PYTHONPATH=src python tests/corpus.py
 """
@@ -30,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from cantok.cli import main
-from cantok.frames import CSV_HEADER, write_candump
+from cantok.frames import CSV_HEADER, Trace, write_candump
 from cantok.synth import GroundTruth, SignalSpec, bundled_spec_path, generate_trace, merge_traces
 
 MANIFEST = Path(__file__).with_name("corpus_manifest.json")
@@ -90,6 +92,19 @@ def layouts(name: str) -> list[GroundTruth]:
     return out
 
 
+# rows of the bus capture swapped in its backward-stamped copy: frame k and k + 20
+# are of one id, most others of two; each swap puts a timestamp before a later one
+BACKWARD_SWAPS = ((0, 1), (10, 11), (500, 520), (1500, 1503), (2000, 2107), (2998, 2999))
+
+
+def _swapped(trace: Trace, pairs) -> Trace:
+    """`trace` with the frames in each pair of rows swapped."""
+    order = np.arange(len(trace))
+    for a, b in pairs:
+        order[[a, b]] = order[[b, a]]
+    return Trace(*(getattr(trace, name)[order] for name in ("timestamps", "ids", "dlcs", "words")))
+
+
 def _write_csv(trace, path) -> None:
     """The CSV schema, one f-string a row, with a junk line before every 97th frame."""
     with open(path, "w") as fh:
@@ -105,7 +120,8 @@ def _write_csv(trace, path) -> None:
 RUNS = [
     *((f"{command}_{name}", [command, "-i", capture, *flags])
       for name, capture, flags in (("bus", "bus.log", []), ("fanout", "fanout.log", []),
-                                   ("mixed", "mixed.csv", ["--format", "csv", "--lenient"]))
+                                   ("mixed", "mixed.csv", ["--format", "csv", "--lenient"]),
+                                   ("backward", "backward.log", []))
       for command in ("tang", "tokenize", "extract")),
     ("extract_options", ["extract", "-i", "bus.log", "--ids", "0x100,0x113", "--endianness",
                          "little", "--threshold", "2", "--padding-mode", "strict"]),
@@ -148,7 +164,9 @@ def _sha256(data: bytes) -> str:
 def build(root) -> dict[str, str]:
     """Write the corpus under directory `root`; its digests, by relative file name."""
     root = Path(root)
-    write_candump(merge_traces([generate_trace(gt) for gt in layouts("bus")]), root / "bus.log")
+    bus = merge_traces([generate_trace(gt) for gt in layouts("bus")])
+    write_candump(bus, root / "bus.log")
+    write_candump(_swapped(bus, BACKWARD_SWAPS), root / "backward.log")
     write_candump(merge_traces([generate_trace(gt) for gt in layouts("fanout")]),
                   root / "fanout.log")
     _write_csv(merge_traces([generate_trace(gt) for gt in layouts("mixed")]), root / "mixed.csv")
@@ -170,7 +188,11 @@ if __name__ == "__main__":
     if MANIFEST.exists():
         old = json.loads(MANIFEST.read_text())
         for key in sorted(old.keys() | digests.keys()):
-            if old.get(key) != digests.get(key):
+            if key not in old:
+                print(f"added: {key}", file=sys.stderr)
+            elif key not in digests:
+                print(f"removed: {key}", file=sys.stderr)
+            elif old[key] != digests[key]:
                 print(f"changed: {key}", file=sys.stderr)
     MANIFEST.write_text(json.dumps(digests, indent=1, sort_keys=True) + "\n")
     print(f"{MANIFEST.name}: {len(digests)} entries")
