@@ -111,7 +111,9 @@ def _outdir(args) -> Path:
 
 
 def _load(args) -> Trace:
-    return load_trace(args.input, format=args.format, strict=not args.lenient)
+    """The --input capture; only extract, which writes series, keeps its timestamps."""
+    return load_trace(args.input, format=args.format, strict=not args.lenient,
+                      timestamps=args.command == "extract")
 
 
 def _analysis_input(args, header: str):

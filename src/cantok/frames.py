@@ -17,6 +17,9 @@ A `Trace` holds one read-only column per frame field, a payload as one
 uint64 of `words` (its bytes in memory order, zero past the dlc), and
 rejects an id above 29 bits or a dlc above 8. An `IdTrace` holds one (id,
 dlc) group's timestamps and (M, dlc) uint8 `payloads`, its words' bytes.
+Either may have `timestamps` None: ``load_trace(path, timestamps=False)``
+keeps 13 bytes a frame, not 21, for analyses that read payloads only, and
+what needs the column (`timestamps_of`) raises AnalysisError without it.
 `CanFrame`, the row a parser returns and `Trace.frames` yields, checks nothing.
 
 `load_trace` reads a capture in chunks of about `CHUNK_BYTES` and decodes
@@ -62,9 +65,11 @@ words read a row apart, 8 digits a word (`_numbers`).
 count its lines and then chunk by chunk, translates each chunk into a
 second, takes digit values in a third and reads their words into a fourth.
 It writes decoded frames straight into the trace's columns and moves a
-chunk's rows up only if it skipped lines. So no chunk-sized array is freed
-per chunk: that raises glibc's mmap threshold, and the heap then holds more
-memory for the rest of the run.
+chunk's rows up only if it skipped lines. A load without timestamps still
+decodes each chunk's, into a fifth buffer of 8 bytes a line, so the warning
+on timestamps that go backwards is worked out chunk by chunk either way. So
+no chunk-sized array is freed per chunk: that raises glibc's mmap
+threshold, and the heap then holds more memory for the rest of the run.
 
 The writers are the inverse, a columnar row encoder. A call fills one
 `line_matrix` of up to `ENCODE_ROWS` rows whose literal bytes are set once.
@@ -141,18 +146,48 @@ def _set_columns(obj, **specs: tuple) -> None:
         object.__setattr__(obj, name, a)
 
 
+def _stamps_spec(obj, m: int) -> dict:
+    """The `_set_columns` spec of obj's (m,) float64 timestamps; none if they are None."""
+    return {} if obj.timestamps is None else {"timestamps": (np.float64, (m,))}
+
+
+def timestamps_of(trace: Trace | IdTrace) -> np.ndarray:
+    """The timestamps column of a Trace or IdTrace, else AnalysisError naming it."""
+    if trace.timestamps is None:
+        raise AnalysisError(f"{type(trace).__name__} has no timestamps column "
+                            "(it was loaded with timestamps=False)")
+    return trace.timestamps
+
+
+def _steps_back(stamps: np.ndarray, before: float = -math.inf) -> tuple[int, tuple | None]:
+    """How many stamps are below the one before them (`before` for the first),
+    and the first one's (index, stamp before it, stamp), else None."""
+    back = np.flatnonzero(stamps[1:] < stamps[:-1]) + 1
+    head = bool(len(stamps) and stamps[0] < before)
+    if not (count := head + back.size):
+        return 0, None
+    k = 0 if head else int(back[0])
+    return count, (k, before if head else float(stamps[k - 1]), float(stamps[k]))
+
+
+def _decrease(count: int, frame: int, a: float, b: float) -> str:
+    """The report of timestamps that go backwards: how often, where first, from what to what."""
+    return f"timestamps decrease {count} time(s), first at frame {frame}: {a} -> {b}"
+
+
 @dataclass(frozen=True, slots=True, eq=False)
 class Trace:
-    """Chronologically ordered capture, one column per frame field."""
+    """Chronologically ordered capture, one column per frame field; a trace
+    loaded without timestamps has `timestamps` None."""
 
-    timestamps: np.ndarray  # (M,) float64 seconds
+    timestamps: np.ndarray | None  # (M,) float64 seconds
     ids: np.ndarray  # (M,) uint32 arbitration ids
     dlcs: np.ndarray  # (M,) uint8
     words: np.ndarray  # (M,) uint64, the 8 payload bytes in memory order, zero past the dlc
 
     def __post_init__(self):
-        m = len(self.timestamps)
-        _set_columns(self, timestamps=(np.float64, (m,)), ids=(np.uint32, (m,)),
+        m = len(self.words if self.timestamps is None else self.timestamps)
+        _set_columns(self, **_stamps_spec(self, m), ids=(np.uint32, (m,)),
                      dlcs=(np.uint8, (m,)), words=(np.uint64, (m,)))
         for column, top, reason in ((self.ids, EXTENDED_ID_MAX, OUTSIDE_ID_RANGE),
                                     (self.dlcs, MAX_DLC, OUTSIDE_DLC_RANGE)):
@@ -163,22 +198,18 @@ class Trace:
     def frames(self) -> Iterator[CanFrame]:
         """Row view: one CanFrame per frame, in capture order."""
         blob = self.words.tobytes()
-        rows = zip(self.timestamps.tolist(), self.ids.tolist(), self.dlcs.tolist())
-        for k, (ts, arb_id, dlc) in enumerate(rows):
-            yield CanFrame(ts, arb_id, dlc, blob[MAX_DLC * k : MAX_DLC * k + dlc])
+        rows = zip(timestamps_of(self).tolist(), self.ids.tolist(), self.dlcs.tolist())
+        return (CanFrame(ts, arb_id, dlc, blob[MAX_DLC * k : MAX_DLC * k + dlc])
+                for k, (ts, arb_id, dlc) in enumerate(rows))
 
     def validate(self) -> None:
         """Check the nondecreasing-timestamp invariant; raise on violation."""
-        back = np.flatnonzero(self.timestamps[1:] < self.timestamps[:-1])
-        if back.size:
-            a, b = self.timestamps[back[0] : back[0] + 2].tolist()
-            raise AnalysisError(
-                f"timestamps decrease {back.size} time(s), first at frame "
-                f"{back[0] + 1}: {a} -> {b}"
-            )
+        count, first = _steps_back(timestamps_of(self))
+        if count:
+            raise AnalysisError(_decrease(count, *first))
 
     def __len__(self) -> int:
-        return len(self.timestamps)
+        return len(self.words)
 
 
 @dataclass(frozen=True, slots=True, eq=False)
@@ -187,19 +218,19 @@ class IdTrace:
 
     arbitration_id: int
     dlc: int
-    timestamps: np.ndarray  # (M,) float64 seconds
+    timestamps: np.ndarray | None  # (M,) float64 seconds, or None
     payloads: np.ndarray  # (M, dlc) uint8
 
     def __post_init__(self):
-        m = len(self.timestamps)
-        _set_columns(self, timestamps=(np.float64, (m,)), payloads=(np.uint8, (m, self.dlc)))
+        m = len(self.payloads if self.timestamps is None else self.timestamps)
+        _set_columns(self, **_stamps_spec(self, m), payloads=(np.uint8, (m, self.dlc)))
 
     @property
     def bit_width(self) -> int:
         return 8 * self.dlc
 
     def __len__(self) -> int:
-        return len(self.timestamps)
+        return len(self.payloads)
 
 
 # The capture grammar, one pattern per field. A field is converted only
@@ -404,14 +435,15 @@ def write_candump(trace: Trace, path) -> None:
     Standard ids get 3 hex digits, extended ids 8; timestamps keep
     microsecond precision.
     """
+    timestamps = timestamps_of(trace)
     lines, (stamps, id_hex, payload_hex) = line_matrix(len(trace), [
-        b"(", fixed6_width(trace.timestamps), b") can0 ", 8, b"#", 16, b"\n"])
+        b"(", fixed6_width(timestamps), b") can0 ", 8, b"#", 16, b"\n"])
     # b"%02X%02X" of each byte pair, read as a native uint16: 256 KiB, so built per call
     hex4 = np.take(_HEX2, np.arange(1 << 16, dtype=np.uint16).view(np.uint8)).view(np.uint32)
     with open(path, "wb") as fh:
         for rows in row_blocks(len(trace)):
             k, ids, dlcs = rows.stop - rows.start, trace.ids[rows], trace.dlcs[rows]
-            fixed6_field(trace.timestamps[rows], stamps[:k])
+            fixed6_field(timestamps[rows], stamps[:k])
             digits = np.take(hex4, ids.astype(">u4").view(np.uint16)).view(np.uint64)
             id_hex[:k].view(np.uint64)[:, 0] = digits & np.take(_ID_KEEP, ids > STANDARD_ID_MAX)
             digits = np.take(hex4, trace.words[rows, None].view(np.uint16)).view(np.uint64)
@@ -422,10 +454,9 @@ def write_candump(trace: Trace, path) -> None:
 
 
 def write_json(data, path) -> None:
-    """Write `data` as JSON indented by 2, with a final newline."""
+    """Write `data` as JSON indented by 2, with a final newline, in one write."""
     with open(path, "w") as fh:
-        json.dump(data, fh, indent=2)
-        fh.write("\n")
+        fh.write(json.dumps(data, indent=2) + "\n")
 
 
 CHUNK_BYTES = 1 << 19  # read size; each chunk is cut after its last line end
@@ -586,8 +617,9 @@ def _decode_chunk(chunk: memoryview, format: str, cols: list, templates: dict, p
     """Decode the lines of a chunk in columns, one length group at a time.
 
     Lines end at LF, CR LF or a lone CR, as in text mode. Writes the frame
-    of each line k it decodes to row k of `cols`; returns a mask of the
-    decoded lines and a function giving the bytes of line k. `templates`
+    of each line k it decodes to row k of `cols`, whose first column, if
+    None, it replaces with a pooled buffer of a stamp a line; returns a mask
+    of the decoded lines and a function giving the bytes of line k. `templates`
     and `pool` keep the load's templates by line shape and its buffers.
     No line holding a byte >= 0x80 is decoded: no template accepts one.
     """
@@ -618,6 +650,8 @@ def _decode_chunk(chunk: memoryview, format: str, cols: list, templates: dict, p
         order = np.argsort(np.minimum(lengths, 0xFFFF).astype(np.uint16), kind="stable")  # a radix sort
         groups = [(int(lengths[rows[0]]), rows)
                   for rows in np.split(order, np.flatnonzero(np.diff(lengths[order])) + 1)]
+    if cols[0] is None:  # timestamps not kept: this chunk's go to the pool
+        cols[0] = _buffer(pool, "stamps", (8 * n,)).view(np.float64)
     decoded = np.zeros(n, bool)
     for length, rows in groups:
         if length < len("0.0,0,0,"):  # shorter than any line read in columns, or blank
@@ -653,14 +687,17 @@ def _decode_chunk(chunk: memoryview, format: str, cols: list, templates: dict, p
     return decoded, line
 
 
-def load_trace(path, format: str = "candump", strict: bool = True) -> Trace:
+def load_trace(
+    path, format: str = "candump", strict: bool = True, timestamps: bool = True
+) -> Trace:
     """Load a capture file into a Trace, preserving file order.
 
     In strict mode any malformed line aborts with its line number; in
     lenient mode bad lines are skipped and counted in a single warning.
     Blank lines and ``#`` comments are always ignored (for CSV the header
     row is ignored too). Timestamps that go backwards are reported in a
-    warning.
+    warning, which `timestamps` False leaves as it is: the trace then holds
+    `timestamps` None, 8 bytes a frame less.
 
     The file is read in chunks. Lines of the common shapes are decoded in
     columns; every other line goes through `parse_candump_line` or
@@ -699,31 +736,36 @@ def load_trace(path, format: str = "candump", strict: bool = True) -> Trace:
             capacity += np.count_nonzero(np.equal(np.frombuffer(buf, np.uint8, size), 10, out=lf))
             capacity += buf.find(b"\r", 0, size) >= 0 and buf.count(b"\r", 0, size)
         fh.seek(0)
-        # the trace's columns: timestamps, ids, dlcs and payload words
-        out = [np.empty(capacity, dtype) for dtype in (np.float64, np.uint32, np.uint8, np.uint64)]
-        size, lineno = 0, 1
+        # the trace's columns: timestamps (None: a chunk's at a time), ids, dlcs and payload words
+        out = [np.empty(capacity, np.float64) if timestamps else None,
+               *(np.empty(capacity, dtype) for dtype in (np.uint32, np.uint8, np.uint64))]
+        size, lineno, steps, first, last = 0, 1, 0, None, -math.inf
         for chunk in _chunks(fh, buf):
-            cols = [column[size:] for column in out]
+            cols = [None if column is None else column[size:] for column in out]
             decoded, line = _decode_chunk(chunk, format, cols, templates, pool)
-            timestamps, ids, dlcs, words = cols
+            stamps, ids, dlcs, words = cols
             for k in np.flatnonzero(~decoded).tolist():
                 frame = parse_line(line(k), lineno + k)
                 if frame is not None:
                     decoded[k] = True
-                    timestamps[k], ids[k], dlcs[k], payload = frame
+                    stamps[k], ids[k], dlcs[k], payload = frame
                     words[k] = np.frombuffer(payload.ljust(MAX_DLC, b"\0"), np.uint64)[0]
             if (n := int(decoded.sum())) < len(decoded):  # compact the chunk's frames
                 for column in cols:
                     column[:n] = column[: len(decoded)][decoded]
+            count, step = _steps_back(stamps[:n], last)  # the rule of Trace.validate
+            if count and not steps:
+                first = (size + step[0], *step[1:])
+            steps += count
+            if n:
+                last = float(stamps[n - 1])
             size += n
             lineno += len(decoded)
-    trace = Trace(*(column[:size] for column in out))
+    trace = Trace(*(None if column is None else column[:size] for column in out))
     if skipped:
         log.warning("%s: skipped %d malformed line(s)", path, skipped)
-    try:
-        trace.validate()
-    except AnalysisError as exc:
-        log.warning("%s: %s", path, exc)
+    if steps:
+        log.warning("%s: %s", path, _decrease(steps, *first))
     log.info("%s: %d frames", path, len(trace))
     return trace
 
@@ -755,11 +797,13 @@ def partition_by_id(trace: Trace) -> dict[tuple[int, int], IdTrace]:
     When it holds the only reference to `trace`, as in
     ``partition_by_id(load_trace(path))`` on CPython >= 3.11, it frees each
     capture column once done with it, so it needs 8 bytes a frame over the
-    capture (the words, then one gathered column) plus a few blocks.
+    capture (the words, then one gathered column) plus a few blocks: over
+    21 bytes a frame, or 13 for a trace without timestamps, whose groups
+    then have none either.
     """
     timestamps, ids, dlcs, payloads = trace.timestamps, trace.ids, trace.dlcs, trace.words
     del trace  # from here on, a column rebound or deleted is freed if unshared
-    m = len(timestamps)
+    m = len(payloads)
     index_bits = (m - 1).bit_length()
     key_bits = int(ids.max(initial=0)).bit_length() + 4
     if key_bits + index_bits > 64:
@@ -781,12 +825,14 @@ def partition_by_id(trace: Trace) -> dict[tuple[int, int], IdTrace]:
     edges = [0, *cuts, m] if m else []
     group_keys = (words[edges[:-1]] >> index_bits).tolist()
     del words
-    timestamps = _gather(timestamps, order)
+    if timestamps is not None:
+        timestamps = _gather(timestamps, order)
     payloads = _gather(payloads, order)[:, None].view(np.uint8)  # each word's 8 bytes
     groups = {}
     for a, b, key in zip(edges, edges[1:], group_keys):
         arb_id, dlc = key >> 4, key & 0xF
-        groups[(arb_id, dlc)] = IdTrace(arb_id, dlc, timestamps[a:b], payloads[a:b, :dlc])
+        stamps = None if timestamps is None else timestamps[a:b]
+        groups[(arb_id, dlc)] = IdTrace(arb_id, dlc, stamps, payloads[a:b, :dlc])
     mixed = [i for i, n in Counter(i for i, _ in groups).items() if n > 1]
     if mixed:
         log.warning(

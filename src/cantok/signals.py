@@ -18,7 +18,7 @@ import numpy as np
 from .bitlab import build_bit_matrix, payload_bytes, read_field, write_field
 from .errors import AnalysisError, InvariantError
 from .frames import IdTrace, decimal_field, decimal_width, fixed6_field, fixed6_width
-from .frames import line_matrix, row_blocks, write_json
+from .frames import line_matrix, row_blocks, timestamps_of, write_json
 from .tokenizer import PADDING, TokenCluster, Tokenization, format_id
 
 
@@ -56,6 +56,7 @@ def extract_series(
     Each cluster's ``lsb_index``/``msb_index`` sets its bit order. The bit
     matrix is built once, and every series shares the group's timestamps.
     """
+    timestamps = timestamps_of(idtrace)
     for cluster in clusters:
         if cluster.kind == PADDING:
             raise AnalysisError("cannot extract padding as a signal series")
@@ -69,7 +70,7 @@ def extract_series(
     for cluster in clusters:
         values = read_field(bits, cluster.lsb_index, cluster.msb_index)
         values.flags.writeable = False
-        out.append(SignalSeries(idtrace.arbitration_id, cluster, values, idtrace.timestamps))
+        out.append(SignalSeries(idtrace.arbitration_id, cluster, values, timestamps))
     return out
 
 

@@ -18,7 +18,8 @@ import numpy as np
 from .bitlab import payload_bytes, write_field
 from .errors import AnalysisError
 from .frames import (
-    EXTENDED_ID_MAX, OUTSIDE_ID_RANGE, Trace, parse_hex_id, require_uints, write_json,
+    EXTENDED_ID_MAX, OUTSIDE_ID_RANGE, Trace, parse_hex_id, require_uints, timestamps_of,
+    write_json,
 )
 from .tokenizer import ENDIANNESSES, SIGNAL, Tokenization, format_id
 
@@ -175,7 +176,7 @@ def merge_traces(traces: list[Trace]) -> Trace:
     """Interleave traces by timestamp (stable, so per-id order is kept)."""
     if not traces:
         return Trace([], [], [], [])
-    timestamps = np.concatenate([t.timestamps for t in traces])
+    timestamps = np.concatenate([timestamps_of(t) for t in traces])
     order = np.argsort(timestamps, kind="stable")
     timestamps = timestamps[order]  # column by column: each concatenation is freed once gathered
     return Trace(timestamps, *(np.concatenate([getattr(t, name) for t in traces])[order]

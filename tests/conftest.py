@@ -260,8 +260,9 @@ def naive_summary(values):
 COLUMNS = ("timestamps", "ids", "dlcs", "words")
 
 
-def load_outcome(loader, path, **kwargs):
-    """What one load gives: column bytes or the ParseError, and its skip warnings."""
+def load_outcome(loader, path, columns=COLUMNS, warned="malformed", **kwargs):
+    """What one load gives: the bytes of `columns` or the ParseError, and its
+    warnings that hold `warned` (by default the skip warnings; "" for all)."""
     warnings = []
     handler = logging.Handler(logging.WARNING)
     handler.emit = lambda record: warnings.append(record.getMessage())
@@ -269,10 +270,10 @@ def load_outcome(loader, path, **kwargs):
     try:
         trace = loader(path, **kwargs)
         result = [
-            (c.dtype.str, c.shape, c.tobytes()) for c in (getattr(trace, n) for n in COLUMNS)
+            (c.dtype.str, c.shape, c.tobytes()) for c in (getattr(trace, n) for n in columns)
         ]
     except ParseError as exc:
         result = (str(exc), exc.lineno)
     finally:
         log.removeHandler(handler)
-    return result, [w for w in warnings if "malformed" in w]
+    return result, [w for w in warnings if warned in w]

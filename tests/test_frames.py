@@ -492,6 +492,68 @@ class TestChunkEdges:
         )
 
 
+class TestBackwardSteps:
+    """The warning on timestamps that go backwards is worked out chunk by chunk:
+    the same with timestamps kept or not, and as `Trace.validate` reads the kept
+    column, for steps inside a chunk, at a chunk's first line and after skipped
+    lines. Every line is 23 bytes with its LF."""
+
+    STAMPS = ["1", "2", "3", "2.5", "4", "3.5", None, None, "3", "5", None, "4.5", "6"]
+    MESSAGE = "timestamps decrease 4 time(s), first at frame 3: 3.0 -> 2.5"
+
+    def _capture(self, tmp_path, skips=True):
+        lines = [f"({float(ts):.6f}) can0 100#AA" if ts else "(bad.ts) can0 100#AAAAAA"
+                 for ts in self.STAMPS if ts or skips]
+        path = tmp_path / "capture.log"
+        path.write_text("".join(line + "\n" for line in lines))
+        return path
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 23, 46, 69, 100, frames.CHUNK_BYTES])
+    @pytest.mark.parametrize("strict", [True, False])
+    def test_same_message_in_both_modes(self, tmp_path, monkeypatch, chunk_bytes, strict):
+        monkeypatch.setattr(frames, "CHUNK_BYTES", chunk_bytes)
+        p = self._capture(tmp_path, skips=not strict)
+        with pytest.raises(AnalysisError) as exc:
+            load_trace(p, strict=strict).validate()
+        assert str(exc.value) == self.MESSAGE
+        skipped = [] if strict else [f"{p}: skipped 3 malformed line(s)"]
+        for timestamps in (True, False):
+            outcome = load_outcome(load_trace, p, ("ids", "words"), "", strict=strict,
+                                   timestamps=timestamps)
+            assert outcome[1] == [*skipped, f"{p}: {self.MESSAGE}"], (timestamps, chunk_bytes)
+
+    def test_without_timestamps_holds_none(self, tmp_path):
+        trace = load_trace(self._capture(tmp_path), strict=False, timestamps=False)
+        assert trace.timestamps is None and len(trace) == 10
+        assert all(g.timestamps is None for g in partition_by_id(trace).values())
+
+
+class TestNoTimestamps:
+    """What needs the timestamps of a trace loaded without them says so."""
+
+    TRACE = Trace(None, [0x100, 0x100], [1, 1], [1, 2])
+
+    def test_frames(self):
+        with pytest.raises(AnalysisError, match="no timestamps column"):
+            self.TRACE.frames
+
+    def test_validate(self):
+        with pytest.raises(AnalysisError, match="Trace has no timestamps column"):
+            self.TRACE.validate()
+
+    def test_write_candump(self, tmp_path):
+        with pytest.raises(AnalysisError, match="no timestamps column"):
+            write_candump(self.TRACE, tmp_path / "out.log")
+        assert not (tmp_path / "out.log").exists()
+
+    def test_columns_still_checked(self):
+        assert len(self.TRACE) == 2 and self.TRACE.ids.dtype == np.uint32
+        with pytest.raises(AnalysisError, match="ids of shape"):
+            Trace(None, [0x100], [1, 1], [1, 2])
+        with pytest.raises(AnalysisError, match="payloads of shape"):
+            IdTrace(0x100, 2, None, np.zeros((3, 1), np.uint8))
+
+
 class TestPerLineFallback:
     """A line with a byte >= 0x80 goes to the per-line parser, and only that line."""
 
@@ -735,20 +797,24 @@ class TestPartition:
     def test_only_reference_frees_capture_columns(self):
         """Handed the only reference, partition_by_id frees each column once it
         is done with it: its peak over the 21 bytes a frame held at the call
-        stays within 10 bytes a frame (the packed words or one gathered column,
-        plus block temporaries), with standard and with extended ids. The
-        groups then keep 16 bytes a frame, the gathered timestamps and
-        words, and under 1 KiB a group: with dlcs 1 to 8 too, because a
-        group's payloads are a view of the gathered words, not a copy."""
+        (13 without timestamps) stays within 10 bytes a frame (the packed words
+        or one gathered column, plus block temporaries), with standard and with
+        extended ids. The groups then keep 16 bytes a frame, the gathered
+        timestamps and words (8, the words, without timestamps), and under 1 KiB
+        a group: with dlcs 1 to 8 too, because a group's payloads are a view of
+        the gathered words, not a copy."""
         m = 200_000
-        for low, high, dlc in ((0, 0x800, 8), (0x18F00000 - 20, 0x18F00000 + 20, 8),
-                               (0x18F00000 - 20, 0x18F00000 + 20, 1)):
+        for low, high, dlc, stamps in (
+                (0, 0x800, 8, True), (0x18F00000 - 20, 0x18F00000 + 20, 8, True),
+                (0x18F00000 - 20, 0x18F00000 + 20, 1, True), (0, 0x800, 8, False),
+                (0x18F00000 - 20, 0x18F00000 + 20, 1, False)):
             rng = np.random.default_rng(7)
             tracemalloc.start()  # first: tracemalloc does not see frees of older blocks
             try:
                 dlcs = rng.integers(dlc, 9, m).astype(np.uint8)
                 traces = [Trace(
-                    np.arange(m) * 0.001, rng.integers(low, high, m).astype(np.uint32), dlcs,
+                    np.arange(m) * 0.001 if stamps else None,
+                    rng.integers(low, high, m).astype(np.uint32), dlcs,
                     (rng.integers(0, 256, (m, 8), dtype=np.uint8)
                      * (np.arange(8) < dlcs[:, None])).view(np.uint64)[:, 0],
                 )]
@@ -760,8 +826,11 @@ class TestPartition:
             finally:
                 tracemalloc.stop()
             assert sum(map(len, groups.values())) == m
-            assert (peak - held) / m <= 10, (hex(low), dlc)
-            assert (kept - 1024 * len(groups)) / m <= 16, (hex(low), dlc)
+            assert (peak - held) / m <= 10, (hex(low), dlc, stamps)
+            assert (kept - 1024 * len(groups)) / m <= 16, (hex(low), dlc, stamps)
+            if not stamps:
+                assert (kept - 1024 * len(groups)) / m <= 8, (hex(low), dlc)
+                assert all(g.timestamps is None for g in groups.values())
 
 
 class TestRoundTrip:

@@ -415,6 +415,34 @@ def test_load_trace_matches_per_line_reference(data, fmt, newline, final_newline
             )
 
 
+@given(
+    st.data(),
+    st.sampled_from(["candump", "csv"]),
+    st.sampled_from(["\n"] * 4 + ["\r\n", "\r"]),
+    st.sampled_from([1, 7, 64, frames.CHUNK_BYTES]),
+)
+@settings(max_examples=200, deadline=None)
+def test_load_without_timestamps_matches_default(data, fmt, newline, chunk_bytes):
+    """``timestamps=False`` loads the same ids, dlcs and words as the default,
+    with the same skip and backward-step warnings and strict ParseError."""
+    lines = data.draw(st.lists(_any_line(fmt), max_size=40))
+    for block in data.draw(st.lists(_same_length_lines(fmt), max_size=2)):
+        at = data.draw(st.integers(min_value=0, max_value=len(lines)))
+        lines[at:at] = block
+    payload_columns = ("ids", "dlcs", "words")
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
+        frames, "CHUNK_BYTES", chunk_bytes
+    ):
+        path = Path(tmp) / "capture"
+        path.write_bytes(newline.join(lines).encode())
+        for strict in (True, False):
+            outcome = load_outcome(
+                load_trace, path, payload_columns, "", format=fmt, strict=strict)
+            assert outcome == load_outcome(
+                load_trace, path, payload_columns, "", format=fmt, strict=strict,
+                timestamps=False)
+
+
 @st.composite
 def _one_length_capture(draw, fmt):
     """(text, line bytes with end) of capture lines all of one length, each

@@ -3,6 +3,7 @@ import pytest
 
 from cantok import (
     AnalysisError,
+    IdTrace,
     SignalSeries,
     TokenCluster,
     extract_series,
@@ -81,6 +82,12 @@ class TestExtract:
         base = extract_series(it, [signal(0, 7)])[0].values
         permuted = extract_series(it_perm, [signal(0, 7)])[0].values
         assert permuted.tolist() == [int(base[i]) for i in perm]
+
+
+    def test_no_timestamps(self):
+        group = IdTrace(0x100, 1, None, np.arange(4, dtype=np.uint8)[:, None])
+        with pytest.raises(AnalysisError, match="IdTrace has no timestamps column"):
+            extract_series(group, [signal(0, 7)])
 
 
 class TestSummarize:

@@ -11,6 +11,7 @@ from cantok import (
     AnalysisError,
     GroundTruth,
     SignalSpec,
+    Trace,
     extract_series,
     generate_trace,
     partition_by_id,
@@ -484,6 +485,13 @@ def test_merge_traces_ordered():
     merged = merge_traces([generate_trace(g1), generate_trace(g2)])
     merged.validate()
     assert [f.arbitration_id for f in merged.frames] == [1, 2] * 5
+
+
+def test_merge_traces_needs_timestamps():
+    timed = generate_trace(GroundTruth(arbitration_id=1, bit_width=8, specs=(), frame_count=5))
+    untimed = Trace(None, timed.ids, timed.dlcs, timed.words)
+    with pytest.raises(AnalysisError, match="Trace has no timestamps column"):
+        merge_traces([timed, untimed])
 
 
 def test_generated_trace_consumable_by_pipeline(tmp_path):
