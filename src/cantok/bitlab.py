@@ -1,10 +1,10 @@
 """Bit-level transition analysis for per-ID payload groups.
 
 `analyzable` picks the groups that can be analysed. Every step is a plain
-numpy array: `build_bit_matrix` gives a group's (M, N) uint8 bit matrix,
-`transition_matrix` the (M-1, N) XOR of its sequential rows, and
-`tang_from_idtrace` the per-position flip counts, wrapped in a `Tang`
-with the group's id and M.
+numpy array: `build_bit_matrix` unpacks a group's payload bytes into its
+(M, N) uint8 bit matrix, `transition_matrix` gives the (M-1, N) XOR of its
+sequential rows, and `tang_from_idtrace` the per-position flip counts,
+wrapped in a `Tang` with the group's id and M.
 
 Bit numbering: position i is bit (7 - i % 8) of byte i // 8, so position 0
 is the MSB of the first transmitted byte and position N-1 the LSB of the
@@ -92,14 +92,11 @@ def payload_bytes(words: np.ndarray) -> np.ndarray:
 
 
 def build_bit_matrix(idtrace: IdTrace) -> np.ndarray:
-    """Read-only (M, N) uint8 matrix of an IdTrace's payload bits."""
+    """Read-only (M, N) uint8 matrix of an IdTrace's payload bits: one flat unpack of its bytes."""
     if len(idtrace) == 0:
         raise AnalysisError(f"no observations for id 0x{idtrace.arbitration_id:X}")
-    payloads = idtrace.payloads
-    if payloads.flags.c_contiguous:  # one long row, not M rows of dlc bytes (a dlc-8 group)
-        bits = np.unpackbits(payloads.reshape(-1)).reshape(len(payloads), idtrace.bit_width)
-    else:  # a strided group: a flat copy costs more than unpacking it row by row
-        bits = np.unpackbits(payloads, axis=1)
+    payloads = np.ascontiguousarray(idtrace.payloads)  # a copy if dlc < 8: C-order rows for TANG
+    bits = np.unpackbits(payloads.reshape(-1)).reshape(len(idtrace), idtrace.bit_width)
     bits.flags.writeable = False
     return bits
 
@@ -119,17 +116,15 @@ def tang_from_idtrace(idtrace: IdTrace) -> Tang:
     are then added in int64.
     """
     if len(idtrace) < 2:
-        raise AnalysisError(
-            "insufficient observations for transition analysis "
-            f"(id 0x{idtrace.arbitration_id:X}, M={len(idtrace)})"
-        )
+        raise AnalysisError("insufficient observations for transition analysis "
+                            f"(id 0x{idtrace.arbitration_id:X}, M={len(idtrace)})")
     bits = build_bit_matrix(idtrace)
     flips = np.bitwise_xor(bits[1:], bits[:-1])
-    whole = len(flips) // 255 * 255
-    counts = flips[whole:].sum(axis=0, dtype=np.uint8).astype(np.int64)
-    if whole:
-        partial = flips[:whole].reshape(255, -1).sum(0, np.uint8)  # R·N sums of 255 rows each
-        counts += partial.reshape(-1, bits.shape[1]).sum(0, np.int64)
+    r, n = len(flips) // 255, bits.shape[1]  # sizes, not -1, in each reshape: N may be 0
+    counts = flips[255 * r :].sum(axis=0, dtype=np.uint8).astype(np.int64)
+    if r:
+        partial = flips[: 255 * r].reshape(255, r * n).sum(0, np.uint8)  # R·N sums of 255 rows
+        counts += partial.reshape(r, n).sum(0, np.int64)
     counts.flags.writeable = False
     return Tang(counts, observations=len(idtrace), arbitration_id=idtrace.arbitration_id)
 

@@ -14,12 +14,13 @@ dlc decimal digits, a payload hex pairs), the dlc fits the payload, and
 the id and dlc are in range.
 
 A `Trace` holds one read-only column per frame field, a payload as one
-uint64 of `words` (its bytes in memory order, zero past the dlc), and
-rejects an id above 29 bits or a dlc above 8. An `IdTrace` holds one (id,
-dlc) group's timestamps and (M, dlc) uint8 `payloads`, its words' bytes.
-Either may have `timestamps` None: ``load_trace(path, timestamps=False)``
-keeps 13 bytes a frame, not 21, for analyses that read payloads only, and
-what needs the column (`timestamps_of`) raises AnalysisError without it.
+uint64 of `words` (its bytes in memory order, zero past the dlc). An
+`IdTrace` holds one (id, dlc) group's timestamps and `words`, slices of
+those `partition_by_id` gathers, and `payloads` views them as (M, dlc)
+bytes. Both reject an id above 29 bits or a dlc above 8. Either may have
+`timestamps` None: ``load_trace(path, timestamps=False)`` keeps 13 bytes
+a frame, not 21, for analyses that read payloads only, and what needs
+the column (`timestamps_of`) raises AnalysisError without it.
 `CanFrame`, the row a parser returns and `Trace.frames` yields, checks nothing.
 
 `load_trace` reads a capture in chunks of about `CHUNK_BYTES` and decodes
@@ -219,18 +220,27 @@ class IdTrace:
     arbitration_id: int
     dlc: int
     timestamps: np.ndarray | None  # (M,) float64 seconds, or None
-    payloads: np.ndarray  # (M, dlc) uint8
+    words: np.ndarray  # (M,) uint64, the payload bytes in memory order, as in Trace.words
 
     def __post_init__(self):
-        m = len(self.payloads if self.timestamps is None else self.timestamps)
-        _set_columns(self, **_stamps_spec(self, m), payloads=(np.uint8, (m, self.dlc)))
+        if not 0 <= self.arbitration_id <= EXTENDED_ID_MAX:
+            raise AnalysisError(OUTSIDE_ID_RANGE.format(self.arbitration_id))
+        if not 0 <= self.dlc <= MAX_DLC:
+            raise AnalysisError(OUTSIDE_DLC_RANGE.format(self.dlc))
+        m = len(self.words if self.timestamps is None else self.timestamps)
+        _set_columns(self, **_stamps_spec(self, m), words=(np.uint64, (m,)))
+
+    @property
+    def payloads(self) -> np.ndarray:
+        """Read-only (M, dlc) uint8 view of the payload bytes of `words`."""
+        return self.words[:, None].view(np.uint8)[:, : self.dlc]
 
     @property
     def bit_width(self) -> int:
         return 8 * self.dlc
 
     def __len__(self) -> int:
-        return len(self.payloads)
+        return len(self.words)
 
 
 # The capture grammar, one pattern per field. A field is converted only
@@ -827,16 +837,13 @@ def partition_by_id(trace: Trace) -> dict[tuple[int, int], IdTrace]:
     del words
     if timestamps is not None:
         timestamps = _gather(timestamps, order)
-    payloads = _gather(payloads, order)[:, None].view(np.uint8)  # each word's 8 bytes
+    payloads = _gather(payloads, order)
     groups = {}
     for a, b, key in zip(edges, edges[1:], group_keys):
         arb_id, dlc = key >> 4, key & 0xF
         stamps = None if timestamps is None else timestamps[a:b]
-        groups[(arb_id, dlc)] = IdTrace(arb_id, dlc, stamps, payloads[a:b, :dlc])
+        groups[(arb_id, dlc)] = IdTrace(arb_id, dlc, stamps, payloads[a:b])
     mixed = [i for i, n in Counter(i for i, _ in groups).items() if n > 1]
     if mixed:
-        log.warning(
-            "ids with multiple payload widths: %s",
-            ", ".join(f"0x{i:X}" for i in mixed),
-        )
+        log.warning("ids with multiple payload widths: %s", ", ".join(f"0x{i:X}" for i in mixed))
     return groups

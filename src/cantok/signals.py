@@ -165,13 +165,9 @@ def padding_constants(bits: np.ndarray, tok: Tokenization) -> dict[int, int]:
     return out
 
 
-def repack_payloads(
-    tok: Tokenization,
-    series_by_cluster: dict[tuple[int, int], SignalSeries],
-    padding_bits: dict[int, int],
-    frame_count: int,
-) -> np.ndarray:
-    """Rebuild the (M, dlc) payload matrix from series plus padding constants.
+def repack_payloads(tok: Tokenization, series_by_cluster: dict[tuple[int, int], SignalSeries],
+                    padding_bits: dict[int, int], frame_count: int) -> np.ndarray:
+    """Rebuild a group's (M,) uint64 `words`, zero past the dlc, from series and padding.
 
     Inverse of extraction when the tokenization's signal clusters cover
     every non-padding bit; used to verify lossless decomposition.
@@ -184,7 +180,7 @@ def repack_payloads(
         if len(series) != frame_count:
             raise AnalysisError("series length does not match frame count")
         write_field(words, c.lsb_index, c.msb_index, series.values)
-    return payload_bytes(words)[:, None].view(np.uint8)[:, : tok.bit_width // 8]
+    return payload_bytes(words)
 
 
 def export_summary_json(summaries: list[dict], path) -> None:

@@ -132,10 +132,12 @@ def make_trace(frames):
 
 
 def make_idtrace(payloads, arb_id=0xA15, period=0.01):
-    """IdTrace from a list of equal-length payload byte strings."""
+    """IdTrace from a list of equal-length payload byte strings: one word a
+    payload, its bytes in memory order and zero past the dlc."""
     m, dlc = len(payloads), len(payloads[0])
-    rows = np.array([list(p) for p in payloads], dtype=np.uint8).reshape(m, dlc)
-    return IdTrace(arb_id, dlc, np.arange(m) * period, rows)
+    rows = np.zeros((m, MAX_DLC), np.uint8)
+    rows[:, :dlc] = np.array([list(p) for p in payloads], dtype=np.uint8).reshape(m, dlc)
+    return IdTrace(arb_id, dlc, np.arange(m) * period, rows.view(np.uint64)[:, 0])
 
 
 @pytest.fixture

@@ -229,7 +229,7 @@ def test_criterion_6_reconstruction():
             rebuilt = repack_payloads(
                 tok, series, padding_constants(bits, tok), len(it)
             )
-            assert np.array_equal(rebuilt, it.payloads)
+            assert rebuilt.dtype == np.uint64 and np.array_equal(rebuilt, it.words)
     _report(6, "bit-exact payload reconstruction")
 
 

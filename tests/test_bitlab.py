@@ -36,7 +36,7 @@ class TestBitMatrix:
 
     def test_empty_trace(self):
         with pytest.raises(AnalysisError, match="no observations"):
-            build_bit_matrix(IdTrace(0x100, 1, np.empty(0), np.empty((0, 1))))
+            build_bit_matrix(IdTrace(0x100, 1, np.empty(0), np.empty(0, np.uint64)))
 
 
 class TestTransitionMatrix:
@@ -103,14 +103,31 @@ class TestTang:
     @pytest.mark.parametrize("seed", range(12))
     def test_long_rows_vs_diff(self, seed):
         """Random payloads, so every block of 255 flip rows sums differently: M - 1
-        from 255 to 1500, dlc 1-8, as contiguous rows and as a view of 8-byte words."""
+        from 255 to 1500 and dlc 0-8, with the words a contiguous slice of a longer
+        column, a strided view and words whose bytes past the dlc are not zero. The
+        bit matrix unpacks the (M, dlc) payload bytes, and TANG counts its flips."""
         rng = np.random.default_rng(seed)
-        m, dlc = int(rng.integers(256, 1502)), int(rng.integers(1, 9))
-        words = rng.integers(0, 256, (m, 8), dtype=np.uint8)
-        for payloads in (np.ascontiguousarray(words[:, :dlc]), words[:, :dlc]):
-            tang = tang_from_idtrace(IdTrace(0xA15, dlc, np.arange(m) * 0.01, payloads))
-            bits = np.unpackbits(words[:, :dlc], axis=1)
-            assert tang.counts.tolist() == np.count_nonzero(np.diff(bits, axis=0), axis=0).tolist()
+        m = int(rng.integers(256, 1502))
+        raw = rng.integers(0, 256, (m, 8), dtype=np.uint8)
+        for dlc in range(9):
+            payloads = raw[:, :dlc]
+            column = np.zeros(m + 2, np.uint64)
+            column[1:-1] = (raw * (np.arange(8) < dlc)).view(np.uint64)[:, 0]
+            wide = np.zeros(2 * m, np.uint64)
+            wide[::2] = column[1:-1]
+            bits = np.unpackbits(payloads, axis=1)
+            flips = np.count_nonzero(np.diff(bits, axis=0), axis=0).tolist()
+            for words in (column[1:-1], wide[::2], raw.view(np.uint64)[:, 0]):
+                group = IdTrace(0xA15, dlc, None, words)
+                assert group.payloads.tobytes() == payloads.tobytes()
+                assert np.array_equal(build_bit_matrix(group), bits)
+                assert tang_from_idtrace(group).counts.tolist() == flips, (dlc, words.strides)
+
+    def test_zero_width_group(self):
+        """A dlc-0 group has no positions to count, however many frames it holds."""
+        for m in range(2, 601):
+            tang = tang_from_idtrace(IdTrace(0x100, 0, None, np.zeros(m, np.uint64)))
+            assert tang.counts.shape == (0,) and tang.observations == m
 
     def test_counts_bounded(self):
         rng = np.random.default_rng(11)

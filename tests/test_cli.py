@@ -13,6 +13,9 @@ from hypothesis import strategies as st
 
 from cantok import (
     Trace,
+    TokenizerConfig,
+    build_bit_matrix,
+    extract_series,
     load_trace,
     partition_by_id,
     tokenize,
@@ -22,6 +25,7 @@ from cantok import tokenizer
 from cantok.bitlab import analyzable, tang_from_idtrace
 from cantok.cli import build_parser, main
 from cantok.frames import CSV_HEADER
+from cantok.signals import padding_constants, repack_payloads
 from cantok.synth import (
     GroundTruth,
     SignalSpec,
@@ -588,3 +592,30 @@ def test_tang_tokenize_and_extract_match_naive_pipeline(bus):
             for command in ("tang", "tokenize", "extract"):
                 assert main([command, "-i", str(capture), "--out", str(cli_out), *flags]) == 0
             assert {p.name: p.read_bytes() for p in cli_out.iterdir()} == expected, repr(end)
+
+
+@given(_bus_st(), st.builds(TokenizerConfig, st.sampled_from(tokenizer.ENDIANNESSES),
+                            st.integers(0, 3), st.sampled_from(tokenizer.PADDING_MODES)))
+@settings(max_examples=25, deadline=None)
+def test_paper_invariants_on_generated_captures(bus, config):
+    """On the captures of the naive-pipeline test, every group the commands
+    analyse keeps the paper's invariants under any tokenizer config: its
+    clusters partition the bit positions, no padding position ever flips, and
+    extract followed by `repack_payloads` gives back its words exactly."""
+    *bus, format, junk = bus
+    with tempfile.TemporaryDirectory() as tmp:
+        capture = Path(tmp) / "capture"
+        _write_bus(*bus, format, junk, "\n", capture)
+        groups = partition_by_id(load_trace(capture, format, strict=not junk))
+    for key, group in analyzable(groups)[0]:
+        tang = tang_from_idtrace(group)
+        tok = tokenize(tang, config)
+        positions = sorted(p for c in tok.clusters for p in c.positions)
+        assert positions == list(range(group.bit_width)), key
+        padding = [p for c in tok.padding_clusters for p in c.positions]
+        assert not tang.counts[padding].any(), key
+        series = {(s.cluster.lo, s.cluster.hi): s
+                  for s in extract_series(group, tok.signal_clusters)}
+        constants = padding_constants(build_bit_matrix(group), tok)
+        rebuilt = repack_payloads(tok, series, constants, len(group))
+        assert rebuilt.dtype == np.uint64 and np.array_equal(rebuilt, group.words), key

@@ -230,7 +230,8 @@ class TestLineClasses:
 
 class TestFrameInvariants:
     """A Trace rejects the columns partition_by_id cannot key: an id above 29
-    bits, or a dlc above 8, which its 4-bit dlc key would wrap."""
+    bits, or a dlc above 8, which its 4-bit dlc key would wrap. An IdTrace
+    rejects the same ids and dlcs."""
 
     @staticmethod
     def _trace(ids, dlcs):
@@ -267,9 +268,23 @@ class TestFrameInvariants:
         with pytest.raises(AnalysisError, match=f"^{name} holds {re.escape(shown)}$"):
             Trace(**columns)
 
+    @pytest.mark.parametrize("arb_id, dlc, reason", [
+        (0x20000000, 1, "arbitration id 0x20000000 outside extended range"),
+        (2**40, 1, "arbitration id 0x10000000000 outside extended range"),
+        (0x100, 9, "dlc 9 outside 0..8"),
+        (0x100, -1, "dlc -1 outside 0..8"),
+    ], ids=["id-2**29", "id-2**40", "dlc-9", "dlc--1"])
+    def test_id_trace_limits(self, arb_id, dlc, reason):
+        """An IdTrace rejects the ids and dlcs a Trace rejects: its words no longer
+        bound the dlc by their shape."""
+        IdTrace(0x1FFFFFFF, 8, None, np.zeros(3, np.uint64))
+        IdTrace(0, 0, None, np.zeros(3, np.uint64))
+        with pytest.raises(AnalysisError, match=f"^{re.escape(reason)}$"):
+            IdTrace(arb_id, dlc, None, np.zeros(3, np.uint64))
+
     def test_id_trace_cast_checked(self):
-        with pytest.raises(AnalysisError, match="^payloads holds -1, which is not a uint8$"):
-            IdTrace(1, 1, [0.0, 1.0], [[-1], [0]])
+        with pytest.raises(AnalysisError, match="^words holds -1, which is not a uint64$"):
+            IdTrace(1, 1, [0.0, 1.0], [-1, 0])
 
     def test_int_beyond_int64_rejected(self):
         with pytest.raises(AnalysisError, match="^ids of object: "):
@@ -287,9 +302,9 @@ class TestFrameInvariants:
         with pytest.raises(AnalysisError, match=r"^ids of \S+ holds text, not numbers$"):
             Trace([0.5], col(text("100")), [1], [1])
         with pytest.raises(AnalysisError, match=r"^timestamps of \S+ holds text, not numbers$"):
-            IdTrace(1, 1, col(text("0")), [[7]])
-        with pytest.raises(AnalysisError, match=r"^payloads of \S+ holds text, not numbers$"):
-            IdTrace(1, 1, [0.0], col([text("7")]))
+            IdTrace(1, 1, col(text("0")), [7])
+        with pytest.raises(AnalysisError, match=r"^words of \S+ holds text, not numbers$"):
+            IdTrace(1, 1, [0.0], col(text("7")))
 
     def test_text_among_numbers_in_object_column_rejected(self):
         with pytest.raises(AnalysisError, match=r"^ids of object holds text, not numbers$"):
@@ -550,8 +565,8 @@ class TestNoTimestamps:
         assert len(self.TRACE) == 2 and self.TRACE.ids.dtype == np.uint32
         with pytest.raises(AnalysisError, match="ids of shape"):
             Trace(None, [0x100], [1, 1], [1, 2])
-        with pytest.raises(AnalysisError, match="payloads of shape"):
-            IdTrace(0x100, 2, None, np.zeros((3, 1), np.uint8))
+        with pytest.raises(AnalysisError, match=r"^words of shape \(3, 1\), expected \(3,\)$"):
+            IdTrace(0x100, 2, None, np.zeros((3, 1), np.uint64))
 
 
 class TestPerLineFallback:
@@ -801,7 +816,7 @@ class TestPartition:
         or one gathered column, plus block temporaries), with standard and with
         extended ids. The groups then keep 16 bytes a frame, the gathered
         timestamps and words (8, the words, without timestamps), and under 1 KiB
-        a group: with dlcs 1 to 8 too, because a group's payloads are a view of
+        a group: with dlcs 1 to 8 too, because a group's words are a slice of
         the gathered words, not a copy."""
         m = 200_000
         for low, high, dlc, stamps in (

@@ -268,6 +268,7 @@ def test_partition_matches_per_frame_filter(capture):
                 assert g.payloads.shape == (len(expected), dlc)
                 assert g.timestamps.tolist() == [f.timestamp for f in expected]
                 assert [row.tobytes() for row in g.payloads] == [f.payload for f in expected]
+                assert g.words.tobytes() == b"".join(f.payload.ljust(8, b"\0") for f in expected)
 
 
 @given(capture_st())

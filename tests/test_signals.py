@@ -85,7 +85,7 @@ class TestExtract:
 
 
     def test_no_timestamps(self):
-        group = IdTrace(0x100, 1, None, np.arange(4, dtype=np.uint8)[:, None])
+        group = IdTrace(0x100, 1, None, np.arange(4, dtype=np.uint64))
         with pytest.raises(AnalysisError, match="IdTrace has no timestamps column"):
             extract_series(group, [signal(0, 7)])
 
@@ -153,7 +153,8 @@ class TestReconstruction:
             for s in extract_series(it, tok.signal_clusters)
         }
         rebuilt = repack_payloads(tok, series, padding_constants(bits, tok), len(it))
-        assert rebuilt.tolist() == [list(p) for p in payloads]
+        assert rebuilt.dtype == np.uint64 and rebuilt.tolist() == it.words.tolist()
+        assert it.payloads.tolist() == [list(p) for p in payloads]
 
     def test_table(self, table1_idtrace):
         self._roundtrip([[k] for k in range(10)])
