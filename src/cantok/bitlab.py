@@ -6,19 +6,17 @@ numpy array: `build_bit_matrix` unpacks a group's payload bytes into its
 sequential rows, and `tang_from_idtrace` the per-position flip counts,
 wrapped in a `Tang` with the group's id and M.
 
-Bit numbering: position i is bit (7 - i % 8) of byte i // 8, so position 0
-is the MSB of the first transmitted byte and position N-1 the LSB of the
-last byte. This matches numpy's unpackbits order and puts big-endian
-multi-byte values on ascending contiguous positions.
+Bit numbering: position p is bit (7 - p % 8) of payload byte p // 8, as
+numpy's unpackbits reads it, so position 0 is the MSB of the first
+transmitted byte and position N-1 the LSB of the last byte. This puts
+big-endian multi-byte values on ascending contiguous positions.
 
 A field is the run of positions between its LSB and MSB position, in
 either order; position p carries place value 2^|p - lsb|. `read_field`
-reads a field from the bit matrix. `write_field` writes one into a column
-of field words, one uint64 per frame, where position p is bit 63 - p, so
-a word's big-endian bytes are the payload. These are the only places
-values are turned into bits and back, and `payload_bytes` is the one
-byte-order conversion: from field words to payloads in memory order, the
-words of `Trace.words`.
+reads a field from the bit matrix. `write_field` writes one straight into
+(M,) uint64 payload words, the words of `Trace.words` and `IdTrace.words`,
+whose memory holds each frame's payload bytes in order. These are the only
+places values are turned into bits and back.
 """
 
 from __future__ import annotations
@@ -76,19 +74,17 @@ def write_field(words: np.ndarray, lsb: int, msb: int, values) -> None:
     (M,) uint64 payload words, in place; `values` broadcast against `words`."""
     lo, hi = min(lsb, msb), max(lsb, msb)
     mask = (1 << (hi - lo + 1)) - 1
-    placed = values & np.uint64(mask)
-    if lsb < msb:  # place value rises with position: reverse all 64 bits, then shift
-        placed = _REVERSED_BITS[placed.view(np.uint8)].view(np.uint64).byteswap(inplace=True)
-        placed >>= np.uint64(lo)
-    else:
+    placed = np.asarray(values & np.uint64(mask))  # a new array, 0-d for a scalar value
+    if lsb < msb:  # place value rises with position: `v << lo`, each byte's bits reversed
+        placed <<= np.uint64(lo)
+        placed = _REVERSED_BITS[placed.view(np.uint8)].view(np.uint64)
+        clear = (mask << lo).to_bytes(8, "little").translate(_REVERSED_BITS)
+    else:  # place value falls with position: the big-endian bytes of `v << 63 - hi`
         placed <<= np.uint64(63 - hi)
-    words &= ~np.uint64(mask << (63 - hi))
+        placed.byteswap(inplace=True)
+        clear = (mask << (63 - hi)).to_bytes(8, "big")
+    words &= ~np.uint64(int.from_bytes(clear, "little"))  # the field's payload bytes as a word
     words |= placed
-
-
-def payload_bytes(words: np.ndarray) -> np.ndarray:
-    """(M,) uint64 payloads as `Trace.words` holds them: each field word's big-endian bytes."""
-    return words.astype(">u8").view(np.uint64)
 
 
 def build_bit_matrix(idtrace: IdTrace) -> np.ndarray:

@@ -9,7 +9,8 @@ class ParseError(CantokError):
     """A capture line could not be decoded.
 
     Carries the offending line content and the reason so batch loaders can
-    report the exact failure location.
+    report the exact failure location. The message quotes the line's first
+    80 characters only, and says how many it cut.
     """
 
     def __init__(self, line: str, reason: str, lineno: int | None = None):
@@ -17,7 +18,8 @@ class ParseError(CantokError):
         self.reason = reason
         self.lineno = lineno
         where = f" (line {lineno})" if lineno is not None else ""
-        super().__init__(f"{reason}{where}: {line!r}")
+        more = f" and {len(line) - 80} more characters" if len(line) > 80 else ""
+        super().__init__(f"{reason}{where}: {line[:80]!r}{more}")
 
 
 class AnalysisError(CantokError):

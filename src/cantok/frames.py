@@ -250,7 +250,7 @@ class IdTrace:
 _TIMESTAMP = re.compile(r"[0-9]+(?:\.[0-9]+)?")
 _HEX_ID = re.compile(r"(?:0[xX])?[0-9A-Fa-f]+")
 _DLC = re.compile(r"\s*[0-9]+\s*", re.ASCII)
-_PAYLOAD = re.compile(r"(?:[0-9A-Fa-f]{2})*")
+_PAYLOAD = re.compile(r"[0-9A-Fa-f]*")  # even length is checked first; no state kept per pair
 _SPACE = " \t\n\r\f\v"  # a capture's whitespace; str.split() also takes U+00A0
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bitlab import build_bit_matrix, payload_bytes, read_field, write_field
+from .bitlab import build_bit_matrix, read_field, write_field
 from .errors import AnalysisError, InvariantError
 from .frames import IdTrace, decimal_field, decimal_width, fixed6_field, fixed6_width
 from .frames import line_matrix, row_blocks, timestamps_of, write_json
@@ -180,7 +180,7 @@ def repack_payloads(tok: Tokenization, series_by_cluster: dict[tuple[int, int], 
         if len(series) != frame_count:
             raise AnalysisError("series length does not match frame count")
         write_field(words, c.lsb_index, c.msb_index, series.values)
-    return payload_bytes(words)
+    return words
 
 
 def export_summary_json(summaries: list[dict], path) -> None:

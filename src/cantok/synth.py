@@ -15,7 +15,7 @@ from importlib import resources
 
 import numpy as np
 
-from .bitlab import payload_bytes, write_field
+from .bitlab import write_field
 from .errors import AnalysisError
 from .frames import (
     EXTENDED_ID_MAX, OUTSIDE_ID_RANGE, Trace, parse_hex_id, require_uints, timestamps_of,
@@ -159,7 +159,7 @@ def generate_trace(gt: GroundTruth) -> Trace:
     """Deterministically synthesize the trace described by a GroundTruth."""
     rng = np.random.default_rng(gt.seed)
     m = gt.frame_count
-    padding = ((1 << gt.bit_width) - 1) << (64 - gt.bit_width)  # positions 0 to bit_width - 1
+    padding = (1 << gt.bit_width) - 1  # positions 0 to bit_width - 1: the dlc bytes all ones
     words = np.full(m, padding if gt.padding_value else 0, dtype=np.uint64)
     for spec in gt.specs:
         lsb, msb = (spec.hi, spec.lo) if spec.endianness == "big" else (spec.lo, spec.hi)
@@ -168,7 +168,7 @@ def generate_trace(gt: GroundTruth) -> Trace:
         timestamps=gt.start_time + np.arange(m) * FRAME_PERIOD_S,
         ids=np.full(m, gt.arbitration_id, dtype=np.uint32),
         dlcs=np.full(m, gt.bit_width // 8, dtype=np.uint8),
-        words=payload_bytes(words),
+        words=words,
     )
 
 

@@ -9,7 +9,7 @@ from cantok import (
     tang_from_idtrace,
     transition_matrix,
 )
-from cantok.bitlab import export_tang_csv
+from cantok.bitlab import export_tang_csv, write_field
 
 from .conftest import make_idtrace, naive_tang_counts
 
@@ -37,6 +37,21 @@ class TestBitMatrix:
     def test_empty_trace(self):
         with pytest.raises(AnalysisError, match="no observations"):
             build_bit_matrix(IdTrace(0x100, 1, np.empty(0), np.empty(0, np.uint64)))
+
+
+class TestWriteField:
+    """Fields written into payload words, checked by hand on the payload bytes."""
+
+    @pytest.mark.parametrize("fill, lsb, msb, value, payload", [
+        (0, 15, 4, 0xABC, "0abc000000000000"),  # big-endian: the LSB at position 15
+        (0, 0, 11, 1, "8000000000000000"),  # little-endian: the LSB at position 0
+        (2**64 - 1, 4, 15, 0, "f000ffffffffffff"),  # the field cleared, the rest kept
+        (2**64 - 1, 15, 4, 0, "f000ffffffffffff"),
+    ])
+    def test_written_bytes(self, fill, lsb, msb, value, payload):
+        words = np.full(2, fill, dtype=np.uint64)
+        write_field(words, lsb, msb, np.full(2, value, dtype=np.uint64))
+        assert [row.tobytes().hex() for row in words[:, None].view(np.uint8)] == [payload] * 2
 
 
 class TestTransitionMatrix:

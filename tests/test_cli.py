@@ -543,11 +543,12 @@ def _bus_st(draw):
             draw(st.integers(0, 4)))
 
 
-def _write_bus(groups, seed, format, junk, end, path) -> None:
+def _write_bus(groups, seed, format, junk, end, path, mirror=False) -> None:
     """Interleave the groups' frames at random and write them in `format`, one
     f-string per line ended by `end`, with `junk` lines of JUNK_LINES at random
     places. Each payload holds random bits under a per-group mask, and its
-    last byte counts the group's frames."""
+    last byte counts the group's frames. With `mirror`, each payload is then
+    bit-reversed over its dlc: its bytes reversed, and the bits of each byte."""
     rng = np.random.default_rng(seed)
     group = np.repeat(np.arange(len(groups)), [n for _, _, n in groups])
     rng.shuffle(group)
@@ -558,6 +559,9 @@ def _write_bus(groups, seed, format, junk, end, path) -> None:
     for g in range(len(groups)):
         rank[group == g] = np.arange(np.count_nonzero(group == g))
     payloads[np.arange(len(group)), dlcs - 1] = rank % 256
+    for dlc in np.unique(dlcs).tolist() if mirror else ():
+        rows = dlcs == dlc
+        payloads[rows, :dlc] = np.packbits(np.unpackbits(payloads[rows, :dlc], axis=1)[:, ::-1], 1)
     frames = Trace(np.arange(len(group)) * 0.001, ids, dlcs, payloads.view(np.uint64)[:, 0]).frames
     if format == "csv":
         lines = [CSV_HEADER] + [
@@ -600,13 +604,20 @@ def test_tang_tokenize_and_extract_match_naive_pipeline(bus):
 def test_paper_invariants_on_generated_captures(bus, config):
     """On the captures of the naive-pipeline test, every group the commands
     analyse keeps the paper's invariants under any tokenizer config: its
-    clusters partition the bit positions, no padding position ever flips, and
-    extract followed by `repack_payloads` gives back its words exactly."""
+    clusters partition the bit positions, no padding position ever flips,
+    extract followed by `repack_payloads` gives back its words exactly, and
+    the same capture with each payload bit-reversed over its dlc tokenizes,
+    with the other endianness, to the mirror of its clusters. With threshold
+    0, counts never rise along a signal cluster from its LSB to its MSB."""
     *bus, format, junk = bus
     with tempfile.TemporaryDirectory() as tmp:
         capture = Path(tmp) / "capture"
         _write_bus(*bus, format, junk, "\n", capture)
         groups = partition_by_id(load_trace(capture, format, strict=not junk))
+        _write_bus(*bus, format, junk, "\n", capture, mirror=True)
+        mirrored = partition_by_id(load_trace(capture, format, strict=not junk))
+    flipped = "little" if config.endianness == "big" else "big"
+    other = dataclasses.replace(config, endianness=flipped)
     for key, group in analyzable(groups)[0]:
         tang = tang_from_idtrace(group)
         tok = tokenize(tang, config)
@@ -619,3 +630,13 @@ def test_paper_invariants_on_generated_captures(bus, config):
         constants = padding_constants(build_bit_matrix(group), tok)
         rebuilt = repack_payloads(tok, series, constants, len(group))
         assert rebuilt.dtype == np.uint64 and np.array_equal(rebuilt, group.words), key
+        for c in tokenize(tang, dataclasses.replace(config, threshold=0)).signal_clusters:
+            step = 1 if c.msb_index > c.lsb_index else -1
+            walk = tang.counts[list(range(c.lsb_index, c.msb_index + step, step))]
+            assert (np.diff(walk) <= 0).all(), (key, c)
+        n = group.bit_width
+        flip = {p: n - 1 - p for p in range(n)} | {None: None}
+        mirror = sorted((dataclasses.replace(
+            c, lo=n - 1 - c.hi, hi=n - 1 - c.lo, lsb_index=flip[c.lsb_index],
+            msb_index=flip[c.msb_index]) for c in tok.clusters), key=lambda c: c.lo)
+        assert tokenize(tang_from_idtrace(mirrored[key]), other).clusters == tuple(mirror), key

@@ -647,6 +647,40 @@ def test_load_working_set_is_a_few_chunks(tmp_path):
     assert peak - held < 8 * frames.CHUNK_BYTES
 
 
+@pytest.mark.parametrize("strict", [True, False])
+def test_long_line_load_peak(tmp_path, strict):
+    """A one-line capture of 2 MiB, its payload valid hex far past 8 bytes: the
+    load's tracemalloc peak stays within 16 times the line, strict or lenient,
+    and a strict load's message stays short."""
+    line = "(1.0) can0 123#" + "00" * (1 << 20)
+    path = tmp_path / "capture.log"
+    path.write_text(line + "\n")
+    tracemalloc.start()
+    try:
+        if strict:
+            with pytest.raises(ParseError, match="^payload of 1048576 bytes exceeds 8") as exc:
+                load_trace(path)
+            assert exc.value.line == line and len(str(exc.value)) < 200
+        else:
+            assert len(load_trace(path, strict=False)) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * len(line)
+
+
+@pytest.mark.parametrize("length", [79, 80, 81, 215])
+def test_parse_error_quotes_at_most_80_characters(length):
+    """The message quotes a line's first 80 characters and says how many it cut;
+    `ParseError.line` keeps the whole line."""
+    line = ("(1.0) can0 123#" + "0" * 200)[:length]
+    with pytest.raises(ParseError) as exc:
+        parse_candump_line(line, lineno=3)
+    assert exc.value.line == line
+    more = f" and {length - 80} more characters" if length > 80 else ""
+    assert str(exc.value).endswith(f" (line 3): {line[:80]!r}{more}")
+
+
 class TestTemplatesAcrossChunks:
     """The loader guesses each layout's template once per load, and a template
     kept from an earlier chunk decodes only the lines the per-line parser

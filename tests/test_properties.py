@@ -26,7 +26,7 @@ from cantok import (
 from cantok import frames
 from cantok.frames import CSV_HEADER, CanFrame
 from cantok.bitlab import (
-    build_bit_matrix, payload_bytes, read_field, tang_from_idtrace, write_field,
+    build_bit_matrix, read_field, tang_from_idtrace, write_field,
 )
 from cantok.signals import export_series_csv
 from cantok.tokenizer import tokenization_from_dict, tokenization_to_dict
@@ -164,19 +164,18 @@ def field_st(draw, bit_width):
 @given(field_st(64), st.data())
 @settings(max_examples=300, deadline=None)
 def test_write_then_read_field_is_identity(field, data):
-    # words -> write_field -> payload_bytes -> unpackbits -> read_field
+    # words -> write_field -> the same words' bytes unpacked -> read_field
     lsb, msb = field
     m = data.draw(st.integers(min_value=1, max_value=16))
     words_st = st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=m, max_size=m)
     before, values = data.draw(words_st), data.draw(words_st)
     words = np.array(before, dtype=np.uint64)
     write_field(words, lsb, msb, np.array(values, dtype=np.uint64))
-    bits = np.unpackbits(payload_bytes(words)[:, None].view(np.uint8), axis=1)
+    bits = np.unpackbits(words[:, None].view(np.uint8), axis=1)
     width = abs(msb - lsb) + 1
     assert read_field(bits, lsb, msb).tolist() == [v % 2**width for v in values]
     outside = [p for p in range(64) if not min(lsb, msb) <= p <= max(lsb, msb)]
-    old_words = payload_bytes(np.array(before, dtype=np.uint64))
-    old_bits = np.unpackbits(old_words[:, None].view(np.uint8), axis=1)
+    old_bits = np.unpackbits(np.array(before, dtype=np.uint64)[:, None].view(np.uint8), axis=1)
     assert (bits[:, outside] == old_bits[:, outside]).all()
 
 

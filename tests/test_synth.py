@@ -61,6 +61,13 @@ class TestGenerate:
         )
         assert [f.payload for f in generate_trace(gt).frames] == [b"\xff"] * 2
 
+    @pytest.mark.parametrize("dlc", range(1, 9))
+    def test_padding_word_is_dlc_bytes_of_ones(self, dlc):
+        gt = GroundTruth(arbitration_id=1, bit_width=8 * dlc, specs=(), frame_count=2,
+                         padding_value=1)
+        words = generate_trace(gt).words
+        assert words[:, None].view(np.uint8).tolist() == [[0xFF] * dlc + [0] * (8 - dlc)] * 2
+
     def test_two_counters_closed_form(self):
         gt = GroundTruth(
             arbitration_id=0x100,
