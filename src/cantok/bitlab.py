@@ -1,10 +1,11 @@
 """Bit-level transition analysis for per-ID payload groups.
 
 `analyzable` picks the groups that can be analysed. Every step is a plain
-numpy array: `build_bit_matrix` unpacks a group's payload bytes into its
-(M, N) uint8 bit matrix, `transition_matrix` gives the (M-1, N) XOR of its
-sequential rows, and `tang_from_idtrace` the per-position flip counts,
-wrapped in a `Tang` with the group's id and M.
+numpy array: `build_bit_matrix` unpacks the first dlc bytes of (M,) uint64
+payload words into an (M, N) uint8 bit matrix, `transition_matrix` gives
+the (M-1, N) XOR of its sequential rows, and `tang_from_idtrace` the
+per-position flip counts, in a `Tang` with the group's id and M. Unpacking
+commutes with XOR, so TANG unpacks the XOR of sequential words, once.
 
 Bit numbering: position p is bit (7 - p % 8) of payload byte p // 8, as
 numpy's unpackbits reads it, so position 0 is the MSB of the first
@@ -78,21 +79,20 @@ def write_field(words: np.ndarray, lsb: int, msb: int, values) -> None:
     if lsb < msb:  # place value rises with position: `v << lo`, each byte's bits reversed
         placed <<= np.uint64(lo)
         placed = _REVERSED_BITS[placed.view(np.uint8)].view(np.uint64)
-        clear = (mask << lo).to_bytes(8, "little").translate(_REVERSED_BITS)
     else:  # place value falls with position: the big-endian bytes of `v << 63 - hi`
         placed <<= np.uint64(63 - hi)
         placed.byteswap(inplace=True)
-        clear = (mask << (63 - hi)).to_bytes(8, "big")
+    clear = (mask << (63 - hi)).to_bytes(8, "big")  # the field's positions, in either order
     words &= ~np.uint64(int.from_bytes(clear, "little"))  # the field's payload bytes as a word
     words |= placed
 
 
-def build_bit_matrix(idtrace: IdTrace) -> np.ndarray:
-    """Read-only (M, N) uint8 matrix of an IdTrace's payload bits: one flat unpack of its bytes."""
-    if len(idtrace) == 0:
-        raise AnalysisError(f"no observations for id 0x{idtrace.arbitration_id:X}")
-    payloads = np.ascontiguousarray(idtrace.payloads)  # a copy if dlc < 8: C-order rows for TANG
-    bits = np.unpackbits(payloads.reshape(-1)).reshape(len(idtrace), idtrace.bit_width)
+def build_bit_matrix(words: np.ndarray, dlc: int) -> np.ndarray:
+    """Read-only (M, 8·dlc) uint8 bits of (M,) payload words' first dlc bytes: one flat unpack."""
+    if len(words) == 0:
+        raise AnalysisError("no observations")
+    payloads = np.ascontiguousarray(words[:, None].view(np.uint8)[:, :dlc])  # a copy if dlc < 8
+    bits = np.unpackbits(payloads.reshape(-1)).reshape(len(words), 8 * dlc)
     bits.flags.writeable = False
     return bits
 
@@ -105,18 +105,17 @@ def transition_matrix(bits: np.ndarray) -> np.ndarray:
 def tang_from_idtrace(idtrace: IdTrace) -> Tang:
     """Count each bit position's flips between sequential payloads.
 
-    The 0/1 flips are summed in uint8, with no per-element cast to int64. The
-    first 255·R of the M-1 flip rows, as a (255, R·N) matrix, are summed over
-    its 255 long rows: each sum counts 255 flips at most, so it is exact. The
-    R partial sums of each position and the fewer than 255 rows left over
-    are then added in int64.
+    The flips, the unpacked XOR of sequential payload words, are summed in
+    uint8 with no per-element cast to int64. The first 255·R of the M-1 flip
+    rows, as a (255, R·N) matrix, are summed over its 255 long rows: each
+    sum counts 255 flips at most, so it is exact. The R partial sums of each
+    position and the fewer than 255 rows left over are then added in int64.
     """
     if len(idtrace) < 2:
         raise AnalysisError("insufficient observations for transition analysis "
                             f"(id 0x{idtrace.arbitration_id:X}, M={len(idtrace)})")
-    bits = build_bit_matrix(idtrace)
-    flips = np.bitwise_xor(bits[1:], bits[:-1])
-    r, n = len(flips) // 255, bits.shape[1]  # sizes, not -1, in each reshape: N may be 0
+    flips = build_bit_matrix(np.bitwise_xor(idtrace.words[1:], idtrace.words[:-1]), idtrace.dlc)
+    r, n = len(flips) // 255, flips.shape[1]  # sizes, not -1, in each reshape: N may be 0
     counts = flips[255 * r :].sum(axis=0, dtype=np.uint8).astype(np.int64)
     if r:
         partial = flips[: 255 * r].reshape(255, r * n).sum(0, np.uint8)  # R·N sums of 255 rows

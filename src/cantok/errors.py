@@ -9,8 +9,9 @@ class ParseError(CantokError):
     """A capture line could not be decoded.
 
     Carries the offending line content and the reason so batch loaders can
-    report the exact failure location. The message quotes the line's first
-    80 characters only, and says how many it cut.
+    report the exact failure location. The message holds the first 80
+    characters of the reason and of the quoted line only, and says how many
+    it cut from each.
     """
 
     def __init__(self, line: str, reason: str, lineno: int | None = None):
@@ -18,8 +19,8 @@ class ParseError(CantokError):
         self.reason = reason
         self.lineno = lineno
         where = f" (line {lineno})" if lineno is not None else ""
-        more = f" and {len(line) - 80} more characters" if len(line) > 80 else ""
-        super().__init__(f"{reason}{where}: {line[:80]!r}{more}")
+        cut = [f" and {len(s) - 80} more characters" if len(s) > 80 else "" for s in (reason, line)]
+        super().__init__(f"{reason[:80]}{cut[0]}{where}: {line[:80]!r}{cut[1]}")
 
 
 class AnalysisError(CantokError):

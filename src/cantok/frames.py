@@ -345,6 +345,8 @@ def parse_csv_line(line: str, lineno: int | None = None) -> CanFrame:
         row = next(csv.reader(io.StringIO(line)))
     except StopIteration:
         raise ParseError(line, "empty record", lineno) from None
+    except csv.Error as exc:  # a field over `csv.field_size_limit()` characters
+        raise ParseError(line, str(exc), lineno) from None
     if len(row) < 4:
         raise ParseError(line, "missing column (need 4 fields)", lineno)
     ts, arb_id, dlc, hexdata = row[:4]

@@ -65,7 +65,7 @@ def extract_series(
                 f"cluster [{cluster.lo}, {cluster.hi}] outside payload width "
                 f"{idtrace.bit_width}"
             )
-    bits = build_bit_matrix(idtrace)
+    bits = build_bit_matrix(idtrace.words, idtrace.dlc)
     out = []
     for cluster in clusters:
         values = read_field(bits, cluster.lsb_index, cluster.msb_index)

@@ -39,7 +39,7 @@ def _report(num, name):
 def test_criterion_1_table_golden():
     start = time.perf_counter()
     it = make_idtrace([[k] for k in range(10)])
-    tm = transition_matrix(build_bit_matrix(it))
+    tm = transition_matrix(build_bit_matrix(it.words, it.dlc))
     expected_rows = [
         [0, 0, 0, 0, 0, 0, 0, 1],
         [0, 0, 0, 0, 0, 0, 1, 1],
@@ -60,7 +60,7 @@ def test_criterion_1_table_golden():
 
 def test_criterion_2_worked_xor():
     it = make_idtrace([[k] for k in range(10)])
-    tm = transition_matrix(build_bit_matrix(it))
+    tm = transition_matrix(build_bit_matrix(it.words, it.dlc))
     assert list(tm[0]) == [0, 0, 0, 0, 0, 0, 0, 1]
     assert list(tm[7]) == [0, 0, 0, 0, 1, 1, 1, 1]
     _report(2, "worked XOR rows")
@@ -221,7 +221,7 @@ def test_criterion_6_reconstruction():
     for trace in traces:
         for it in partition_by_id(trace).values():
             tok = tokenize(tang_from_idtrace(it))
-            bits = build_bit_matrix(it)
+            bits = build_bit_matrix(it.words, it.dlc)
             series = {
                 (s.cluster.lo, s.cluster.hi): s
                 for s in extract_series(it, tok.signal_clusters)

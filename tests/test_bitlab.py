@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,25 +20,25 @@ TABLE_TANG = [0, 0, 0, 0, 1, 2, 4, 9]
 
 class TestBitMatrix:
     def test_counter_table(self, table1_idtrace):
-        bits = build_bit_matrix(table1_idtrace)
+        bits = build_bit_matrix(table1_idtrace.words, 1)
         assert bits.shape == (10, 8)
         assert list(bits[9]) == [0, 0, 0, 0, 1, 0, 0, 1]
         assert list(bits[0]) == [0] * 8
 
     def test_all_ones(self):
-        bits = build_bit_matrix(make_idtrace([[0xFF]]))
+        bits = build_bit_matrix(make_idtrace([[0xFF]]).words, 1)
         assert bits.shape == (1, 8)
         assert bits.all()
 
     def test_bit_numbering(self):
-        bits = build_bit_matrix(make_idtrace([[0x80, 0x01]]))
+        bits = build_bit_matrix(make_idtrace([[0x80, 0x01]]).words, 2)
         row = list(bits[0])
         assert row[0] == 1 and row[15] == 1
         assert sum(row) == 2
 
     def test_empty_trace(self):
         with pytest.raises(AnalysisError, match="no observations"):
-            build_bit_matrix(IdTrace(0x100, 1, np.empty(0), np.empty(0, np.uint64)))
+            build_bit_matrix(np.empty(0, np.uint64), 1)
 
 
 class TestWriteField:
@@ -56,11 +58,11 @@ class TestWriteField:
 
 class TestTransitionMatrix:
     def test_first_xor_row(self, table1_idtrace):
-        tm = transition_matrix(build_bit_matrix(table1_idtrace))
+        tm = transition_matrix(build_bit_matrix(table1_idtrace.words, 1))
         assert list(tm[0]) == [0, 0, 0, 0, 0, 0, 0, 1]
 
     def test_full_table(self, table1_idtrace):
-        tm = transition_matrix(build_bit_matrix(table1_idtrace))
+        tm = transition_matrix(build_bit_matrix(table1_idtrace.words, 1))
         expected = [
             [0, 0, 0, 0, 0, 0, 0, 1],
             [0, 0, 0, 0, 0, 0, 1, 1],
@@ -76,7 +78,7 @@ class TestTransitionMatrix:
         assert list(tm[7]) == [0, 0, 0, 0, 1, 1, 1, 1]  # obs 7 xor 8
 
     def test_identical_rows_zero(self):
-        tm = transition_matrix(build_bit_matrix(make_idtrace([[0x5A], [0x5A], [0x5A]])))
+        tm = transition_matrix(build_bit_matrix(make_idtrace([[0x5A], [0x5A], [0x5A]]).words, 1))
         assert not tm.any()
 
     def test_insufficient_observations(self):
@@ -135,8 +137,25 @@ class TestTang:
             for words in (column[1:-1], wide[::2], raw.view(np.uint64)[:, 0]):
                 group = IdTrace(0xA15, dlc, None, words)
                 assert group.payloads.tobytes() == payloads.tobytes()
-                assert np.array_equal(build_bit_matrix(group), bits)
+                assert np.array_equal(build_bit_matrix(group.words, dlc), bits)
                 assert tang_from_idtrace(group).counts.tolist() == flips, (dlc, words.strides)
+
+    @pytest.mark.parametrize("dlc, bound", [(8, 80), (3, 40)])
+    def test_peak_memory_per_frame(self, dlc, bound):
+        """TANG unpacks the XOR of the words, 8 + N bytes a frame (plus dlc for
+        the contiguous copy of a dlc < 8 group), not the payload bit matrix and
+        its bit-level XOR, 2·N."""
+        m = 200_000
+        raw = np.random.default_rng(dlc).integers(0, 256, (m, 8), dtype=np.uint8)
+        raw[:, dlc:] = 0
+        group = IdTrace(0x100, dlc, None, raw.view(np.uint64)[:, 0])
+        tracemalloc.start()
+        try:
+            tang_from_idtrace(group)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / m <= bound
 
     def test_zero_width_group(self):
         """A dlc-0 group has no positions to count, however many frames it holds."""
@@ -155,7 +174,7 @@ class TestTang:
             tang = tang_from_idtrace(make_idtrace(payloads))
             assert (tang.counts <= m - 1).all()
             # count 0 exactly when the bit column is constant
-            bits = build_bit_matrix(make_idtrace(payloads))
+            bits = build_bit_matrix(make_idtrace(payloads).words, dlc)
             for i in range(tang.bit_width):
                 col = bits[:, i]
                 assert (tang.counts[i] == 0) == (col.min() == col.max())

@@ -627,7 +627,7 @@ def test_paper_invariants_on_generated_captures(bus, config):
         assert not tang.counts[padding].any(), key
         series = {(s.cluster.lo, s.cluster.hi): s
                   for s in extract_series(group, tok.signal_clusters)}
-        constants = padding_constants(build_bit_matrix(group), tok)
+        constants = padding_constants(build_bit_matrix(group.words, group.dlc), tok)
         rebuilt = repack_payloads(tok, series, constants, len(group))
         assert rebuilt.dtype == np.uint64 and np.array_equal(rebuilt, group.words), key
         for c in tokenize(tang, dataclasses.replace(config, threshold=0)).signal_clusters:

@@ -135,8 +135,9 @@ class TestParseCsv:
         assert (f.timestamp, f.arbitration_id, f.dlc, f.payload) == frame
 
     def test_dlc_too_long_for_int(self):
-        with pytest.raises(ParseError, match="dlc 1{5000} does not match payload of 1 bytes"):
+        with pytest.raises(ParseError) as exc:
             parse_csv_line("1.0,100," + "1" * 5000 + ",01")
+        assert exc.value.reason == "dlc " + "1" * 5000 + " does not match payload of 1 bytes"
 
     def test_inner_space_in_payload(self):
         with pytest.raises(ParseError, match="non-hex payload"):
@@ -399,6 +400,16 @@ class TestLoadTrace:
         frames = load_trace(p, format=format).frames
         assert [(f.timestamp, f.arbitration_id, f.dlc, f.payload) for f in frames] == [
             (1.0, 0x123, 1, b"\x01")]
+
+    def test_csv_field_over_csv_module_limit(self, tmp_path, caplog):
+        """A field longer than the csv module reads is a malformed line, not a crash."""
+        p = self._write(tmp_path, ["1.0,100,1,01", "1.5,100," + "1" * 200000 + ",00", "2.0,100,1,02"])
+        with pytest.raises(ParseError, match=r"^field larger than field limit .* \(line 2\)"):
+            load_trace(p, format="csv")
+        with caplog.at_level(logging.WARNING):
+            trace = load_trace(p, format="csv", strict=False)
+        assert trace.timestamps.tolist() == [1.0, 2.0]
+        assert caplog.messages == [f"{p}: skipped 1 malformed line(s)"]
 
     def test_unreadable_file(self, tmp_path):
         with pytest.raises(OSError):
@@ -679,6 +690,23 @@ def test_parse_error_quotes_at_most_80_characters(length):
     assert exc.value.line == line
     more = f" and {length - 80} more characters" if length > 80 else ""
     assert str(exc.value).endswith(f" (line 3): {line[:80]!r}{more}")
+
+
+@pytest.mark.parametrize("parse, line, reason", [
+    (parse_candump_line, f"(1.0) can0 {'F' * 100000}#00",
+     f"arbitration id 0x{'F' * 100000} outside extended range"),
+    (parse_csv_line, f"1.0,100,{'9' * 100000},00",
+     f"dlc {'9' * 100000} does not match payload of 1 bytes"),
+    (parse_candump_line, f"(1.0) can0 {'Z' * 2**20}#00", f"unparsable id '{'Z' * 2**20}'"),
+], ids=["id-range", "csv-dlc-match", "unparsable-id"])
+def test_parse_error_cuts_a_long_reason(parse, line, reason):
+    """A reason that quotes a huge field is cut at 80 characters like the line;
+    `ParseError.reason` keeps the whole reason."""
+    with pytest.raises(ParseError) as exc:
+        parse(line, lineno=3)
+    assert exc.value.reason == reason
+    assert str(exc.value) == (f"{reason[:80]} and {len(reason) - 80} more characters (line 3): "
+                              f"{line[:80]!r} and {len(line) - 80} more characters")
 
 
 class TestTemplatesAcrossChunks:

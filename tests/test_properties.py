@@ -183,7 +183,7 @@ def test_write_then_read_field_is_identity(field, data):
 @settings(max_examples=300, deadline=None)
 def test_read_field_matches_scalar_oracle(payloads, data):
     lsb, msb = data.draw(field_st(len(payloads[0]) * 8))
-    bits = build_bit_matrix(make_idtrace([list(p) for p in payloads]))
+    bits = build_bit_matrix(make_idtrace([list(p) for p in payloads]).words, len(payloads[0]))
     expected = [
         sum(row[p] << abs(p - lsb) for p in range(min(lsb, msb), max(lsb, msb) + 1))
         for row in map(bits_of, payloads)

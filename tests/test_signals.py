@@ -147,7 +147,7 @@ class TestReconstruction:
 
         it = make_idtrace(payloads)
         tok = tokenize(tang_from_idtrace(it), config or TokenizerConfig())
-        bits = build_bit_matrix(it)
+        bits = build_bit_matrix(it.words, it.dlc)
         series = {
             (s.cluster.lo, s.cluster.hi): s
             for s in extract_series(it, tok.signal_clusters)
