@@ -15,10 +15,14 @@ from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
+
 from . import bitlab, signals, synth, tokenizer
 from .errors import CantokError, InvariantError
 from .frames import Trace, load_trace, parse_hex_id, partition_by_id, write_candump, write_json
 from .tokenizer import TokenizerConfig
+
+TANG_BATCH = 1 << 8  # groups per batch of tang files: at most 2**14 rows, bounding its temporaries
 
 
 def _add_out_flag(p: argparse.ArgumentParser) -> None:
@@ -137,14 +141,19 @@ def cmd_tang(args) -> int:
     outdir, groups, stems = _analysis_input(
         args, f"{'id':>10} {'dlc':>3} {'frames':>8} {'active_bits':>11} {'max_transitions':>15}"
     )
-    for key, idtrace in groups:
-        tang = bitlab.tang_from_idtrace(idtrace)
-        bitlab.export_tang_csv(tang, outdir / f"{stems[key]}_tang.csv")
-        active = int((tang.counts > 0).sum())
-        print(
-            f"{tokenizer.format_id(key[0]):>10} {key[1]:>3} {len(idtrace):>8} "
-            f"{active:>11} {int(tang.counts.max()):>15}"
-        )
+    for a in range(0, len(groups), TANG_BATCH):
+        batch = groups[a : a + TANG_BATCH]
+        tangs = [bitlab.tang_from_idtrace(idtrace) for _key, idtrace in batch]
+        bitlab.export_tang_csv(tangs, [f"{outdir}/{stems[key]}_tang.csv" for key, _g in batch])
+        counts = np.concatenate([t.counts for t in tangs])
+        first = np.cumsum([0] + [t.bit_width for t in tangs[:-1]])  # each group's first row
+        active = np.add.reduceat(counts > 0, first).tolist()
+        top = np.maximum.reduceat(counts, first).tolist()
+        for ((arb_id, dlc), idtrace), n_active, n_max in zip(batch, active, top):
+            print(
+                f"{tokenizer.format_id(arb_id):>10} {dlc:>3} {len(idtrace):>8} "
+                f"{n_active:>11} {n_max:>15}"
+            )
     return 0
 
 

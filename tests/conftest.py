@@ -196,6 +196,15 @@ def reference_tokenize(counts, config, arbitration_id=0x100) -> Tokenization:
     return Tokenization(arbitration_id, n, tuple(sorted(clusters, key=lambda c: c.lo)), config)
 
 
+def reference_tang_csv(counts, pairs, path) -> None:
+    """Per-row TANG writer: one f-string per ``bit_position,transitions,normalized``
+    row, each count normalized by the group's `pairs` sequential frame pairs."""
+    with open(path, "w") as fh:
+        fh.write("bit_position,transitions,normalized\n")
+        for i, count in enumerate(counts):
+            fh.write(f"{i},{count},{count / pairs:.6f}\n")
+
+
 def reference_cli_outputs(capture, outdir, format: str = "candump", strict: bool = True) -> None:
     """The files `cantok tang`, `tokenize` and `extract` (default flags) write
     for a capture, by a naive pipeline: the per-line loader, groups built
@@ -212,10 +221,7 @@ def reference_cli_outputs(capture, outdir, format: str = "candump", strict: bool
         stem = f"{arb_id:04X}" + (f"_dlc{dlc}" if widths[arb_id] > 1 else "")
         rows = [f.payload for f in frames]
         counts = naive_tang_counts(rows)
-        with open(outdir / f"{stem}_tang.csv", "w") as fh:
-            fh.write("bit_position,transitions,normalized\n")
-            for i, count in enumerate(counts):
-                fh.write(f"{i},{count},{count / (len(rows) - 1):.6f}\n")
+        reference_tang_csv(counts, len(rows) - 1, outdir / f"{stem}_tang.csv")
         tok = reference_tokenize(counts, TokenizerConfig(), arb_id)
         with open(outdir / f"{stem}_tokens.json", "w") as fh:
             json.dump(tokenization_to_dict(tok), fh, indent=2)

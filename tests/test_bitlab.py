@@ -214,7 +214,7 @@ class TestNormalize:
 
 def test_export_csv(tmp_path, table1_idtrace):
     path = tmp_path / "tang.csv"
-    export_tang_csv(tang_from_idtrace(table1_idtrace), path)
+    export_tang_csv([tang_from_idtrace(table1_idtrace)], [path])
     lines = path.read_text().splitlines()
     assert lines[0] == "bit_position,transitions,normalized"
     assert len(lines) == 9

@@ -1,7 +1,9 @@
+import contextlib
 import dataclasses
 import hashlib
 import json
 import tempfile
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 from unittest import mock
@@ -21,7 +23,7 @@ from cantok import (
     tokenize,
     write_candump,
 )
-from cantok import tokenizer
+from cantok import cli, tokenizer
 from cantok.bitlab import analyzable, tang_from_idtrace
 from cantok.cli import build_parser, main
 from cantok.frames import CSV_HEADER
@@ -82,6 +84,49 @@ class TestTang:
         outlines = capsys.readouterr().out.splitlines()
         assert outlines[1].split()[0] == "0x0100"
         assert outlines[2].split()[0] == "0x0200"
+
+    @staticmethod
+    def _tang_peak(tmp_path, groups, monkeypatch) -> int:
+        """Peak bytes `cantok tang` allocates after its load and partition, on `groups`
+        one-byte groups of two frames; checks each group's summary row and file."""
+        tmp_path.mkdir()
+        rng = np.random.default_rng(groups)
+        first = rng.integers(0, 256, groups)
+        flips = rng.integers(1, 256, groups)  # every group's two payloads differ
+        ids = range(0x10000, 0x10000 + groups)
+        with open(tmp_path / "bus.log", "w") as fh:
+            fh.writelines(f"(0.000000) can0 {i:08X}#{a:02X}\n" for i, a in zip(ids, first))
+            fh.writelines(f"(0.010000) can0 {i:08X}#{a ^ f:02X}\n"
+                          for i, a, f in zip(ids, first, flips))
+        analysis_input = cli._analysis_input
+
+        def traced(args, header):
+            found = analysis_input(args, header)
+            tracemalloc.start()
+            return found
+
+        monkeypatch.setattr(cli, "_analysis_input", traced)
+        try:  # stdout to a file: a capture in memory would grow with the groups
+            with open(tmp_path / "stdout", "w") as out, contextlib.redirect_stdout(out):
+                assert main(["tang", "-i", str(tmp_path / "bus.log"), "--out", str(tmp_path)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        rows = (tmp_path / "stdout").read_text().splitlines()[1:]
+        assert [row.split() for row in rows] == [
+            [f"0x{i:04X}", "1", "2", str(f.bit_count()), "1"] for i, f in zip(ids, flips.tolist())
+        ]
+        last = (tmp_path / f"{ids[-1]:04X}_tang.csv").read_text().splitlines()
+        assert [int(row.split(",")[1]) for row in last[1:]] == [
+            int(b) for b in f"{int(flips[-1]):08b}"]
+        return peak
+
+    def test_temporaries_bounded_by_batch(self, tmp_path, monkeypatch):
+        """The tang stage writes its groups in batches of cli.TANG_BATCH and drops each
+        batch before the next, so its peak does not grow with the number of groups.
+        With every group in one batch, 2000 groups peaked at 2.5 MB and 8000 at 9.7 MB."""
+        small, large = (self._tang_peak(tmp_path / str(n), n, monkeypatch) for n in (2000, 8000))
+        assert large < small + (1 << 18)
 
 
 class TestTokenize:

@@ -26,14 +26,15 @@ from cantok import (
 from cantok import frames
 from cantok.frames import CSV_HEADER, CanFrame
 from cantok.bitlab import (
-    build_bit_matrix, read_field, tang_from_idtrace, write_field,
+    build_bit_matrix, export_tang_csv, read_field, tang_from_idtrace, write_field,
 )
 from cantok.signals import export_series_csv
 from cantok.tokenizer import tokenization_from_dict, tokenization_to_dict
 
 from .conftest import (
     bits_of, load_outcome, make_idtrace, make_trace, naive_summary, naive_tang_counts,
-    reference_candump_line, reference_load_trace, reference_series_csv, reference_write_candump,
+    reference_candump_line, reference_load_trace, reference_series_csv, reference_tang_csv,
+    reference_write_candump,
 )
 from .test_signals import signal
 
@@ -553,6 +554,49 @@ def test_group_series_csv_matches_per_row_reference(data, stamps, block):
         assert sorted(p.name for p in out.iterdir()) == names
         for s, name in zip(series, names):
             reference_series_csv(s, ref / name)
+            assert (out / name).read_bytes() == (ref / name).read_bytes()
+
+
+# Sequential frame pairs of a group: count / 2e6 lies on a 7th-decimal tie for every odd
+# count, and count / (2e6 ± 1) next to one, so fixed6_field hands those rows to its f-string.
+_PAIRS = [2 * 10**6 - 1, 2 * 10**6, 2 * 10**6 + 1, 10**8, 2 * 10**8, 2**40]
+
+
+@st.composite
+def _tang_st(draw):
+    """A Tang of dlc 1-8 whose counts cross the 4-digit groups at 10**4 and 10**8."""
+    dlc = draw(st.integers(min_value=1, max_value=8))
+    pairs = draw(st.one_of(st.integers(min_value=1, max_value=300), st.sampled_from(_PAIRS)))
+    count_st = st.one_of(
+        st.integers(min_value=0, max_value=pairs),
+        st.sampled_from([1, 3, 9999, 10**4, 10**8 - 1, 10**8]).map(lambda c: min(c, pairs)),
+    )
+    counts = draw(st.lists(count_st, min_size=8 * dlc, max_size=8 * dlc))
+    return Tang(np.array(counts, dtype=np.int64), pairs + 1, 0x100)
+
+
+@pytest.mark.parametrize("offset", [0, 3], ids=["block-ends-with-a-group", "block-ends-inside"])
+@given(st.lists(_tang_st(), max_size=6), st.integers(min_value=0, max_value=5))
+@example(tangs=[], pick=0)
+@example(  # dlc 1 then 2; 100 / 2e8 and 300 / 2e8 are ties
+    tangs=[Tang(np.array([0, 1, 100, 300, 9999, 10**4, 10**8, 2 * 10**8]), 2 * 10**8 + 1, 1),
+           Tang(np.arange(16) * 125_000, 2 * 10**6 + 1, 2)], pick=0,
+)
+@settings(max_examples=200, deadline=None)
+def test_tang_csv_matches_per_row_reference(offset, tangs, pick):
+    """0-6 groups' TANG files in one call, file by file. The encoder's block ends `offset`
+    rows before the end of a picked group: with it, or inside it (every group has 8+ rows)."""
+    ends = np.cumsum([t.bit_width for t in tangs]).tolist()
+    block = ends[pick % len(ends)] - offset if tangs else 1
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(frames, "ENCODE_ROWS", block):
+        out, ref = Path(tmp) / "out", Path(tmp) / "ref"
+        out.mkdir()
+        ref.mkdir()
+        names = [f"g{k}_tang.csv" for k in range(len(tangs))]
+        export_tang_csv(tangs, [out / name for name in names])
+        assert sorted(p.name for p in out.iterdir()) == sorted(names)
+        for t, name in zip(tangs, names):
+            reference_tang_csv(t.counts.tolist(), t.observations - 1, ref / name)
             assert (out / name).read_bytes() == (ref / name).read_bytes()
 
 
