@@ -77,7 +77,7 @@ def write_field(words: np.ndarray, lsb: int, msb: int, values) -> None:
     (M,) uint64 payload words, in place; `values` broadcast against `words`."""
     lo, hi = min(lsb, msb), max(lsb, msb)
     mask = (1 << (hi - lo + 1)) - 1
-    placed = np.asarray(values & np.uint64(mask))  # a new array, 0-d for a scalar value
+    placed = np.atleast_1d(values & np.uint64(mask))  # a new array, of one row for a scalar
     if lsb < msb:  # place value rises with position: `v << lo`, each byte's bits reversed
         placed <<= np.uint64(lo)
         placed = _REVERSED_BITS[placed.view(np.uint8)].view(np.uint64)

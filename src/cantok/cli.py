@@ -17,12 +17,10 @@ from pathlib import Path
 
 import numpy as np
 
-from . import bitlab, signals, synth, tokenizer
+from . import bitlab, frames, signals, synth, tokenizer
 from .errors import CantokError, InvariantError
 from .frames import Trace, load_trace, parse_hex_id, partition_by_id, write_candump, write_json
 from .tokenizer import TokenizerConfig
-
-TANG_BATCH = 1 << 8  # groups per batch of tang files: at most 2**14 rows, bounding its temporaries
 
 
 def _add_out_flag(p: argparse.ArgumentParser) -> None:
@@ -141,8 +139,9 @@ def cmd_tang(args) -> int:
     outdir, groups, stems = _analysis_input(
         args, f"{'id':>10} {'dlc':>3} {'frames':>8} {'active_bits':>11} {'max_transitions':>15}"
     )
-    for a in range(0, len(groups), TANG_BATCH):
-        batch = groups[a : a + TANG_BATCH]
+    step = frames.BLOCK_ROWS // (8 * frames.MAX_DLC)  # whole groups of at most a block's rows
+    for a in range(0, len(groups), step):
+        batch = groups[a : a + step]
         tangs = [bitlab.tang_from_idtrace(idtrace) for _key, idtrace in batch]
         bitlab.export_tang_csv(tangs, [f"{outdir}/{stems[key]}_tang.csv" for key, _g in batch])
         counts = np.concatenate([t.counts for t in tangs])

@@ -73,7 +73,7 @@ no chunk-sized array is freed per chunk: that raises glibc's mmap
 threshold, and the heap then holds more memory for the rest of the run.
 
 The writers are the inverse, a columnar row encoder. A call fills one
-`line_matrix` of up to `ENCODE_ROWS` rows whose literal bytes are set once.
+`line_matrix` of up to `BLOCK_ROWS` rows whose literal bytes are set once.
 For each block of rows (`row_blocks`) it writes every field into its own
 columns, right-aligned after NULs: decimal digits four at a time from a
 table of ``b"%04d"`` or its twin with leading zeros NUL, hex digits four
@@ -118,10 +118,13 @@ class CanFrame(NamedTuple):
     payload: bytes
 
 
-def _set_columns(obj, **specs: tuple) -> None:
-    """Store each ``name=(dtype, shape)`` attribute of `obj` as a read-only array,
-    else AnalysisError if it holds a value `dtype` cannot hold exactly."""
-    for name, (dtype, shape) in specs.items():
+def _set_columns(obj, **dtypes) -> None:
+    """Store obj's `timestamps` (unless None) as float64, each ``name=dtype`` column and `words`
+    as uint64, as read-only (M,) arrays, M the length of `timestamps` or else of `words`;
+    AnalysisError if one holds a value its dtype cannot hold exactly."""
+    stamps = {} if obj.timestamps is None else {"timestamps": np.float64}
+    shape = (len(obj.words if obj.timestamps is None else obj.timestamps),)
+    for name, dtype in (stamps | dtypes | {"words": np.uint64}).items():
         a = np.asarray(getattr(obj, name))
         # `astype` would read decimal digits: "100" as 100, not 0x100
         if a.dtype.kind in "US" or a.dtype.kind == "O" and any(
@@ -145,11 +148,6 @@ def _set_columns(obj, **specs: tuple) -> None:
             raise AnalysisError(f"{name} of shape {a.shape}, expected {shape}")
         a.flags.writeable = False
         object.__setattr__(obj, name, a)
-
-
-def _stamps_spec(obj, m: int) -> dict:
-    """The `_set_columns` spec of obj's (m,) float64 timestamps; none if they are None."""
-    return {} if obj.timestamps is None else {"timestamps": (np.float64, (m,))}
 
 
 def timestamps_of(trace: Trace | IdTrace) -> np.ndarray:
@@ -187,9 +185,7 @@ class Trace:
     words: np.ndarray  # (M,) uint64, the 8 payload bytes in memory order, zero past the dlc
 
     def __post_init__(self):
-        m = len(self.words if self.timestamps is None else self.timestamps)
-        _set_columns(self, **_stamps_spec(self, m), ids=(np.uint32, (m,)),
-                     dlcs=(np.uint8, (m,)), words=(np.uint64, (m,)))
+        _set_columns(self, ids=np.uint32, dlcs=np.uint8)
         for column, top, reason in ((self.ids, EXTENDED_ID_MAX, OUTSIDE_ID_RANGE),
                                     (self.dlcs, MAX_DLC, OUTSIDE_DLC_RANGE)):
             if column.max(initial=0) > top:  # a reduction: no temporary of length M
@@ -227,8 +223,7 @@ class IdTrace:
             raise AnalysisError(OUTSIDE_ID_RANGE.format(self.arbitration_id))
         if not 0 <= self.dlc <= MAX_DLC:
             raise AnalysisError(OUTSIDE_DLC_RANGE.format(self.dlc))
-        m = len(self.words if self.timestamps is None else self.timestamps)
-        _set_columns(self, **_stamps_spec(self, m), words=(np.uint64, (m,)))
+        _set_columns(self)
 
     @property
     def payloads(self) -> np.ndarray:
@@ -355,7 +350,7 @@ def parse_csv_line(line: str, lineno: int | None = None) -> CanFrame:
     )
 
 
-ENCODE_ROWS = 1 << 16  # rows encoded per block; bounds the writers' memory
+BLOCK_ROWS = 1 << 14  # rows per block of the writers' and partition's passes; bounds temporaries
 _EXACT_INT = 1 << 53  # integers below this are exact float64 values
 
 
@@ -425,18 +420,17 @@ def fixed6_field(x: np.ndarray, out: np.ndarray) -> None:
         out[slow] = np.frombuffer(texts, np.uint8).reshape(len(slow), -1)
 
 
-def row_blocks(n: int, rows: int | None = None) -> Iterator[slice]:
-    """Slices of at most `rows` (default ENCODE_ROWS) rows that cover range(n) in order."""
-    rows = rows or ENCODE_ROWS
-    for start in range(0, n, rows):
-        yield slice(start, min(start + rows, n))
+def row_blocks(n: int) -> Iterator[slice]:
+    """Slices of at most BLOCK_ROWS rows that cover range(n) in order."""
+    for start in range(0, n, BLOCK_ROWS):
+        yield slice(start, min(start + BLOCK_ROWS, n))
 
 
 def line_matrix(n: int, layout) -> tuple[np.ndarray, list[np.ndarray]]:
     """The line matrix of a writer of n rows: a block's rows of `layout`, literal ``bytes``
     and NUL fields of given widths side by side; and a (rows, width) view of each field."""
     parts = [bytes(p) for p in layout]  # a width, as many NULs
-    matrix = np.tile(np.frombuffer(b"".join(parts), np.uint8), (min(n, ENCODE_ROWS), 1))
+    matrix = np.tile(np.frombuffer(b"".join(parts), np.uint8), (min(n, BLOCK_ROWS), 1))
     ends = np.cumsum([len(p) for p in parts]).tolist()
     return matrix, [matrix[:, e - w:e] for w, e in zip(layout, ends) if isinstance(w, int)]
 
@@ -727,7 +721,7 @@ def load_trace(
         line = text.strip(_SPACE)
         if not line or line.startswith("#"):
             return None
-        if format == "csv" and line.replace(" ", "") == CSV_HEADER:
+        if format == "csv" and [f.strip(_SPACE) for f in line.split(",")] == CSV_HEADER.split(","):
             return None
         try:
             if text.encode() != raw:  # only invalid UTF-8 changes under "replace"
@@ -782,13 +776,10 @@ def load_trace(
     return trace
 
 
-PARTITION_ROWS = 1 << 14  # rows per block of the partition's passes; bounds their temporaries
-
-
 def _gather(column: np.ndarray, order: np.ndarray) -> np.ndarray:
-    """``column[order]``, taken PARTITION_ROWS rows at a time."""
+    """``column[order]``, taken BLOCK_ROWS rows at a time."""
     out = np.empty((len(order), *column.shape[1:]), column.dtype)
-    for rows in row_blocks(len(order), PARTITION_ROWS):  # "clip" writes straight into out
+    for rows in row_blocks(len(order)):  # "clip" writes straight into out
         np.take(column, order[rows], axis=0, out=out[rows], mode="clip")
     return out
 
@@ -803,7 +794,7 @@ def partition_by_id(trace: Trace) -> dict[tuple[int, int], IdTrace]:
     ``(id << 4 | dlc) << b | k``, ``b = (M - 1).bit_length()``, and one
     in-place sort of the words orders them. The frame order is read out as
     uint32 (up to 2**32 frames) and the columns are gathered through it in
-    blocks of PARTITION_ROWS rows. Key and index must fit in 64 bits, else
+    blocks of BLOCK_ROWS rows. Key and index must fit in 64 bits, else
     AnalysisError: extended ids allow up to 2**31 frames.
 
     When it holds the only reference to `trace`, as in
@@ -824,12 +815,12 @@ def partition_by_id(trace: Trace) -> dict[tuple[int, int], IdTrace]:
     words |= dlcs
     del ids, dlcs
     words <<= index_bits
-    for rows in row_blocks(m, PARTITION_ROWS):
+    for rows in row_blocks(m):
         words[rows] |= np.arange(rows.start, rows.stop, dtype=np.uint64)
     words.sort()
     order = np.empty(m, np.uint32 if m <= 1 << 32 else np.intp)
     cuts = []
-    for rows in row_blocks(m, PARTITION_ROWS):
+    for rows in row_blocks(m):
         order[rows] = words[rows] & ((1 << index_bits) - 1)
         lo = max(rows.start - 1, 0)  # each block also compares its first key with the one before
         keys = words[lo : rows.stop] >> index_bits

@@ -153,28 +153,27 @@ def summary_to_dict(series: SignalSeries, summary: SignalSummary) -> dict:
     }
 
 
-def padding_constants(bits: np.ndarray, tok: Tokenization) -> dict[int, int]:
-    """Constant bit value observed at each padding position of a bit matrix."""
-    out: dict[int, int] = {}
-    for c in tok.padding_clusters:
-        for p in c.positions:
-            col = bits[:, p]
-            if col.min() != col.max():
-                raise InvariantError(f"padding position {p} is not constant")
-            out[p] = int(col[0])
-    return out
+def padding_constants(words: np.ndarray, tok: Tokenization) -> np.uint64:
+    """The payload word of each padding position's constant bit in a group's (M,) uint64
+    payload words, zero elsewhere; InvariantError naming the lowest one that is not constant."""
+    positions = sorted(p for c in tok.padding_clusters for p in c.positions)
+    bits = np.zeros(len(positions), np.uint64)  # each position's bit, as a payload word
+    for k, p in enumerate(positions):
+        write_field(bits[k : k + 1], p, p, 1)
+    flipped = np.flatnonzero(bits & np.bitwise_or.reduce(words ^ words[:1], initial=0))
+    if flipped.size:
+        raise InvariantError(f"padding position {positions[flipped[0]]} is not constant")
+    return np.bitwise_or.reduce(bits, initial=0) & words[0]
 
 
 def repack_payloads(tok: Tokenization, series_by_cluster: dict[tuple[int, int], SignalSeries],
-                    padding_bits: dict[int, int], frame_count: int) -> np.ndarray:
-    """Rebuild a group's (M,) uint64 `words`, zero past the dlc, from series and padding.
+                    padding: np.uint64, frame_count: int) -> np.ndarray:
+    """Rebuild a group's (M,) uint64 `words` from its series and `padding_constants` word.
 
     Inverse of extraction when the tokenization's signal clusters cover
     every non-padding bit; used to verify lossless decomposition.
     """
-    words = np.zeros(frame_count, dtype=np.uint64)
-    for p, v in padding_bits.items():
-        write_field(words, p, p, np.uint64(v))
+    words = np.full(frame_count, padding, dtype=np.uint64)
     for c in tok.signal_clusters:
         series = series_by_cluster[(c.lo, c.hi)]
         if len(series) != frame_count:

@@ -30,7 +30,8 @@ def reference_load_trace(path, format: str = "candump", strict: bool = True) -> 
             line = raw.strip(" \t\n\r\f\v")  # ASCII whitespace only, not U+00A0
             if not line or line.startswith("#"):
                 continue
-            if format == "csv" and line.replace(" ", "") == CSV_HEADER:
+            if format == "csv" and [
+                    f.strip(" \t\n\r\f\v") for f in line.split(",")] == CSV_HEADER.split(","):
                 continue
             try:
                 frame = parse(line, lineno=lineno)

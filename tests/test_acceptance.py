@@ -221,13 +221,12 @@ def test_criterion_6_reconstruction():
     for trace in traces:
         for it in partition_by_id(trace).values():
             tok = tokenize(tang_from_idtrace(it))
-            bits = build_bit_matrix(it.words, it.dlc)
             series = {
                 (s.cluster.lo, s.cluster.hi): s
                 for s in extract_series(it, tok.signal_clusters)
             }
             rebuilt = repack_payloads(
-                tok, series, padding_constants(bits, tok), len(it)
+                tok, series, padding_constants(it.words, tok), len(it)
             )
             assert rebuilt.dtype == np.uint64 and np.array_equal(rebuilt, it.words)
     _report(6, "bit-exact payload reconstruction")

@@ -6,6 +6,7 @@ import pytest
 from cantok import (
     AnalysisError,
     IdTrace,
+    Tang,
     build_bit_matrix,
     normalize_tang,
     tang_from_idtrace,
@@ -54,6 +55,15 @@ class TestWriteField:
         words = np.full(2, fill, dtype=np.uint64)
         write_field(words, lsb, msb, np.full(2, value, dtype=np.uint64))
         assert [row.tobytes().hex() for row in words[:, None].view(np.uint8)] == [payload] * 2
+
+    @pytest.mark.parametrize("lsb, msb", [(16, 23), (23, 16), (0, 63), (63, 0), (5, 5)])
+    @pytest.mark.parametrize("value", [1, np.uint64(1)], ids=["int", "uint64"])
+    def test_scalar_value(self, lsb, msb, value):
+        """A scalar value broadcasts against the words in either bit order."""
+        words, expected = np.full(3, 0xA5, np.uint64), np.full(3, 0xA5, np.uint64)
+        write_field(words, lsb, msb, value)
+        write_field(expected, lsb, msb, np.ones(3, np.uint64))
+        assert words.tolist() == expected.tolist()
 
 
 class TestTransitionMatrix:
@@ -211,6 +221,11 @@ class TestNormalize:
         tang = tang_from_idtrace(make_idtrace([[k % 2] for k in range(8)]))
         assert normalize_tang(tang)[7] == 1.0
 
+    @pytest.mark.parametrize("observations", [0, 1])
+    def test_fewer_than_two_observations(self, observations):
+        with pytest.raises(AnalysisError, match="^normalization requires at least 2 observations$"):
+            normalize_tang(Tang(np.zeros(8, np.int64), observations, 0x100))
+
 
 def test_export_csv(tmp_path, table1_idtrace):
     path = tmp_path / "tang.csv"
@@ -220,3 +235,10 @@ def test_export_csv(tmp_path, table1_idtrace):
     assert len(lines) == 9
     pos, trans, norm = lines[8].split(",")
     assert (int(pos), int(trans), float(norm)) == (7, 9, 1.0)
+
+
+def test_export_csv_needs_a_path_per_tang(tmp_path, table1_idtrace):
+    tang = tang_from_idtrace(table1_idtrace)
+    with pytest.raises(AnalysisError, match="^2 tangs but 1 paths$"):
+        export_tang_csv([tang, tang], [tmp_path / "tang.csv"])
+    assert list(tmp_path.iterdir()) == []

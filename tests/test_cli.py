@@ -16,14 +16,13 @@ from hypothesis import strategies as st
 from cantok import (
     Trace,
     TokenizerConfig,
-    build_bit_matrix,
     extract_series,
     load_trace,
     partition_by_id,
     tokenize,
     write_candump,
 )
-from cantok import cli, tokenizer
+from cantok import cli, frames, tokenizer
 from cantok.bitlab import analyzable, tang_from_idtrace
 from cantok.cli import build_parser, main
 from cantok.frames import CSV_HEADER
@@ -85,6 +84,29 @@ class TestTang:
         assert outlines[1].split()[0] == "0x0100"
         assert outlines[2].split()[0] == "0x0200"
 
+    @pytest.mark.parametrize("block", [64, 128, 192], ids=["1-group", "2-groups", "3-groups"])
+    def test_batch_edges(self, tmp_path, capsys, block):
+        """With BLOCK_ROWS of 64, 128 or 192 rows, a batch of 1, 2 or 3 groups, tang writes
+        the files, stdout and stderr it writes with every group in one batch."""
+        rng = np.random.default_rng(block)
+        keys = [(0x100, 8), (0x100, 3), (0x1ABCDEF0, 1), (0x200, 5), (0x300, 8), (0x7FF, 2),
+                (0x400, 0), (0x500, 4)]
+        rows = [(arb_id, dlc) for arb_id, dlc in keys for _ in range(12)] + [(0x600, 8)]
+        capture = tmp_path / "bus.log"
+        capture.write_text("".join(
+            f"({k * 0.001:.6f}) can0 {arb_id:0{3 if arb_id <= 0x7FF else 8}X}#"
+            f"{rng.bytes(dlc).hex().upper()}\n"
+            for k, (arb_id, dlc) in enumerate(rng.permutation(rows).tolist())))
+
+        def run(out):
+            assert main(["tang", "-i", str(capture), "--out", str(out)]) == 0
+            return capsys.readouterr(), {p.name: p.read_bytes() for p in out.iterdir()}
+
+        expected = run(tmp_path / "one-batch")
+        assert len(expected[1]) == 7 and "skipping id 0x600" in expected[0].err
+        with mock.patch.object(frames, "BLOCK_ROWS", block):
+            assert run(tmp_path / "batches") == expected
+
     @staticmethod
     def _tang_peak(tmp_path, groups, monkeypatch) -> int:
         """Peak bytes `cantok tang` allocates after its load and partition, on `groups`
@@ -122,7 +144,7 @@ class TestTang:
         return peak
 
     def test_temporaries_bounded_by_batch(self, tmp_path, monkeypatch):
-        """The tang stage writes its groups in batches of cli.TANG_BATCH and drops each
+        """The tang stage writes its groups in batches of at most frames.BLOCK_ROWS rows and drops each
         batch before the next, so its peak does not grow with the number of groups.
         With every group in one batch, 2000 groups peaked at 2.5 MB and 8000 at 9.7 MB."""
         small, large = (self._tang_peak(tmp_path / str(n), n, monkeypatch) for n in (2000, 8000))
@@ -412,6 +434,15 @@ class TestErrors:
         gt.write_text(bundled_spec_path().read_text())
         assert main(["score", "-g", str(gt)]) == 1
 
+    def test_score_trace_without_the_group_exit_one(self, tmp_path, capsys):
+        """The spec's id is in the trace, but not as an analyzable group of its dlc."""
+        capture = tmp_path / "capture.log"
+        capture.write_text("(0.0) can0 100#0001\n(0.1) can0 100#0102\n(0.2) can0 100#00\n")
+        argv = ["score", "-i", str(capture), "-g", str(bundled_spec_path()), "--out", str(tmp_path)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.endswith(
+            "error: trace has no analyzable group for id 0x0100 dlc 8\n")
+
     def test_score_tokenization_without_clusters_exit_one(self, tmp_path, capsys):
         tok = tmp_path / "tok.json"
         tok.write_text(json.dumps({"id": "0x0100", "bit_width": 8}))
@@ -672,7 +703,7 @@ def test_paper_invariants_on_generated_captures(bus, config):
         assert not tang.counts[padding].any(), key
         series = {(s.cluster.lo, s.cluster.hi): s
                   for s in extract_series(group, tok.signal_clusters)}
-        constants = padding_constants(build_bit_matrix(group.words, group.dlc), tok)
+        constants = padding_constants(group.words, tok)
         rebuilt = repack_payloads(tok, series, constants, len(group))
         assert rebuilt.dtype == np.uint64 and np.array_equal(rebuilt, group.words), key
         for c in tokenize(tang, dataclasses.replace(config, threshold=0)).signal_clusters:

@@ -176,9 +176,10 @@ class TestParseErrors:
         (parse_csv_line, "1.0,20000000,2,00", "dlc 2 does not match payload of 1 bytes"),
         (parse_csv_line, "1.0,20000000,9,000102030405060708",
          "arbitration id 0x20000000 outside extended range"),
+        (parse_csv_line, "", "empty record"),
     ], ids=["id-range", "id-max-u32", "csv-id-range", "csv-dlc-range", "odd-before-id-range",
             "long-payload-before-id-range", "dlc-match-before-id-range",
-            "id-range-before-dlc-range"])
+            "id-range-before-dlc-range", "csv-empty-record"])
     def test_reason(self, parse, line, reason):
         with pytest.raises(ParseError) as exc:
             parse(line, lineno=3)
@@ -420,6 +421,25 @@ class TestLoadTrace:
         p.write_text("timestamp,id,dlc,payload_hex\n1.0,100,1,AA\n")
         trace = load_trace(p, format="csv")
         assert len(trace) == 1
+
+    @pytest.mark.parametrize("loader", [load_trace, reference_load_trace],
+                             ids=["loader", "reference"])
+    @pytest.mark.parametrize("header, skipped", [
+        (" timestamp , id ,dlc,payload_hex ", True),
+        ("timestamp,\tid,dlc,\fpayload_hex\v", True),
+        ("time stamp,id,dlc,payload_hex", False),
+        ("timestamp,id,d lc,payload_hex", False),
+    ], ids=["spaces", "tab-ff-vt", "space-in-name", "space-in-dlc"])
+    def test_csv_header_whitespace(self, tmp_path, loader, header, skipped):
+        """ASCII whitespace around a header field is ignored, as around a record's field;
+        a space inside a name is not, so a strict load fails on that line."""
+        p = tmp_path / "capture.csv"
+        p.write_text(header + "\n1.0,100,1,AA\n")
+        if skipped:
+            assert len(loader(p, format="csv")) == 1
+        else:
+            with pytest.raises(ParseError, match=r"^malformed timestamp \(line 1\)"):
+                loader(p, format="csv")
 
     def test_unknown_format(self, tmp_path):
         with pytest.raises(AnalysisError):

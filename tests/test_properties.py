@@ -236,7 +236,7 @@ def _edge_frames(*keys):
 # The partition sorts one word a frame, ((id << 4) | dlc) << b | frame index,
 # so the drawn ids (up to 4, 11, 12 and 29 bits) give keys of 8 to 33 bits.
 # It reads the sorted words and gathers the columns in blocks of
-# PARTITION_ROWS rows; each capture is also partitioned in blocks of 1, 2
+# BLOCK_ROWS rows; each capture is also partitioned in blocks of 1, 2
 # and 3 rows, so that groups straddle block edges. The first two examples
 # put keys on both sides of 0x10000; in the third, one key spans three
 # blocks of 3 rows (sorted rows 0-7); in the fourth, a new key starts on
@@ -248,8 +248,8 @@ def _edge_frames(*keys):
 @example(_edge_frames(*[(0x1ABCDEF0, 8), (0x7FF, 0)] * 6))
 @settings(max_examples=300, deadline=None)
 def test_partition_matches_per_frame_filter(capture):
-    for rows in (frames.PARTITION_ROWS, 1, 2, 3):
-        with mock.patch.object(frames, "PARTITION_ROWS", rows):
+    for rows in (frames.BLOCK_ROWS, 1, 2, 3):
+        with mock.patch.object(frames, "BLOCK_ROWS", rows):
             trace = make_trace(capture)
             assert list(trace.frames) == capture
             groups = partition_by_id(trace)
@@ -509,12 +509,12 @@ _value_st = st.one_of(
 _id_any_st = st.one_of(
     st.integers(min_value=0, max_value=0x1FFFFFFF), st.sampled_from([0, 0x7FF, 0x800, 0x1FFFFFFF])
 )
-_block_st = st.sampled_from([1, 2, 3, 1 << 16])  # rows per block the encoder writes
+_block_st = st.sampled_from([1, 2, 3, frames.BLOCK_ROWS])  # rows per block the encoder writes
 
 
 def _written(writer, obj, block):
-    """The bytes `writer(obj, path)` leaves in a file, with ENCODE_ROWS at `block`."""
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(frames, "ENCODE_ROWS", block):
+    """The bytes `writer(obj, path)` leaves in a file, with BLOCK_ROWS at `block`."""
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(frames, "BLOCK_ROWS", block):
         path = Path(tmp) / "out"
         writer(obj, path)
         return path.read_bytes()
@@ -545,7 +545,7 @@ def test_group_series_csv_matches_per_row_reference(data, stamps, block):
         series.append(SignalSeries(
             0x100, signal(0, width - 1), np.array(values, dtype=np.uint64), timestamps
         ))
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(frames, "ENCODE_ROWS", block):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(frames, "BLOCK_ROWS", block):
         out, ref = Path(tmp) / "out", Path(tmp) / "ref"
         out.mkdir()
         ref.mkdir()
@@ -588,7 +588,7 @@ def test_tang_csv_matches_per_row_reference(offset, tangs, pick):
     rows before the end of a picked group: with it, or inside it (every group has 8+ rows)."""
     ends = np.cumsum([t.bit_width for t in tangs]).tolist()
     block = ends[pick % len(ends)] - offset if tangs else 1
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(frames, "ENCODE_ROWS", block):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(frames, "BLOCK_ROWS", block):
         out, ref = Path(tmp) / "out", Path(tmp) / "ref"
         out.mkdir()
         ref.mkdir()
@@ -620,7 +620,7 @@ def test_writers_leave_no_bytes_of_an_earlier_block(rows, block):
     stamps = np.array([row[0] for row in rows])
     values = np.array([row[1] for row in rows], dtype=np.uint64)
     series = [SignalSeries(0x100, signal(0, 63), v, stamps) for v in (values, values % 10)]
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(frames, "ENCODE_ROWS", block):
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(frames, "BLOCK_ROWS", block):
         paths = [Path(tmp) / f"s{k}.csv" for k in range(len(series))]
         export_series_csv(series, paths)
         for s, path in zip(series, paths):

@@ -4,13 +4,16 @@ import pytest
 from cantok import (
     AnalysisError,
     IdTrace,
+    InvariantError,
     SignalSeries,
     TokenCluster,
+    Tokenization,
+    TokenizerConfig,
     extract_series,
     summarize,
     tokenize,
 )
-from cantok.bitlab import build_bit_matrix, tang_from_idtrace
+from cantok.bitlab import tang_from_idtrace
 from cantok.signals import (
     export_series_csv,
     padding_constants,
@@ -118,6 +121,11 @@ class TestSummarize:
         assert s.value_transition_count == 999
         assert s.mean_abs_first_difference == float(top)
 
+    def test_empty(self):
+        empty = SignalSeries(0x100, signal(0, 7), np.zeros(0, np.uint64), np.zeros(0))
+        with pytest.raises(AnalysisError, match="^cannot summarize an empty series$"):
+            summarize(empty)
+
 
 def test_export_csv(tmp_path, table1_idtrace):
     path = tmp_path / "series.csv"
@@ -143,16 +151,13 @@ def test_export_csv_group_checks(tmp_path, table1_idtrace):
 
 class TestReconstruction:
     def _roundtrip(self, payloads, config=None):
-        from cantok import TokenizerConfig
-
         it = make_idtrace(payloads)
         tok = tokenize(tang_from_idtrace(it), config or TokenizerConfig())
-        bits = build_bit_matrix(it.words, it.dlc)
         series = {
             (s.cluster.lo, s.cluster.hi): s
             for s in extract_series(it, tok.signal_clusters)
         }
-        rebuilt = repack_payloads(tok, series, padding_constants(bits, tok), len(it))
+        rebuilt = repack_payloads(tok, series, padding_constants(it.words, tok), len(it))
         assert rebuilt.dtype == np.uint64 and rebuilt.tolist() == it.words.tolist()
         assert it.payloads.tolist() == [list(p) for p in payloads]
 
@@ -172,3 +177,29 @@ class TestReconstruction:
     def test_ones_padding(self):
         # padding constant 1 must be restored, not assumed 0
         self._roundtrip([[0xF0 | k] for k in range(4)])
+
+    def test_padding_word(self):
+        """Each padding position's bit in one payload word, zero at the signal's positions
+        and past the dlc."""
+        it = make_idtrace([[0xA0 | k, 0x3C] for k in (1, 2, 3, 0)])
+        tok = tokenize(tang_from_idtrace(it))
+        assert [(c.kind, c.lo, c.hi) for c in tok.clusters] == [
+            ("padding", 0, 5), ("signal", 6, 7), ("padding", 8, 15)]
+        word = padding_constants(it.words, tok)
+        assert np.array([word], np.uint64).view(np.uint8).tolist() == [0xA0, 0x3C] + [0] * 6
+
+    def test_padding_that_flips(self):
+        """The lowest padding position that flips is named, whatever the clusters' order."""
+        it = make_idtrace([[0x00, 0x00], [0x12, 0x00], [0x00, 0x01]])  # positions 3, 6 and 15
+        clusters = (TokenCluster("padding", 8, 15), TokenCluster("padding", 0, 7))
+        tok = Tokenization(0xA15, 16, clusters, TokenizerConfig())
+        with pytest.raises(InvariantError, match="^padding position 3 is not constant$"):
+            padding_constants(it.words, tok)
+
+    def test_repack_needs_a_value_per_frame(self, table1_idtrace):
+        tok = tokenize(tang_from_idtrace(table1_idtrace))
+        series = {(s.cluster.lo, s.cluster.hi): s
+                  for s in extract_series(table1_idtrace, tok.signal_clusters)}
+        padding = padding_constants(table1_idtrace.words, tok)
+        with pytest.raises(AnalysisError, match="^series length does not match frame count$"):
+            repack_payloads(tok, series, padding, len(table1_idtrace) + 1)

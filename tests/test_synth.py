@@ -142,6 +142,22 @@ class TestGenerate:
                 frame_count=2,
             )
 
+    @pytest.mark.parametrize("make, message", [
+        (lambda: SignalSpec(lo=0, hi=7, kind="sawtooth"), "unknown generator kind 'sawtooth'"),
+        (lambda: SignalSpec(lo=5, hi=4, kind="noise"), "empty signal range [5, 4]"),
+        (lambda: GroundTruth(0x20000000, 8, (), 2),
+         "arbitration id 0x20000000 outside extended range"),
+        (lambda: GroundTruth(1, 12, (), 2), "bit width must be a positive multiple of 8, <= 64"),
+        (lambda: GroundTruth(1, 0, (), 2), "bit width must be a positive multiple of 8, <= 64"),
+        (lambda: GroundTruth(1, 72, (), 2), "bit width must be a positive multiple of 8, <= 64"),
+        (lambda: generate_trace(GroundTruth(1, 8, (SignalSpec(0, 3, "constant", value=16),), 2)),
+         "constant 16 does not fit 4 bits"),
+    ], ids=["kind", "empty-range", "id-range", "width-12", "width-0", "width-72", "constant"])
+    def test_spec_errors(self, make, message):
+        with pytest.raises(AnalysisError) as exc:
+            make()
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("kind", ["ramp", "random_walk", "noise", "constant"])
     def test_values_fit_width(self, kind):
         gt = GroundTruth(
@@ -492,6 +508,13 @@ def test_merge_traces_ordered():
     merged = merge_traces([generate_trace(g1), generate_trace(g2)])
     merged.validate()
     assert [f.arbitration_id for f in merged.frames] == [1, 2] * 5
+
+
+def test_merge_no_traces():
+    merged = merge_traces([])
+    assert len(merged) == 0 and merged.timestamps.dtype == np.float64
+    assert (merged.ids.dtype, merged.dlcs.dtype, merged.words.dtype) == (
+        np.uint32, np.uint8, np.uint64)
 
 
 def test_merge_traces_needs_timestamps():

@@ -11,6 +11,7 @@ from cantok import (
     InvariantError,
     TokenCluster,
     Tang,
+    Tokenization,
     TokenizerConfig,
     partition_by_id,
     tokenize,
@@ -119,6 +120,20 @@ class TestModesAndThreshold:
             TokenizerConfig(threshold=-1)
         with pytest.raises(AnalysisError):
             TokenizerConfig(padding_mode="none")
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: TokenCluster(kind="padding", lo=4, hi=3), "empty cluster range [4, 3]"),
+        (lambda: Tokenization(0x100, 8, (TokenCluster("padding", 0, 3),
+                                         TokenCluster("padding", 3, 7)), TokenizerConfig()),
+         "clusters do not partition bit positions (position 3)"),
+        (lambda: Tokenization(0x100, 8, (TokenCluster("padding", 0, 8),), TokenizerConfig()),
+         "clusters do not partition bit positions (position 8)"),
+        (lambda: tokenize(make_tang([])), "cannot tokenize a zero-width payload"),
+    ], ids=["empty-range", "overlap", "past-width", "zero-width"])
+    def test_layout_errors(self, make, message):
+        with pytest.raises((AnalysisError, InvariantError)) as exc:
+            make()
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("lsb, msb", [(None, 0), (3, None), (2, 0), (3, 1), (1, 3)])
     def test_signal_lsb_msb_must_be_the_ends(self, lsb, msb):
