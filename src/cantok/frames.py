@@ -36,11 +36,12 @@ line there only when it can show the result equals the per-line parser's:
   nothing else on the line.
 
 Hex digits may be upper or lower case. Lines end at LF, CR LF or a lone
-CR, as in text mode. Every other line, including each one holding a byte
-of 0x80 or above, goes through `parse_candump_line`/`parse_csv_line`
-with its line number, decoded as UTF-8, so those two functions define
-what is valid and every error message. A line that is not valid UTF-8
-is malformed unless it is blank or a ``#`` comment.
+CR, as in text mode, and a UTF-8 byte order mark opening the file is
+skipped. Every other line, including each one holding a byte of 0x80 or
+above, goes through `parse_candump_line`/`parse_csv_line` with its line
+number, decoded as UTF-8, so those two functions define what is valid and
+every error message. A line that is not valid UTF-8 is malformed unless it
+is blank or a ``#`` comment.
 
 A chunk's lines are grouped by length, and each group is peeled in
 rounds. A round takes the template of the first line still undecided:
@@ -65,12 +66,12 @@ words read a row apart, 8 digits a word (`_numbers`).
 `CHUNK_BYTES` is 512 KiB. A load reads the file into one buffer, first to
 count its lines and then chunk by chunk, translates each chunk into a
 second, takes digit values in a third and reads their words into a fourth.
-It writes decoded frames straight into the trace's columns and moves a
-chunk's rows up only if it skipped lines. A load without timestamps still
-decodes each chunk's, into a fifth buffer of 8 bytes a line, so the warning
-on timestamps that go backwards is worked out chunk by chunk either way. So
-no chunk-sized array is freed per chunk: that raises glibc's mmap
-threshold, and the heap then holds more memory for the rest of the run.
+Each round writes all its lines straight into their rows of the trace's
+columns, and a chunk's rows move up only if it skipped lines. A load without
+timestamps still decodes each chunk's, into a fifth buffer of 8 bytes a line,
+so the warning on timestamps that go backwards is worked out chunk by chunk
+either way. So no chunk-sized array is freed per chunk: that raises glibc's
+mmap threshold, and the heap then holds more memory for the rest of the run.
 
 The writers are the inverse, a columnar row encoder. A call fills one
 `line_matrix` of up to `BLOCK_ROWS` rows whose literal bytes are set once.
@@ -84,6 +85,7 @@ cannot show exact: near a .5 tie, negative, non-finite or at least 2**53.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import functools
 import io
@@ -585,11 +587,12 @@ def _numbers(values: np.ndarray, width: int, n: int, pool: dict, plan: tuple) ->
     return [np.zeros(n, np.uint64) if number is None else number for number in numbers]
 
 
-def _decode(m: np.ndarray, classes: np.ndarray, f: re.Match, plan: tuple, pool: dict, cols=None):
+def _decode(m: np.ndarray, classes: np.ndarray, f: re.Match, plan: tuple, pool: dict,
+            cols: list, at: slice | np.ndarray) -> np.ndarray:
     """Decode n lines of the layout whose fields `f` matched, from their
     contiguous (n, width) rows translated by _CLASS_TABLE, each ending in its
-    end byte: a mask of the lines read exactly as the per-line parser reads
-    them, and their four columns, written to the first n rows of `cols` if given.
+    end byte, into rows `at` of the four columns `cols`: a mask of the lines read
+    exactly as the per-line parser reads them, which overwrites the others' rows.
 
     Each step is one pass over the n·width bytes or over n words.
     """
@@ -604,27 +607,26 @@ def _decode(m: np.ndarray, classes: np.ndarray, f: re.Match, plan: tuple, pool: 
     flat = np.bitwise_and(m.reshape(-1), values[:size], out=values[:size])
     outside = np.flatnonzero(np.equal(flat, 0, out=flat.view(bool))) // width  # a byte not of its class
     np.bitwise_and(m.reshape(-1), 0xF, out=flat)  # each byte's digit value
-    if cols is None:
-        cols = [np.empty(n, dtype) for dtype in (np.float64, np.uint32, np.uint8, np.uint64)]
-    stamps, ids, dlcs, words = (column[:n] for column in cols)
+    stamps, ids, dlcs, words = cols
     # <= 18 digits, 8 hex digits and 16 hex digits fit a uint64
     numer, arb, payload = _numbers(values, width, n, pool, plan)
-    ids[...] = arb
-    ok = (numer < _EXACT_INT) & (ids <= EXTENDED_ID_MAX)
+    ok = (numer < _EXACT_INT) & (arb <= EXTENDED_ID_MAX)
     ok[outside] = False
-    np.divide(numer, float(10 ** len(f["frac"])), out=stamps)  # below 2**53, as float() rounds
-    dlcs[...] = dlc = len(f["hex"]) // 2
+    ids[at] = arb
+    # numer < 2**53 rounds as float() does; the spent digit values hold the quotients
+    stamps[at] = np.divide(numer, float(10 ** len(f["frac"])), out=values[: 8 * n].view(np.float64))
+    dlcs[at] = dlc = len(f["hex"]) // 2
     payload <<= np.uint64(64 - 8 * dlc)
-    words.view(">u8")[...] = payload  # the first byte first, zeros past the dlc
-    return ok, [stamps, ids, dlcs, words]
+    words.view(">u8")[at] = payload  # the first byte first, zeros past the dlc
+    return ok
 
 
 def _decode_chunk(chunk: memoryview, format: str, cols: list, templates: dict, pool: dict):
     """Decode the lines of a chunk in columns, one length group at a time.
 
-    Lines end at LF, CR LF or a lone CR, as in text mode. Writes the frame
-    of each line k it decodes to row k of `cols`, whose first column, if
-    None, it replaces with a pooled buffer of a stamp a line; returns a mask
+    Lines end at LF, CR LF or a lone CR, as in text mode. Each round writes
+    its lines, decoded or not, to their rows k of `cols`, whose first column,
+    if None, it replaces with a pooled buffer of a stamp a line; returns a mask
     of the decoded lines and a function giving the bytes of line k. `templates`
     and `pool` keep the load's templates by line shape and its buffers.
     No line holding a byte >= 0x80 is decoded: no template accepts one.
@@ -680,16 +682,8 @@ def _decode_chunk(chunk: memoryview, format: str, cols: list, templates: dict, p
                 left = left[1:]
                 continue
             taken, left = left[match], left[~match]  # decoded or not, they leave the group
-            if len(taken) == n:  # every line of the chunk: decoded straight into its rows
-                decoded[:] = _decode(m, *layout, pool, cols)[0]
-                continue
-            ok, piece = _decode(m if len(taken) == len(m) else m[taken], *layout, pool)
-            if not ok.all():
-                taken, piece = taken[ok], [c[ok] for c in piece]
-            at = rows[taken]
-            decoded[at] = True
-            for column, values in zip(cols, piece):
-                column[at] = values
+            at = slice(0, n) if len(taken) == n else rows[taken]  # the whole chunk: no scatter
+            decoded[at] = _decode(m if len(taken) == len(m) else m[taken], *layout, pool, cols, at)
     return decoded, line
 
 
@@ -700,10 +694,10 @@ def load_trace(
 
     In strict mode any malformed line aborts with its line number; in
     lenient mode bad lines are skipped and counted in a single warning.
-    Blank lines and ``#`` comments are always ignored (for CSV the header
-    row is ignored too). Timestamps that go backwards are reported in a
-    warning, which `timestamps` False leaves as it is: the trace then holds
-    `timestamps` None, 8 bytes a frame less.
+    Blank lines, ``#`` comments and a UTF-8 byte order mark opening the file
+    are always ignored (for CSV the header row is ignored too). Timestamps
+    that go backwards are reported in a warning, which `timestamps` False
+    leaves as it is: the trace then holds `timestamps` None, 8 bytes a frame less.
 
     The file is read in chunks. Lines of the common shapes are decoded in
     columns; every other line goes through `parse_candump_line` or
@@ -735,13 +729,15 @@ def load_trace(
 
     with open(path, "rb") as fh:
         buf, pool, templates = bytearray(CHUNK_BYTES + LINE_ROOM), {}, {}  # for the whole load
+        start = len(codecs.BOM_UTF8) if fh.read(3) == codecs.BOM_UTF8 else 0
+        fh.seek(start)
         # a line ends at \n, \r or the end of the file and holds at most one frame
         capacity = 1
         while size := fh.readinto(buf):
             lf = _buffer(pool, "work", (size,)).view(bool)
             capacity += np.count_nonzero(np.equal(np.frombuffer(buf, np.uint8, size), 10, out=lf))
             capacity += buf.find(b"\r", 0, size) >= 0 and buf.count(b"\r", 0, size)
-        fh.seek(0)
+        fh.seek(start)
         # the trace's columns: timestamps (None: a chunk's at a time), ids, dlcs and payload words
         out = [np.empty(capacity, np.float64) if timestamps else None,
                *(np.empty(capacity, dtype) for dtype in (np.uint32, np.uint8, np.uint64))]

@@ -81,8 +81,8 @@ class GroundTruth:
             raise AnalysisError(OUTSIDE_ID_RANGE.format(self.arbitration_id))
         if isinstance(self.start_time, bool) or not isinstance(self.start_time, (int, float)):
             raise TypeError(f"start_time must be a number, not {self.start_time!r}")
-        if not math.isfinite(self.start_time):
-            raise ValueError(f"start_time must be finite, not {self.start_time!r}")
+        if not math.isfinite(self.start_time) or self.start_time < 0:
+            raise ValueError(f"start_time must be finite and nonnegative, not {self.start_time!r}")
         if self.bit_width % 8 or not 0 < self.bit_width <= 64:
             raise AnalysisError("bit width must be a positive multiple of 8, <= 64")
         covered = set()

@@ -13,7 +13,7 @@ from itertools import groupby
 
 from .bitlab import Tang
 from .errors import AnalysisError, InvariantError
-from .frames import parse_hex_id, require_uints, write_json
+from .frames import MAX_DLC, parse_hex_id, require_uints, write_json
 
 ENDIANNESSES = ("big", "little")
 PADDING_MODES = ("exclude", "strict")
@@ -87,6 +87,8 @@ class Tokenization:
 
     def __post_init__(self):
         require_uints(self)
+        if self.bit_width > 8 * MAX_DLC:  # before a list of bit_width entries
+            raise ValueError(f"bit_width must be at most {8 * MAX_DLC}, not {self.bit_width}")
         seen = [False] * self.bit_width
         for c in self.clusters:
             for p in c.positions:

@@ -25,7 +25,7 @@ def reference_load_trace(path, format: str = "candump", strict: bool = True) -> 
     parse = parse_candump_line if format == "candump" else parse_csv_line
     timestamps, ids, dlcs, payloads = array("d"), array("L"), bytearray(), bytearray()
     skipped = 0
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:  # skips a BOM opening the file, as load_trace
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip(" \t\n\r\f\v")  # ASCII whitespace only, not U+00A0
             if not line or line.startswith("#"):

@@ -555,10 +555,11 @@ class TestErrors:
         lambda d: {**d, "clusters": [{**d["clusters"][0], "lsb_transitions": 1.5}]},
         lambda d: {**d, "config": {**d["config"], "threshold": True}},
         lambda d: {**d, "config": {**d["config"], "threshold": 0.5}},
+        lambda d: {**d, "bit_width": 10**12},  # rejected before a list of 10**12 entries
     ], ids=["not-an-object", "string-lo", "string-bit-width", "null-clusters",
             "string-threshold", "string-config", "bool-lo", "bool-hi", "bool-bit-width",
             "bool-lsb", "float-msb", "float-lsb-transitions", "bool-threshold",
-            "float-threshold"])
+            "float-threshold", "huge-bit-width"])
     def test_mistyped_tokenization_exit_one(self, edit, tmp_path, capsys):
         tok = tmp_path / "tok.json"
         tok.write_text(json.dumps(edit(_valid_tokenization())))

@@ -600,6 +600,31 @@ class TestNoTimestamps:
             IdTrace(0x100, 2, None, np.zeros((3, 1), np.uint64))
 
 
+@pytest.mark.parametrize("chunk_bytes", [5, frames.CHUNK_BYTES], ids=["tiny-chunks", "chunks"])
+@pytest.mark.parametrize("strict", [True, False], ids=["strict", "lenient"])
+@pytest.mark.parametrize("fmt, lines", [
+    ("candump", LINES), ("csv", [frames.CSV_HEADER, "1.0,100,2,0102", "2.25,1ABCDEF0,1,03"]),
+], ids=["candump", "csv"])
+def test_byte_order_mark_opens_the_file_only(tmp_path, monkeypatch, chunk_bytes, strict, fmt, lines):
+    """A UTF-8 BOM at offset 0 is skipped, as text mode with "utf-8-sig" skips
+    it; one anywhere else makes its line malformed."""
+    monkeypatch.setattr(frames, "CHUNK_BYTES", chunk_bytes)
+    plain, bom, late = (tmp_path / name for name in ("plain", "bom", "late"))
+    plain.write_text("\n".join(lines) + "\n")
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    late.write_text("\n".join([lines[0], "\ufeff" + lines[1], *lines[2:]]) + "\n")
+    outcome = load_outcome(load_trace, bom, format=fmt, strict=strict)
+    assert outcome == load_outcome(load_trace, plain, format=fmt, strict=strict)
+    assert outcome == load_outcome(reference_load_trace, bom, format=fmt, strict=strict)
+    assert len(load_trace(bom, format=fmt, strict=strict)) == 3 - (fmt == "csv")
+    result, warnings = load_outcome(load_trace, late, format=fmt, strict=strict)
+    assert (result, warnings) == load_outcome(reference_load_trace, late, format=fmt, strict=strict)
+    if strict:
+        assert result[1] == 2
+    else:
+        assert warnings == [f"{late}: skipped 1 malformed line(s)"]
+
+
 class TestPerLineFallback:
     """A line with a byte >= 0x80 goes to the per-line parser, and only that line."""
 

@@ -459,8 +459,8 @@ class TestSpecFiles:
         gt = GroundTruth(arbitration_id=2, bit_width=8, specs=(), frame_count=5)
         assert "start_time" not in ground_truth_to_dict(gt)
 
-    @pytest.mark.parametrize("value", [True, "0.005", float("nan"), float("inf"), 10**400],
-                             ids=["bool", "str", "nan", "inf", "huge-int"])
+    @pytest.mark.parametrize("value", [True, "0.005", float("nan"), float("inf"), 10**400, -1.0],
+                             ids=["bool", "str", "nan", "inf", "huge-int", "negative"])
     def test_bad_start_time_rejected(self, value):
         d = {"id": "0x100", "bit_width": 8, "frames": 2, "signals": [], "start_time": value}
         with pytest.raises(AnalysisError, match="invalid ground truth spec: "):
