@@ -1,9 +1,10 @@
 """Command-line front end: ingest -> TANG -> tokenize -> extract -> score.
 
-Each subcommand writes machine-readable files named ``<id hex>_<kind>.<ext>``
-into the output directory and prints a summary table ordered by ascending
-arbitration id. Exit codes: 0 success, 1 input error, 2 internal invariant
-violation.
+Each subcommand prints a summary table by ascending arbitration id and writes
+files into --out named by the id in at least 4 hex digits, ``_dlc<n>`` only for
+an id with several analyzable dlcs, and ``_tang.csv``, ``_tokens.json``,
+``_sig<lo>-<hi>.csv`` or ``_summary.json`` (synth and score: by the id alone).
+Exit codes: 0 success, 1 input error, 2 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -118,81 +119,68 @@ def _load(args) -> Trace:
                       timestamps=args.command == "extract")
 
 
-def _analysis_input(args, header: str):
-    """Output directory, analyzable groups and their file stems (mixed-dlc ids get
-    a dlc suffix); prints the summary table's header if there is a group."""
+def _analysis_input(args, columns: dict[str, int]):
+    """The analyzable groups as ``(key, idtrace, stem)``, and the row format of the table
+    whose `columns` map names to widths; prints its header if there is a group. A stem
+    is --out joined to `_stem`, with the dlc only for an id of several analyzable dlcs."""
     outdir = _outdir(args)
     wanted = _id_filter(args)  # before the load, so a bad filter fails fast
     # no name holds the capture, so partition_by_id frees each column once done with it
     groups = _select_groups(partition_by_id(_load(args)), wanted)
+    row = " ".join(f"{{:>{w}}}" for w in columns.values())
     if groups:
-        print(header)
+        print(row.format(*columns))
     else:
         print("warning: no analyzable ids", file=sys.stderr)
     by_id = Counter(arb_id for (arb_id, _), _g in groups)
-    return outdir, groups, {
-        (i, dlc): _stem(i, dlc if by_id[i] > 1 else None) for (i, dlc), _g in groups
-    }
+    return [((i, dlc), g, f"{outdir}/{_stem(i, dlc if by_id[i] > 1 else None)}")
+            for (i, dlc), g in groups], row
 
 
 def cmd_tang(args) -> int:
-    outdir, groups, stems = _analysis_input(
-        args, f"{'id':>10} {'dlc':>3} {'frames':>8} {'active_bits':>11} {'max_transitions':>15}"
-    )
+    groups, row = _analysis_input(
+        args, {"id": 10, "dlc": 3, "frames": 8, "active_bits": 11, "max_transitions": 15})
     step = frames.BLOCK_ROWS // (8 * frames.MAX_DLC)  # whole groups of at most a block's rows
     for a in range(0, len(groups), step):
         batch = groups[a : a + step]
-        tangs = [bitlab.tang_from_idtrace(idtrace) for _key, idtrace in batch]
-        bitlab.export_tang_csv(tangs, [f"{outdir}/{stems[key]}_tang.csv" for key, _g in batch])
+        tangs = [bitlab.tang_from_idtrace(idtrace) for _key, idtrace, _ in batch]
+        bitlab.export_tang_csv(tangs, [f"{stem}_tang.csv" for *_, stem in batch])
         counts = np.concatenate([t.counts for t in tangs])
         first = np.cumsum([0] + [t.bit_width for t in tangs[:-1]])  # each group's first row
         active = np.add.reduceat(counts > 0, first).tolist()
         top = np.maximum.reduceat(counts, first).tolist()
-        for ((arb_id, dlc), idtrace), n_active, n_max in zip(batch, active, top):
-            print(
-                f"{tokenizer.format_id(arb_id):>10} {dlc:>3} {len(idtrace):>8} "
-                f"{n_active:>11} {n_max:>15}"
-            )
+        for ((arb_id, dlc), idtrace, _), n_active, n_max in zip(batch, active, top):
+            print(row.format(tokenizer.format_id(arb_id), dlc, len(idtrace), n_active, n_max))
     return 0
 
 
 def cmd_tokenize(args) -> int:
     config = _config(args)
-    outdir, groups, stems = _analysis_input(
-        args, f"{'id':>10} {'dlc':>3} {'signals':>8} {'padding':>8}"
-    )
-    for key, idtrace in groups:
+    groups, row = _analysis_input(args, {"id": 10, "dlc": 3, "signals": 8, "padding": 8})
+    for (arb_id, dlc), idtrace, stem in groups:
         tok = tokenizer.tokenize(bitlab.tang_from_idtrace(idtrace), config)
-        tokenizer.export_tokenization_json(tok, outdir / f"{stems[key]}_tokens.json")
-        print(
-            f"{tokenizer.format_id(key[0]):>10} {key[1]:>3} "
-            f"{len(tok.signal_clusters):>8} {len(tok.padding_clusters):>8}"
-        )
+        tokenizer.export_tokenization_json(tok, f"{stem}_tokens.json")
+        print(row.format(tokenizer.format_id(arb_id), dlc,
+                         len(tok.signal_clusters), len(tok.padding_clusters)))
     return 0
 
 
 def cmd_extract(args) -> int:
     config = _config(args)
-    outdir, groups, stems = _analysis_input(
-        args, f"{'id':>10} {'cluster':>9} {'width':>5} {'unique':>8} {'mean|d|':>10}"
-    )
-    for key, idtrace in groups:
+    groups, row = _analysis_input(
+        args, {"id": 10, "cluster": 9, "width": 5, "unique": 8, "mean|d|": 10})
+    for (arb_id, _dlc), idtrace, stem in groups:
         tok = tokenizer.tokenize(bitlab.tang_from_idtrace(idtrace), config)
         group = signals.extract_series(idtrace, tok.signal_clusters)
         signals.export_series_csv(
-            group, [outdir / f"{stems[key]}_sig{s.cluster.lo}-{s.cluster.hi}.csv" for s in group]
-        )
+            group, [f"{stem}_sig{s.cluster.lo}-{s.cluster.hi}.csv" for s in group])
         summaries = []
         for series in group:
-            c = series.cluster
-            summary = signals.summarize(series)
-            summaries.append(signals.summary_to_dict(series, summary))
-            print(
-                f"{tokenizer.format_id(key[0]):>10} {f'[{c.lo}..{c.hi}]':>9} "
-                f"{c.width:>5} {summary.unique_value_count:>8} "
-                f"{summary.mean_abs_first_difference:>10.6f}"
-            )
-        signals.export_summary_json(summaries, outdir / f"{stems[key]}_summary.json")
+            c, s = series.cluster, signals.summarize(series)
+            summaries.append(signals.summary_to_dict(series, s))
+            print(row.format(tokenizer.format_id(arb_id), f"[{c.lo}..{c.hi}]", c.width,
+                             s.unique_value_count, f"{s.mean_abs_first_difference:.6f}"))
+        signals.export_summary_json(summaries, f"{stem}_summary.json")
     return 0
 
 

@@ -249,6 +249,7 @@ _HEX_ID = re.compile(r"(?:0[xX])?[0-9A-Fa-f]+")
 _DLC = re.compile(r"\s*[0-9]+\s*", re.ASCII)
 _PAYLOAD = re.compile(r"[0-9A-Fa-f]*")  # even length is checked first; no state kept per pair
 _SPACE = " \t\n\r\f\v"  # a capture's whitespace; str.split() also takes U+00A0
+_NOT_CLASSIC = {"R": "remote frame (RTR)", "#": "CAN FD frame", "##": "CAN XL frame"}
 
 
 def parse_hex_id(text) -> int:
@@ -317,7 +318,8 @@ def parse_candump_line(line: str, lineno: int | None = None) -> CanFrame:
     """Decode one compact candump record.
 
     Format: ``(<ts>) <iface> <ID>#<HEXDATA>``. The interface name is
-    discarded; payload hex pairs map to bytes in transmission order.
+    discarded; payload hex pairs map to bytes in transmission order; a raw DLC
+    ``_<9-F>`` after 8 bytes is dropped, and ``#R``, ``##``, ``###`` and other ``_`` fail.
     """
     parts = re.findall(r"\S+", line, re.ASCII)  # split on runs of _SPACE only
     if len(parts) != 3 or not parts[0].startswith("(") or not parts[0].endswith(")"):
@@ -325,8 +327,11 @@ def parse_candump_line(line: str, lineno: int | None = None) -> CanFrame:
     arb_id, sep, hexdata = parts[2].partition("#")
     if not sep:
         raise ParseError(line, "missing '#' separator", lineno)
-    if hexdata[:1] in ("R", "#"):  # can-utils lib.c: <id>#R[<len>] and <id>##<flags><data>
-        raise ParseError(line, {"R": "remote frame (RTR)", "#": "CAN FD frame"}[hexdata[0]], lineno)
+    if mark := re.match(r"R|##?", hexdata):  # can-utils lib.c: #R[<len>], ##<FD>, ###<XL>
+        raise ParseError(line, _NOT_CLASSIC[mark[0]], lineno)
+    hexdata, raw_dlc, dlc = hexdata.partition("_")  # lib.c len8_dlc: <8 bytes>_<raw DLC>
+    if raw_dlc and not (len(hexdata) == 16 and re.fullmatch("[9A-Fa-f]", dlc)):
+        raise ParseError(line, "malformed raw DLC", lineno)
     return _build_frame(line, lineno, parts[0][1:-1], arb_id, hexdata)
 
 
@@ -734,9 +739,11 @@ def load_trace(
         # a line ends at \n, \r or the end of the file and holds at most one frame
         capacity = 1
         while size := fh.readinto(buf):
-            lf = _buffer(pool, "work", (size,)).view(bool)
-            capacity += np.count_nonzero(np.equal(np.frombuffer(buf, np.uint8, size), 10, out=lf))
-            capacity += buf.find(b"\r", 0, size) >= 0 and buf.count(b"\r", 0, size)
+            x, lf = np.frombuffer(buf, np.uint8, size), _buffer(pool, "work", (size,)).view(bool)
+            capacity += np.count_nonzero(np.equal(x, 10, out=lf))
+            if buf.find(b"\r", 0, size) >= 0:  # a lone CR; that of a CR LF cut in two counts too
+                cr = np.equal(x, 13, out=_buffer(pool, "cr", (size,)).view(bool))
+                capacity += np.count_nonzero(np.greater(cr[:-1], lf[1:], out=cr[:-1])) + cr[-1]
         fh.seek(start)
         # the trace's columns: timestamps (None: a chunk's at a time), ids, dlcs and payload words
         out = [np.empty(capacity, np.float64) if timestamps else None,

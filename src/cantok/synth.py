@@ -18,8 +18,8 @@ import numpy as np
 from .bitlab import write_field
 from .errors import AnalysisError
 from .frames import (
-    EXTENDED_ID_MAX, OUTSIDE_ID_RANGE, Trace, parse_hex_id, require_uints, timestamps_of,
-    write_json,
+    EXTENDED_ID_MAX, OUTSIDE_ID_RANGE, Trace, parse_hex_id, require_uints, row_blocks,
+    timestamps_of, write_json,
 )
 from .tokenizer import ENDIANNESSES, SIGNAL, Tokenization, format_id
 
@@ -27,7 +27,6 @@ GENERATOR_KINDS = ("counter", "ramp", "random_walk", "constant", "noise")
 
 FRAME_PERIOD_S = 0.01
 MAX_FRAMES = 10_000_000  # a 64-bit group of this many frames takes about 330 MB to generate
-_WALK_BLOCK = 1 << 12  # random-walk steps turned into Python ints at a time
 
 
 @dataclass(frozen=True, slots=True)
@@ -142,8 +141,8 @@ def _generate_values(spec: SignalSpec, m: int, rng: np.random.Generator) -> np.n
     # random_walk: sequential clamping keeps steps continuous at the edges
     out = np.empty(m, dtype=np.uint64)
     steps = rng.integers(-spec.max_step, spec.max_step + 1, size=m)
-    for start in range(0, m, _WALK_BLOCK):
-        block = steps[start : start + _WALK_BLOCK].tolist()
+    for rows in row_blocks(m):  # steps turned into Python ints a block at a time
+        block = steps[rows].tolist()
         for k, step in enumerate(block):
             v += step
             if v < 0:
@@ -151,7 +150,7 @@ def _generate_values(spec: SignalSpec, m: int, rng: np.random.Generator) -> np.n
             elif v > hi:
                 v = hi
             block[k] = v
-        out[start : start + len(block)] = block
+        out[rows] = block
     return out
 
 

@@ -200,14 +200,26 @@ LINE_CLASSES = [
     ("(1.0) can0 40000080#0000000000000000", "arbitration id 0x40000080 outside extended range"),
     ("(1.0) can0 123#RR", "remote frame (RTR)"),
     ("(1.0) can0 123#0R", "non-hex payload"),
+    ("(1.0) can0 123###1234", "CAN XL frame"),
+    ("(1.0) can0 123###", "CAN XL frame"),
+    ("(1.0) can0 123#11_9", "malformed raw DLC"),
+    ("(1.0) can0 123#1122334455667788_8", "malformed raw DLC"),
+    ("(1.0) can0 123#1122334455667788_10", "malformed raw DLC"),
+    ("(1.0) can0 123#1122334455667788_", "malformed raw DLC"),
+    ("(1.0) can0 123#1122334455667788_9_9", "malformed raw DLC"),
+    ("(1.0) can0 123#_9", "malformed raw DLC"),
+    ("(1.0) can0 123#11223344556677ZZ_9", "non-hex payload"),
 ]
 LINE_CLASS_IDS = ["rtr", "rtr-len", "rtr-extended", "fd", "fd-no-data", "error", "error-max",
-                  "error-flag-dlc-1", "rtr-flag-bit", "rtr-junk", "r-after-data"]
+                  "error-flag-dlc-1", "rtr-flag-bit", "rtr-junk", "r-after-data", "xl",
+                  "xl-no-data", "raw-dlc-short-payload", "raw-dlc-8", "raw-dlc-two-digits", "raw-dlc-missing",
+                  "raw-dlc-twice", "raw-dlc-no-payload", "raw-dlc-non-hex-payload"]
 
 
 class TestLineClasses:
-    """Remote, error and CAN FD frames each fail with their own reason: a strict
-    load aborts on one, and a lenient load skips it and counts it."""
+    """Remote, error, CAN FD and CAN XL frames and malformed raw DLCs each fail with
+    their own reason: a strict load aborts on one, and a lenient load skips it
+    and counts it."""
 
     @pytest.mark.parametrize("line, reason", LINE_CLASSES, ids=LINE_CLASS_IDS)
     def test_reason(self, line, reason):
@@ -228,6 +240,21 @@ class TestLineClasses:
             assert load_outcome(load_trace, p, strict=strict) == load_outcome(
                 reference_load_trace, p, strict=strict
             )
+
+
+@pytest.mark.parametrize("raw_dlc", ["9", "A", "f"])
+def test_raw_dlc_loads_as_its_eight_bytes(tmp_path, raw_dlc):
+    """can-utils logs a Classic CAN frame of raw DLC 9-15 as its 8 data bytes, ``_``
+    and the raw DLC in hex: it loads as the frame without the suffix, dlc 8."""
+    line = "(1.0) can0 123#1122334455667788"
+    assert parse_candump_line(f"{line}_{raw_dlc}") == parse_candump_line(line)
+    plain, suffixed = tmp_path / "plain.log", tmp_path / "suffixed.log"
+    plain.write_text(f"(0.5) can0 123#01\n{line}\n")
+    suffixed.write_text(f"(0.5) can0 123#01\n{line}_{raw_dlc}\n")
+    for strict in (True, False):
+        outcome = load_outcome(load_trace, suffixed, strict=strict)
+        assert outcome == load_outcome(reference_load_trace, suffixed, strict=strict)
+        assert outcome == load_outcome(load_trace, plain, strict=strict)
 
 
 class TestFrameInvariants:
@@ -536,6 +563,24 @@ class TestChunkEdges:
         assert load_outcome(load_trace, p, strict=False) == load_outcome(
             reference_load_trace, p, strict=False
         )
+
+
+def test_crlf_capture_gets_a_row_a_line(tmp_path):
+    """The line-count pre-pass counts a CR LF once, so a CR LF capture gets one row of
+    21 bytes (stamp, id, dlc, word) a line, as its LF copy does. Counting each CR as
+    a line end too gave it a second row a line: a peak 5.0 MB above the LF copy's
+    here, against 1.3 MB for the general chunk path's work on CR LF lines."""
+    lines = [f"({k / 100:.6f}) can0 123#AABB" for k in range(200_000)]
+    peaks = []
+    for newline in ("\n", "\r\n"):
+        (path := tmp_path / "capture.log").write_text("".join(line + newline for line in lines))
+        tracemalloc.start()
+        try:
+            assert len(load_trace(path)) == len(lines)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] < 21 * len(lines) / 2
 
 
 class TestBackwardSteps:

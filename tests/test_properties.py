@@ -447,14 +447,19 @@ def test_load_without_timestamps_matches_default(data, fmt, newline, chunk_bytes
 @st.composite
 def _one_length_capture(draw, fmt):
     """(text, line bytes with end) of capture lines all of one length, each
-    ending in LF, with at most one of: an LF or CR in place of a byte of a
-    line; one line a byte longer and the next a byte shorter, so the capture's
-    size does not change; a final line with no LF."""
+    ending in LF or each in CR LF, with at most one of: an LF or CR in place
+    of a byte of a line; one line a byte longer and the next a byte shorter,
+    so the capture's size does not change; a final line with no end. In CR LF
+    text also: one line ending in LF only, or in a lone CR; one line's CR
+    moved into it, so the chunk's CR and LF counts do not change."""
     first = draw(_capture_line(fmt))
     width = len(first.encode())
     more = draw(st.lists(_capture_line(fmt, width), min_size=1, max_size=12))
     lines = [first, *(line for line in more if len(line.encode()) == width)]
-    case = draw(st.sampled_from(["none", "none", "end-in-line", "longer-shorter", "no-final-lf"]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    ends = [newline] * len(lines)
+    case = draw(st.sampled_from(["none", "none", "end-in-line", "longer-shorter", "no-final-lf"]
+                                + ["lf-only", "lone-cr", "moved-cr"] * (newline == "\r\n")))
     k = draw(st.integers(min_value=0, max_value=len(lines) - 1))
     at = draw(st.integers(min_value=0, max_value=len(lines[k]) - 1))
     if case == "end-in-line":
@@ -463,15 +468,22 @@ def _one_length_capture(draw, fmt):
         lines[k] = lines[k][:at] + draw(st.sampled_from("0.A ")) + lines[k][at:]
         cut = draw(st.integers(min_value=0, max_value=len(lines[k + 1]) - 1))
         lines[k + 1] = lines[k + 1][:cut] + lines[k + 1][cut + 1 :]
-    text = "".join(line + "\n" for line in lines)
-    return (text[:-1] if case == "no-final-lf" else text), width + 1
+    elif case == "lf-only":  # a 0 in place of its CR
+        ends[k] = "0\n"
+    elif case == "lone-cr":
+        ends[k] = "\r"
+    elif case == "moved-cr":
+        lines[k], ends[k] = lines[k][:at] + "\r" + lines[k][at + 1 :], "0\n"
+    text = "".join(map(str.__add__, lines, ends))
+    return (text.removesuffix(ends[-1]) if case == "no-final-lf" else text), width + len(newline)
 
 
 @given(st.data(), st.sampled_from(["candump", "csv"]), st.integers(min_value=1, max_value=4))
 @settings(max_examples=200, deadline=None)
 def test_one_length_chunks_match_per_line_reference(data, fmt, lines_per_chunk):
-    """Chunks of whole lines of one length are decoded as one row matrix; a chunk
-    that only looks like one (same size, another LF or CR count) is not."""
+    """Chunks of whole LF lines of one length are decoded as one row matrix; a
+    chunk that only looks like one (same size, another LF or CR count) is not,
+    nor is a chunk of CR LF lines, with or without one line ending otherwise."""
     text, line_bytes = data.draw(_one_length_capture(fmt))
     with tempfile.TemporaryDirectory() as tmp, mock.patch.object(
         frames, "CHUNK_BYTES", lines_per_chunk * line_bytes
